@@ -94,7 +94,7 @@ mod tests {
         // Sparse sampling sees few of g4box's many short blocks; each LBR
         // stack witnesses dozens, so its recall must be far higher at the
         // same sample budget.
-        let program = ct_workloads::kernels::g4box(60_000);
+        let program = ct_workloads::by_name("g4box", 60_000).unwrap().program;
         let machine = MachineModel::ivy_bridge();
         let opts = MethodOptions::default(); // sparse: ~100 samples
         let mut session = Session::new(&machine, &program);

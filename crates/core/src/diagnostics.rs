@@ -126,7 +126,7 @@ mod tests {
     use ct_sim::{Cpu, MachineModel, RunConfig};
 
     fn diagnose_method(kind: MethodKind) -> Diagnosis {
-        let program = ct_workloads::kernels::latency_biased(60_000);
+        let program = ct_workloads::by_name("latency_biased", 60_000).unwrap().program;
         let cfg = Cfg::build(&program);
         let machine = MachineModel::ivy_bridge();
         let inst = kind.instantiate(&machine, &MethodOptions::fast()).unwrap();
@@ -179,7 +179,7 @@ mod tests {
 
     #[test]
     fn empty_batch_is_all_zeros() {
-        let program = ct_workloads::kernels::g4box(100);
+        let program = ct_workloads::by_name("g4box", 100).unwrap().program;
         let cfg = Cfg::build(&program);
         let d = diagnose(&SampleBatch::default(), &program, &cfg);
         assert_eq!(d.samples, 0);

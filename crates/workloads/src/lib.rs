@@ -1,22 +1,23 @@
 //! `ct-workloads` — the paper's measurement workloads.
 //!
-//! Two families, mirroring §4.3:
+//! Each workload is one checked-in `.ctasm` assembler file plus a JSON
+//! manifest under `crates/workloads/programs/`; the file's header says
+//! which shape of the original it preserves and why. Two families,
+//! mirroring §4.3:
 //!
 //! * **kernels** — small hand-written codes, each emphasizing one
-//!   difficulty for sampling: [`kernels::latency_biased`] (non-uniform
-//!   basic-block execution times), [`kernels::callchain`] (10-deep chains
-//!   of short methods), [`kernels::g4box`] (chains of tests and branches →
-//!   very short basic blocks), [`kernels::test40`] (fragmented,
-//!   conditionally executed physics methods);
+//!   difficulty for sampling: `latency_biased` (non-uniform basic-block
+//!   execution times), `callchain` (10-deep chains of short methods),
+//!   `g4box` (chains of tests and branches → very short basic blocks)
+//!   and `test40` (fragmented, conditionally executed physics methods);
 //! * **applications** — synthetic proxies for the paper's SPEC CPU2006
-//!   subset (mcf, povray, omnetpp, xalancbmk) and the CERN FullCMS
-//!   production workload. Each proxy reproduces the *shape* that drives
-//!   sampling accuracy on the original: hotspot structure, basic-block
-//!   size distribution, instructions-per-taken-branch ratio, memory
-//!   behaviour and call-chain depth (see DESIGN.md for the substitution
-//!   argument).
+//!   subset (`mcf`, `povray`, `omnetpp`, `xalancbmk`) and the CERN
+//!   FullCMS production workload (`fullcms`). Each proxy reproduces the
+//!   *shape* that drives sampling accuracy on the original: hotspot
+//!   structure, basic-block size distribution, instructions-per-taken-
+//!   branch ratio, memory behaviour and call-chain depth.
 //!
-//! All generators are deterministic: the same parameters produce the same
+//! Every program is deterministic: the same size produces the same
 //! program and the same dynamic instruction stream.
 //!
 //! # Examples
@@ -34,19 +35,34 @@
 //! assert_eq!(
 //!     kernels[0].program.insns.len(),
 //!     again[0].program.insns.len(),
-//!     "generators are deterministic"
+//!     "programs are deterministic"
 //! );
 //! assert_eq!(ct_workloads::all(0.01).len(), kernels.len() + 5);
+//! ```
+//!
+//! [`by_name`] skips the scale rule and sets a workload's size constant
+//! `N` exactly, for tests that pin an iteration count:
+//!
+//! ```
+//! let w = ct_workloads::by_name("callchain", 2_000).unwrap();
+//! assert_eq!(w.name, "callchain");
+//! assert!(ct_workloads::by_name("no_such_workload", 2_000).is_none());
 //! ```
 
 #![deny(rustdoc::broken_intra_doc_links)]
 
-pub mod apps;
-pub mod emit;
-pub mod kernels;
 pub mod loader;
 pub mod registry;
-pub mod util;
+
+// Shape tests of the catalog programs, one module per family.
+#[cfg(test)]
+#[path = "shapes/apps.rs"]
+mod apps;
+#[cfg(test)]
+#[path = "shapes/kernels.rs"]
+mod kernels;
+#[cfg(test)]
+mod shapes;
 
 pub use loader::{LoaderError, LoaderLimits};
-pub use registry::{all, applications, kernels as kernel_set, Workload, WorkloadClass};
+pub use registry::{all, applications, by_name, kernels as kernel_set, Workload, WorkloadClass};

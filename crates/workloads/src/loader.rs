@@ -182,10 +182,9 @@ fn req_u64(path: &Path, v: &Value, key: &str) -> Result<u64, LoaderError> {
 struct Manifest {
     name: String,
     /// The assembled [`Program`]'s internal name; defaults to `name`.
-    /// Exists because one registry workload (`xalancbmk`) wraps a
-    /// builder whose program is named differently (`xalanc`), and the
-    /// program name participates in structural equality and pair
-    /// fingerprints.
+    /// Exists because one registry workload (`xalancbmk`) names its
+    /// program differently (`xalanc`), and the program name
+    /// participates in structural equality and pair fingerprints.
     program_name: String,
     class: WorkloadClass,
     source: String,
@@ -315,8 +314,8 @@ pub fn load_pair(
 }
 
 /// Assembles and limit-checks an already-parsed manifest against its
-/// source — the single back half shared by [`load_pair`] and
-/// [`load_dir`], so each manifest is parsed exactly once.
+/// source — the single back half shared by [`load_pair`], [`load_dir`]
+/// and [`load_named`], so each manifest is parsed exactly once.
 fn compile(path: &Path, m: Manifest, source_text: &str, scale: f64) -> Result<Workload, LoaderError> {
     let overrides: Vec<(String, i64)> = m
         .scaled
@@ -423,4 +422,26 @@ pub fn load_embedded(
         out.push(w);
     }
     Ok(out)
+}
+
+/// Compiles the embedded pair whose manifest names `name`, with every
+/// `scaled` constant set to exactly `n` instead of through the sizing
+/// rule. `Ok(None)` when no manifest in `pairs` names `name`.
+pub(crate) fn load_named(
+    pairs: &[(&str, &str, &str)],
+    name: &str,
+    n: u64,
+) -> Result<Option<Workload>, LoaderError> {
+    for (label, manifest_text, source_text) in pairs {
+        let path = Path::new("embedded:").join(label);
+        let mut m = parse_manifest(&path, manifest_text, &LoaderLimits::default())?;
+        if m.name == name {
+            // At scale 0 the sizing rule yields exactly each entry's `min`.
+            for (_, _, min) in &mut m.scaled {
+                *min = n;
+            }
+            return compile(&path, m, source_text, 0.0).map(Some);
+        }
+    }
+    Ok(None)
 }

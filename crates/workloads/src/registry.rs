@@ -1,15 +1,15 @@
 //! The workload registry: named, sized instances of every kernel and
 //! application, as consumed by the evaluation binaries.
 //!
-//! Since the workloads-as-data refactor the built-in catalog is
-//! *compiled from data*: every workload's checked-in `.ctasm` +
-//! manifest pair under `programs/` is embedded at build time and fed
-//! through [`crate::loader`] — the same construction path a
-//! `--workload-dir` tenant catalog takes at runtime. The Rust builders
-//! in [`crate::kernels`]/[`crate::apps`] remain the generators of
-//! record: [`crate::emit`] renders them to the checked-in files, and
-//! its tests prove the loaded programs structurally identical to
-//! builder output at every scale.
+//! The checked-in `.ctasm` + manifest pairs under `programs/` are the
+//! only definition of the built-in workloads. They are embedded at
+//! build time and compiled through [`crate::loader`], the same path a
+//! `--workload-dir` tenant catalog takes at runtime. Editing a
+//! workload means editing its `.ctasm` file and re-running `cargo test
+//! -p ct-bench --test golden_exec_traces`, which pins every retire
+//! event of every machine × workload pair. Regenerate those goldens
+//! only for a deliberate semantic change, never to absorb an
+//! accidental one.
 
 use crate::loader::{self, LoaderLimits};
 use ct_isa::Program;
@@ -80,6 +80,16 @@ pub fn applications(scale: f64) -> Vec<Workload> {
     load_builtins(BUILTIN_APPS, scale)
 }
 
+/// The built-in workload `name` with its size constant `N` set to
+/// exactly `n`, bypassing the scale rule — for tests and examples that
+/// pin a specific iteration count. `None` for a name the built-in
+/// catalog does not define.
+#[must_use]
+pub fn by_name(name: &str, n: u64) -> Option<Workload> {
+    let pairs = [BUILTIN_KERNELS, BUILTIN_APPS].concat();
+    loader::load_named(&pairs, name, n).expect("embedded built-in catalog is well-formed")
+}
+
 /// Every workload (kernels then applications).
 #[must_use]
 pub fn all(scale: f64) -> Vec<Workload> {
@@ -120,31 +130,6 @@ mod tests {
         assert!(applications(0.01)
             .iter()
             .all(|w| w.class == WorkloadClass::Application));
-    }
-
-    /// The data path (embedded `.ctasm` + manifest through the loader)
-    /// must reproduce the hand-coded Rust builders exactly — this is
-    /// what keeps the golden exec-trace digests pinned across the
-    /// workloads-as-data refactor.
-    #[test]
-    fn data_path_matches_builders_at_every_scale() {
-        for scale in [0.000_001, 0.01, 0.02, 1.0] {
-            let catalog = all(scale);
-            for spec in crate::emit::specs() {
-                let w = catalog
-                    .iter()
-                    .find(|w| w.name == spec.name)
-                    .unwrap_or_else(|| panic!("{} missing from catalog", spec.name));
-                let sized = ((spec.base as f64 * scale) as u64).max(spec.min);
-                assert_eq!(
-                    w.program,
-                    (spec.build)(sized),
-                    "{} @ scale {scale}",
-                    spec.name
-                );
-                assert_eq!(w.class, spec.class);
-            }
-        }
     }
 
     #[test]

@@ -13,7 +13,9 @@ use ct_pmu::Sampler;
 use ct_sim::{Cpu, MachineModel, RunConfig};
 
 fn main() {
-    let program = ct_workloads::kernels::g4box(5_000);
+    let program = ct_workloads::by_name("g4box", 5_000)
+        .expect("g4box is a built-in workload")
+        .program;
     let machine = MachineModel::ivy_bridge();
     let cfg = Cfg::build(&program);
 

@@ -11,11 +11,9 @@
 //!   nothing scales with the instruction stream).
 //!
 //! The counters are process-global, so each test measures a delta
-//! around its own steady-state section; the suite still passes when the
-//! tests run concurrently because every bound is stated per unit of
-//! work done *at least* (other tests only add work, never remove it) —
-//! except the exact-zero interpreter audit, which serializes behind a
-//! lock to keep other tests' allocations out of its window.
+//! around its own steady-state section, and every test serializes
+//! behind one lock: a serve audit running beside an exact-zero
+//! interpreter audit would leak its allocations into that window.
 
 use countertrust::grid::WorkloadSpec;
 use countertrust::methods::MethodOptions;
@@ -26,9 +24,8 @@ use ct_sim::alloc_audit::AllocSnapshot;
 use ct_sim::{Cpu, MachineModel, RunConfig};
 use std::sync::Mutex;
 
-/// Serializes the sections that assert *exact* allocation counts, so a
-/// concurrently running test cannot leak its allocations into the
-/// measured window.
+/// Serializes every measured section, so a concurrently running test
+/// cannot leak its allocations into another test's window.
 static EXCLUSIVE: Mutex<()> = Mutex::new(());
 
 /// The session-test kernel: 2 + 30_000 × 5 = 150_002 retired
@@ -117,6 +114,7 @@ fn retained_cpu_swapping_programs_settles_allocation_free() {
 /// Shared serve-path audit: warms the service, then measures the
 /// allocation delta of `steady` and bounds it per retired instruction.
 fn audit_serve(label: &str, steady: impl FnOnce(&EvalService, &[EvalRequest])) {
+    let guard = EXCLUSIVE.lock().unwrap();
     let machines = [MachineModel::ivy_bridge()];
     let program = kernel();
     let run_config = RunConfig::default();
@@ -138,6 +136,7 @@ fn audit_serve(label: &str, steady: impl FnOnce(&EvalService, &[EvalRequest])) {
     let before = AllocSnapshot::now();
     steady(&service, &requests);
     let after = AllocSnapshot::now();
+    drop(guard);
 
     // Each request evaluates one method run over the kernel; the
     // reference is cached, so the steady-state work is ≥ 16 runs ×

@@ -45,7 +45,7 @@ fn execution_is_deterministic_per_machine() {
 
 #[test]
 fn same_seed_same_profile_all_methods() {
-    let program = ct_workloads::kernels::g4box(20_000);
+    let program = ct_workloads::by_name("g4box", 20_000).unwrap().program;
     let opts = MethodOptions::fast();
     for machine in MachineModel::paper_machines() {
         for kind in MethodKind::ALL {
@@ -69,7 +69,7 @@ fn same_seed_same_profile_all_methods() {
 
 #[test]
 fn different_seed_changes_randomized_methods_only() {
-    let program = ct_workloads::kernels::g4box(20_000);
+    let program = ct_workloads::by_name("g4box", 20_000).unwrap().program;
     let machine = MachineModel::ivy_bridge();
     let opts = MethodOptions::fast();
     let mut session = Session::new(&machine, &program);
@@ -99,7 +99,7 @@ fn different_seed_changes_randomized_methods_only() {
 
 #[test]
 fn evaluation_stats_are_reproducible() {
-    let program = ct_workloads::kernels::callchain(10_000, 10);
+    let program = ct_workloads::by_name("callchain", 10_000).unwrap().program;
     let machine = MachineModel::westmere();
     let inst = MethodKind::PreciseRand
         .instantiate(&machine, &MethodOptions::fast())

@@ -8,7 +8,7 @@ use ct_sim::{Cpu, MachineModel, RunConfig, StopReason};
 
 #[test]
 fn dropped_pmis_degrade_precision_not_correctness() {
-    let program = ct_workloads::kernels::g4box(30_000);
+    let program = ct_workloads::by_name("g4box", 30_000).unwrap().program;
     let machine = MachineModel::ivy_bridge();
     let opts = MethodOptions::fast();
     let clean = MethodKind::PrecisePrime
@@ -31,7 +31,7 @@ fn dropped_pmis_degrade_precision_not_correctness() {
 fn call_stack_mode_collision_destroys_lbr_accounting() {
     // §6.2: the LBR is "a valuable single resource"; colliding basic-block
     // accounting with call-stack mode invalidates the reconstruction.
-    let program = ct_workloads::kernels::g4box(30_000);
+    let program = ct_workloads::by_name("g4box", 30_000).unwrap().program;
     let machine = MachineModel::ivy_bridge();
     let opts = MethodOptions::fast();
     let ring = MethodKind::Lbr.instantiate(&machine, &opts).unwrap();
@@ -52,7 +52,7 @@ fn call_stack_mode_collision_destroys_lbr_accounting() {
 #[test]
 fn capability_mismatches_surface_as_clean_errors() {
     let amd = MachineModel::magny_cours();
-    let program = ct_workloads::kernels::callchain(1_000, 10);
+    let program = ct_workloads::by_name("callchain", 1_000).unwrap().program;
     // Hand-built config that the method registry would never produce:
     // LBR collection on a machine with no LBR.
     let bad = SamplerConfig::new(
@@ -94,7 +94,7 @@ fn zero_period_is_rejected() {
 
 #[test]
 fn fuel_exhaustion_keeps_counts_consistent() {
-    let program = ct_workloads::apps::omnetpp(50_000, 1024);
+    let program = ct_workloads::by_name("omnetpp", 50_000).unwrap().program;
     let machine = MachineModel::westmere();
     let cfg = ct_isa::Cfg::build(&program);
     let mut bb = ct_instrument::BbCounter::new(&cfg);
@@ -117,7 +117,7 @@ fn fuel_exhaustion_keeps_counts_consistent() {
 fn saturating_sampler_with_tiny_period_stays_sane() {
     // Periods far below the PMI latency force constant collisions; the
     // sampler must count drops and still deliver valid samples.
-    let program = ct_workloads::kernels::latency_biased(20_000);
+    let program = ct_workloads::by_name("latency_biased", 20_000).unwrap().program;
     let machine = MachineModel::magny_cours();
     let cfg = SamplerConfig::new(
         PmuEvent::AmdRetiredInstructions,

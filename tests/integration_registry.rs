@@ -5,9 +5,10 @@
 //! in-order error response — in both batched and pipelined modes — with
 //! the stream draining on.
 //!
-//! The reference-collection counter is process-global, so the audited
-//! test serializes on [`GUARD`] (this file owns its whole test binary —
-//! see `crates/core/Cargo.toml`).
+//! The reference-collection counter is process-global, so every test
+//! serializes on [`GUARD`]: a test building references concurrently
+//! would inflate an audited test's exact count (this file owns its
+//! whole test binary — see `crates/core/Cargo.toml`).
 
 use countertrust::grid::WorkloadSpec;
 use countertrust::methods::MethodOptions;
@@ -87,6 +88,7 @@ fn stats_json(response: &EvalResponse) -> String {
 
 #[test]
 fn default_catalog_requests_are_byte_identical_to_single_catalog_serving() {
+    let _guard = lock();
     let program = kernel("k", 10_000);
     let run_config = RunConfig::default();
     let workloads = [WorkloadSpec { name: "k", program: &program, run_config: &run_config }];
@@ -208,6 +210,7 @@ fn tenants_sharing_one_cache_never_collide_on_equal_names() {
 
 #[test]
 fn unknown_catalog_answers_in_order_batched() {
+    let _guard = lock();
     let program = kernel("k", 5_000);
     let run_config = RunConfig::default();
     let workloads = [WorkloadSpec { name: "k", program: &program, run_config: &run_config }];
@@ -235,6 +238,7 @@ fn unknown_catalog_answers_in_order_batched() {
 
 #[test]
 fn unknown_catalog_answers_in_order_pipelined_and_the_stream_drains() {
+    let _guard = lock();
     let program = kernel("k", 5_000);
     let run_config = RunConfig::default();
     let workloads = [WorkloadSpec { name: "k", program: &program, run_config: &run_config }];
@@ -357,6 +361,7 @@ fn hot_tenant_churn_never_rebuilds_cold_tenant_references_under_quotas() {
 
 #[test]
 fn registry_registration_order_and_replacement() {
+    let _guard = lock();
     let program = kernel("k", 4_000);
     let run_config = RunConfig::default();
     let workloads = [WorkloadSpec { name: "k", program: &program, run_config: &run_config }];
