@@ -19,12 +19,27 @@
 //! coordinates — so `--threads 1` and `--threads N` produce byte-identical
 //! stdout/JSON.
 //!
-//! Criterion benches in `benches/` measure collection and post-processing
-//! overhead (the \[38\] aside) and simulator throughput.
+//! The crate also hosts the test tiers that need its stream generators
+//! or the workload registry:
+//!
+//! * `golden_probes` pins eight single-threaded serving, grid and
+//!   interpreter runs by config, response-byte hash and audited
+//!   reference-build count;
+//! * `golden_exec_traces` pins every retirement event of the 27
+//!   machine × workload traces;
+//! * `integration_serve` drives the service with generated request
+//!   streams;
+//! * `integration_warm_start` proves a restart on a snapshot directory
+//!   byte-identical with zero rebuilds;
+//! * `alloc_audit` (feature `alloc_audit`) proves the warm interpreter
+//!   allocation-free.
+//!
+//! Per-layer timing (simulator, PMU, attribution, reference builds,
+//! serving stages, JSON and wire round trips) is `perfbench`'s job, the
+//! repository's one benchmark.
 
 #![deny(rustdoc::broken_intra_doc_links)]
 
-pub mod harness;
 pub mod streams;
 
 use countertrust::evaluate::Evaluation;

@@ -101,15 +101,6 @@ pub struct StreamConfig {
     pub runs: usize,
 }
 
-/// Opaque resumption point of a [`StreamGenerator`]: the RNG state plus
-/// the round-robin cursor. Two generators with equal states produce
-/// identical continuations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StreamState {
-    rng: [u64; 4],
-    position: usize,
-}
-
 /// An incremental request-stream generator.
 ///
 /// Historically [`request_stream`] re-seeded its RNG on every call, so a
@@ -117,10 +108,7 @@ pub struct StreamState {
 /// had to regenerate (or re-parse JSONL) from the start. The generator
 /// owns the live RNG instead: [`StreamGenerator::take`] can be called
 /// repeatedly and the concatenation of the chunks is exactly the stream
-/// a single big `take` would have produced. [`StreamGenerator::state`] /
-/// [`StreamGenerator::restore`] snapshot and resume that position, which
-/// is what lets `bench_suite` replay the identical stream across
-/// scenarios without keeping the requests in memory.
+/// a single big `take` would have produced.
 ///
 /// The pair/label tables are built once at construction; per-request
 /// generation is just RNG draws and string clones.
@@ -247,23 +235,6 @@ impl StreamGenerator {
     pub fn take(&mut self, n: usize) -> Vec<EvalRequest> {
         (0..n).map(|_| self.next_request()).collect()
     }
-
-    /// Snapshots the generator's position (RNG words + round-robin
-    /// cursor) for later [`StreamGenerator::restore`].
-    #[must_use]
-    pub fn state(&self) -> StreamState {
-        StreamState {
-            rng: self.rng.state(),
-            position: self.position,
-        }
-    }
-
-    /// Rewinds (or fast-forwards) the generator to a snapshot taken from
-    /// a generator with the same construction parameters.
-    pub fn restore(&mut self, state: StreamState) {
-        self.rng = SmallRng::from_state(state.rng);
-        self.position = state.position;
-    }
 }
 
 /// Generates a request stream over the full `machines × workloads`
@@ -375,25 +346,6 @@ mod tests {
                 "{pattern:?}: chunked take() must concatenate to the one-shot stream"
             );
         }
-    }
-
-    #[test]
-    fn state_snapshot_replays_the_stream_tail() {
-        let (machines, workloads) = catalog();
-        let opts = MethodOptions::fast();
-        let cfg = config(StreamPattern::Mixed);
-        let mut gen = StreamGenerator::new(&machines, &workloads, &opts, &cfg);
-        let _head = gen.take(73);
-        let snap = gen.state();
-        let tail = gen.take(60);
-        // Resume from the snapshot on the SAME generator...
-        gen.restore(snap);
-        assert_eq!(gen.take(60), tail, "restore must replay the identical tail");
-        // ...and on a FRESH generator with equal construction parameters.
-        let mut other = StreamGenerator::new(&machines, &workloads, &opts, &cfg);
-        other.restore(snap);
-        assert_eq!(other.state(), snap);
-        assert_eq!(other.take(60), tail, "snapshots transfer between generators");
     }
 
     #[test]

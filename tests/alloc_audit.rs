@@ -10,10 +10,12 @@
 //!   per retired instruction (per-response bookkeeping exists, but
 //!   nothing scales with the instruction stream).
 //!
-//! The counters are process-global, so each test measures a delta
-//! around its own steady-state section, and every test serializes
-//! behind one lock: a serve audit running beside an exact-zero
-//! interpreter audit would leak its allocations into that window.
+//! Each test measures a delta around its own steady-state section. The
+//! two exact-zero interpreter audits count the calling thread only:
+//! `Cpu::run` spawns no threads, so that count is the whole interpreter,
+//! and allocations the test harness makes on other threads stay out of
+//! the window. The serve audits run worker threads and count
+//! process-wide, so every test also serializes behind one lock.
 
 use countertrust::grid::WorkloadSpec;
 use countertrust::methods::MethodOptions;
@@ -71,7 +73,7 @@ fn retained_cpu_replays_without_allocating() {
     drop(guard);
 
     assert_eq!(
-        after.allocations_since(&before),
+        after.thread_allocations_since(&before),
         0,
         "a warm interpreter must not touch the heap ({} retired instructions replayed)",
         10 * KERNEL_INSTRUCTIONS
@@ -105,7 +107,7 @@ fn retained_cpu_swapping_programs_settles_allocation_free() {
     drop(guard);
 
     assert_eq!(
-        after.allocations_since(&before),
+        after.thread_allocations_since(&before),
         0,
         "alternating warm programs must not reallocate scratch"
     );
