@@ -1,12 +1,12 @@
 //! Serving-mode benchmark: drives the evaluation service
 //! ([`countertrust::serve::EvalService`]) with a synthetic JSON-lines
-//! request stream — batched or through the staged intake pipeline — and
+//! request stream — batched or through the chunked JSON-lines intake — and
 //! reports throughput, cache hit rate and latency percentiles.
 //!
 //! ```text
 //! cargo run --release -p ct-bench --bin serve_bench -- \
 //!     [--pattern hot|cold|zipfian|mixed] [--requests N] [--batch N] \
-//!     [--pipeline-depth N] [--chunk N] [--admission lru|freq] \
+//!     [--chunk N] [--admission lru|freq] \
 //!     [--capacity N] [--quota N] [--fairness fcfs|weighted] [--runs N] \
 //!     [--scale F] [--seed N] [--threads N] [--record-latency] \
 //!     [--listen ADDR] [--connect ADDR|self] [--connections N] \
@@ -43,7 +43,7 @@
 //!
 //! Responses go to **stdout** as JSON lines (one per request, in request
 //! order) and are byte-identical for any `--threads N`, `--capacity N`,
-//! `--admission`, `--pipeline-depth N` and `--chunk N`; all
+//! `--admission` and `--chunk N`; all
 //! timing-dependent numbers (the summary) go to **stderr**.
 //! `--capacity 0` (the default) is an unbounded cache. Loopback mode is
 //! the one caveat to stdout ordering: the stream is split round-robin
@@ -52,10 +52,11 @@
 //! byte-identity contract holds *per connection*, against the offline
 //! pipelined run of that connection's sub-stream.
 //!
-//! `--pipeline-depth N` (N ≥ 1) switches from batch-synchronous serving
-//! to the staged pipeline: intake parses `--chunk`-sized chunks
-//! (default: `--batch`) while earlier chunks build references and
-//! evaluate, with at most N chunks buffered between stages.
+//! `--chunk N` (N ≥ 1) switches from batched serving to JSON-lines
+//! intake: the stream is serialized to its wire form and read back by
+//! `serve_pipelined`, which reads N lines, answers them, then reads the
+//! next N. The network modes always serve that way, N defaulting to
+//! `--batch`.
 //! `--record-latency` additionally stamps each pipelined response with
 //! its queue/build/eval micros and reports p50/p99 per-request latency
 //! (opting out of byte-identity — latency is wall clock).
@@ -108,9 +109,8 @@ struct ServeCli {
     pattern: StreamPattern,
     requests: usize,
     batch: usize,
-    /// `Some(depth)` switches to the staged pipeline.
-    pipeline_depth: Option<usize>,
-    /// Pipeline chunk size; defaults to `--batch`.
+    /// Intake chunk size; `Some` switches local mode to JSON-lines
+    /// intake. Defaults to `--batch`.
     chunk: Option<usize>,
     admission: AdmissionPolicy,
     capacity: usize,
@@ -142,8 +142,8 @@ struct ServeCli {
 /// Parses a count flag that must be ≥ 1, matching the `--threads`
 /// convention from PR 1: a zero or negative value is **rejected** by
 /// clamping to 1 with a warning (silently keeping the default would make
-/// `--pipeline-depth 0` fall back to batched mode behind the user's
-/// back); a non-numeric value warns and keeps the current setting.
+/// `--chunk 0` fall back to batched mode behind the user's back); a
+/// non-numeric value warns and keeps the current setting.
 fn parse_positive_count(flag: &str, raw: &str) -> Option<usize> {
     match raw.parse::<i128>() {
         Ok(n) if n <= 0 => {
@@ -159,17 +159,17 @@ fn parse_positive_count(flag: &str, raw: &str) -> Option<usize> {
 }
 
 /// Whether this CLI combination would silently drop `--fairness`:
-/// weighted scheduling lives in the serving side's pipeline stages, so
-/// it has no effect in local batched mode (no `--pipeline-depth`) or in
-/// pure client mode (`--connect` without `--listen`, where the remote
-/// server's options govern scheduling). Any `--listen` mode serves
-/// pipelined and applies it.
+/// weighted scheduling lives in the serving side's chunk loop, so it
+/// has no effect in local batched mode (no `--chunk`) or in pure client
+/// mode (`--connect` without `--listen`, where the remote server's
+/// options govern scheduling). Any `--listen` mode serves through the
+/// chunk loop and applies it.
 fn fairness_needs_pipeline(cli: &ServeCli) -> bool {
     if cli.fairness == FairnessPolicy::Fcfs || cli.listen.is_some() {
         return false;
     }
     // Local batched mode, or client-only mode.
-    cli.connect.is_some() || cli.pipeline_depth.is_none()
+    cli.connect.is_some() || cli.chunk.is_none()
 }
 
 fn parse(args: &[String]) -> ServeCli {
@@ -178,7 +178,6 @@ fn parse(args: &[String]) -> ServeCli {
         pattern: StreamPattern::Zipfian,
         requests: 500,
         batch: 64,
-        pipeline_depth: None,
         chunk: None,
         admission: AdmissionPolicy::Lru,
         capacity: 0,
@@ -227,13 +226,6 @@ fn parse(args: &[String]) -> ServeCli {
                     match v.parse::<usize>() {
                         Ok(n) if n > 0 => cli.batch = n,
                         _ => eprintln!("warning: ignoring invalid --batch {v:?}"),
-                    }
-                }
-            }
-            "--pipeline-depth" => {
-                if let Some(v) = take(&mut i) {
-                    if let Some(n) = parse_positive_count("--pipeline-depth", v) {
-                        cli.pipeline_depth = Some(n);
                     }
                 }
             }
@@ -386,7 +378,7 @@ fn drive(
     (jsonl, latencies_ms)
 }
 
-/// Serves `requests` through the staged pipeline: the stream is
+/// Serves `requests` through the chunked intake: the stream is
 /// serialized to its JSON-lines wire form and read back incrementally,
 /// exactly as a network intake would deliver it.
 fn drive_pipelined(
@@ -494,12 +486,11 @@ fn main() {
     if fairness_needs_pipeline(&cli) {
         eprintln!(
             "warning: --fairness {} has no effect in this mode — it applies to \
-             pipelined serving (add --pipeline-depth N, or serve with --listen)",
+             pipelined serving (add --chunk N, or serve with --listen)",
             cli.fairness.name()
         );
     }
     let pipeline = PipelineOptions::new()
-        .depth(cli.pipeline_depth.unwrap_or(2))
         .chunk(cli.chunk.unwrap_or(cli.batch))
         .record_latency(cli.record_latency)
         .fairness(cli.fairness);
@@ -568,7 +559,7 @@ fn main() {
 
     let audit = CollectionAudit::begin();
     let wall = Instant::now();
-    let (jsonl, mut latencies) = if cli.pipeline_depth.is_some() {
+    let (jsonl, mut latencies) = if cli.chunk.is_some() {
         (drive_pipelined(&service, &stream, &pipeline), Vec::new())
     } else {
         drive(&service, &stream, cli.batch)
@@ -610,7 +601,6 @@ fn main() {
             &piped,
             &stream,
             &PipelineOptions::new()
-                .depth(1)
                 .chunk(cli.batch)
                 .fairness(FairnessPolicy::Weighted),
         );
@@ -631,10 +621,9 @@ fn main() {
     latencies.sort_by(f64::total_cmp);
     eprintln!("serve_bench summary");
     eprintln!("  pattern          {}", cli.pattern.name());
-    if cli.pipeline_depth.is_some() {
+    if cli.chunk.is_some() {
         eprintln!(
-            "  mode             pipelined (depth {}, chunk {}, fairness {})",
-            pipeline.depth.max(1),
+            "  mode             pipelined (chunk {}, fairness {})",
             pipeline.chunk.max(1),
             pipeline.fairness.name()
         );
@@ -778,10 +767,9 @@ fn run_networked(
             eprintln!("serve_bench summary");
             eprintln!("  pattern          {}", cli.pattern.name());
             eprintln!(
-                "  mode             tcp loopback ({}, {} connections, depth {}, chunk {})",
+                "  mode             tcp loopback ({}, {} connections, chunk {})",
                 if cli.proto_v2 { "proto v2" } else { "proto v1" },
                 net.connections,
-                pipeline.depth.max(1),
                 pipeline.chunk.max(1)
             );
             eprintln!(
@@ -850,22 +838,6 @@ mod tests {
 
     fn args(list: &[&str]) -> Vec<String> {
         list.iter().map(|s| s.to_string()).collect()
-    }
-
-    #[test]
-    fn pipeline_depth_zero_is_clamped_to_one_not_batched_mode() {
-        // The regression: `--pipeline-depth 0` used to be silently
-        // ignored, leaving `pipeline_depth = None` — i.e. batched mode —
-        // when the user explicitly asked for the pipeline.
-        let cli = parse(&args(&["--pipeline-depth", "0"]));
-        assert_eq!(cli.pipeline_depth, Some(1));
-        let cli = parse(&args(&["--pipeline-depth", "-3"]));
-        assert_eq!(cli.pipeline_depth, Some(1));
-        let cli = parse(&args(&["--pipeline-depth", "4"]));
-        assert_eq!(cli.pipeline_depth, Some(4));
-        // Non-numeric still keeps the current (batched) setting.
-        let cli = parse(&args(&["--pipeline-depth", "deep"]));
-        assert_eq!(cli.pipeline_depth, None);
     }
 
     #[test]
@@ -948,7 +920,7 @@ mod tests {
             "client mode: the remote server's options govern scheduling"
         );
         assert!(!fairness_needs_pipeline(&parse(&args(&[
-            "--fairness", "weighted", "--pipeline-depth", "2",
+            "--fairness", "weighted", "--chunk", "2",
         ]))));
         assert!(!fairness_needs_pipeline(&parse(&args(&[
             "--fairness", "weighted", "--listen", "127.0.0.1:0",

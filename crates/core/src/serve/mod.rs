@@ -24,16 +24,16 @@
 //!
 //! # Pipelined intake
 //!
-//! [`EvalService::serve`] puts a full barrier between batches: reference
-//! builds for batch N+1 idle behind batch N's evaluation. For continuous
-//! streams, [`EvalService::serve_pipelined`] replaces the barrier with a
-//! staged pipeline — intake (incremental JSON-lines parsing), planning
-//! (pair sharding), build (cache warming) and evaluation each run on
-//! their own stage, connected by bounded queues
-//! ([`PipelineOptions::depth`] chunks of [`PipelineOptions::chunk`]
-//! requests) — so later chunks' reference builds overlap earlier chunks'
-//! evaluation while responses still come out in stream order. Malformed
-//! lines become in-order error responses; the pipeline keeps draining.
+//! [`EvalService::serve`] answers one batch handed to it whole. For
+//! continuous streams, [`EvalService::serve_pipelined`] reads JSON lines
+//! from any [`std::io::BufRead`] one chunk of [`PipelineOptions::chunk`]
+//! lines at a time and answers each chunk with the same plan → attach →
+//! evaluate steps before reading the next, so a stream of any length is
+//! served in bounded memory and answered in stream order. Malformed
+//! lines become in-order error responses and reading goes on; a line
+//! longer than [`proto::MAX_FRAME_PAYLOAD`] is answered with an error
+//! and ends the stream. Protocol v2 ([`proto`]) runs the same loop over
+//! frames: one line parser and one chunk answerer serve both.
 //!
 //! # Catalogs and tenants
 //!
@@ -90,8 +90,8 @@
 //! # Determinism contract
 //!
 //! Identical request streams yield byte-identical responses for any
-//! worker-thread count, cache capacity, admission policy, queue depth and
-//! chunk size: cache contents are pure functions of the pair, so
+//! worker-thread count, cache capacity, admission policy and chunk size:
+//! cache contents are pure functions of the pair, so
 //! eviction, admission and rebuild change *when* work happens, never
 //! *what* a response contains — and for a well-formed stream the
 //! pipelined output is byte-identical to the batched output. Timing-
@@ -203,7 +203,6 @@
 pub mod net;
 pub mod proto;
 mod reactor;
-mod ring;
 
 use crate::cache::{AdmissionPolicy, CacheQuotas, CacheStats, PairKey, PairParts, ProfileCache};
 use crate::evaluate::{evaluate_method_with_seeds, ErrorStats};
@@ -213,9 +212,8 @@ use ct_isa::{Cfg, Program};
 use ct_sim::{MachineModel, RunConfig};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
-use std::io::{BufRead, Write};
+use std::io::{BufRead, Read, Write};
 use std::path::{Path, PathBuf};
-use ring::ring_channel;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
@@ -309,14 +307,16 @@ impl Deserialize for EvalRequest {
 /// Per-request latency breakdown, in microseconds, recorded only when
 /// [`PipelineOptions::record_latency`] is on.
 ///
-/// Queue and build time are chunk-granular (every request of a pipeline
-/// chunk shares them); evaluation time is the request's own.
+/// Queue and build time are chunk-granular (every request of a chunk
+/// shares them); evaluation time is the request's own. v1 lines and v2
+/// frames are stamped alike.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct RequestLatency {
-    /// Intake-to-build-start: time the request's chunk spent queued
-    /// between pipeline stages (including planning).
+    /// Intake-to-build-start: time from the end of reading the
+    /// request's chunk to the start of its attach step, which is the
+    /// time spent planning the chunk.
     pub queue_us: u64,
-    /// Build-stage wall time of the request's chunk (cache attachment /
+    /// Attach wall time of the request's chunk (cache lookups and
     /// reference builds).
     pub build_us: u64,
     /// This request's own evaluation wall time (`0` for requests that
@@ -407,7 +407,7 @@ impl EvalResponse {
 }
 
 /// A response minus the request it answers: what the attach/evaluate
-/// stages actually compute. Slots hold bodies so the final in-order
+/// steps actually compute. Slots hold bodies so the final in-order
 /// assembly can *move* each request out of the batch into its response —
 /// the echoed request is never cloned on the serve hot path.
 struct ResponseBody {
@@ -824,14 +824,15 @@ struct Resolved {
     instance: MethodInstance,
 }
 
-/// One batch moving through the serve stages: planned requests, their
-/// pair shards, per-request response slots, and (after the build stage)
+/// One batch moving through the serve steps: planned requests, their
+/// pair shards, per-request response slots, and (after the attach step)
 /// the attached pair state each shard rides on.
 ///
-/// Both [`EvalService::serve`] and the staged pipeline
-/// ([`EvalService::serve_pipelined`]) push batches through the same
-/// three steps — plan, attach, evaluate — so batched and pipelined
-/// responses are computed by identical code and stay byte-identical.
+/// [`EvalService::serve`] and the chunk loop behind
+/// [`EvalService::serve_pipelined`] and protocol v2 push batches through
+/// the same three steps — plan, attach, evaluate — so batched and
+/// streamed responses are computed by identical code and stay
+/// byte-identical.
 struct Batch {
     requests: Vec<EvalRequest>,
     resolved: Vec<Result<Resolved, String>>,
@@ -839,8 +840,8 @@ struct Batch {
     /// first-appearance order; each holds the indices of its member
     /// requests.
     shards: Vec<(PairKey, Vec<usize>)>,
-    /// One response-body slot per request, filled by the attach stage
-    /// (build failures) or the evaluate stage; the request itself is
+    /// One response-body slot per request, filled by the attach step
+    /// (build failures) or the evaluate step; the request itself is
     /// moved in during the final in-order assembly.
     slots: Vec<Mutex<Option<ResponseBody>>>,
     /// One attachment per shard (`None` until attached, or on build
@@ -849,23 +850,23 @@ struct Batch {
     /// Latency bookkeeping; `Some` only when the serving mode records
     /// latency ([`PipelineOptions::record_latency`]).
     timing: Option<BatchTiming>,
-    /// Cross-catalog scheduling policy for this batch's build and
-    /// evaluate stages.
+    /// Cross-catalog scheduling policy for this batch's attach and
+    /// evaluate steps.
     fairness: FairnessPolicy,
 }
 
-/// Wall-clock bookkeeping of one timed batch moving through the
-/// pipeline. Queue and build times are batch-granular (stages handle a
-/// chunk at a time); evaluation times are per-request.
+/// Wall-clock bookkeeping of one timed batch. Queue and build times are
+/// batch-granular (the loop answers a chunk at a time); evaluation times
+/// are per-request.
 struct BatchTiming {
-    /// When intake finished parsing the chunk.
+    /// When intake finished reading the chunk.
     parsed_at: Instant,
-    /// Micros between `parsed_at` and the start of the build stage
-    /// (inter-stage queueing + planning), filled by the build stage.
+    /// Micros between `parsed_at` and the start of the attach step
+    /// (planning), filled by the attach step.
     queue_us: u64,
-    /// Micros the build stage spent attaching the chunk's shards.
+    /// Micros the attach step spent attaching the chunk's shards.
     build_us: u64,
-    /// Per-request evaluation micros, filled by the evaluate stage
+    /// Per-request evaluation micros, filled by the evaluate step
     /// (`0` for requests that never evaluated).
     eval_us: Vec<AtomicU64>,
 }
@@ -895,7 +896,7 @@ fn micros_since(from: Instant) -> u64 {
     u64::try_from(from.elapsed().as_micros()).unwrap_or(u64::MAX)
 }
 
-/// How the plan/build/evaluate stages order work across catalogs within
+/// How the plan/attach/evaluate steps order work across catalogs within
 /// one chunk.
 ///
 /// Fairness is a pure *scheduling* knob: responses are always emitted in
@@ -962,18 +963,13 @@ fn interleave_by_catalog<T>(tagged: Vec<(usize, T)>) -> Vec<T> {
     out
 }
 
-/// Shape of the staged request pipeline behind
-/// [`EvalService::serve_pipelined`].
+/// Shape of the chunked intake behind [`EvalService::serve_pipelined`]
+/// and protocol v2 connections.
 #[derive(Debug, Clone, Copy)]
 pub struct PipelineOptions {
-    /// Chunks each inter-stage queue may buffer before the upstream
-    /// stage blocks (values below 1 are served as 1). Depth 1 still
-    /// overlaps the stages — it only tightens how far intake may run
-    /// ahead of evaluation.
-    pub depth: usize,
-    /// Requests per pipeline chunk (values below 1 are served as 1): the
-    /// granularity at which reference builds for later requests overlap
-    /// the evaluation of earlier ones.
+    /// Lines per chunk (values below 1 are served as 1): how many
+    /// requests are read, then planned, attached and evaluated as one
+    /// batch before their responses go out. On v2 it caps a burst.
     pub chunk: usize,
     /// Stamps every response with its queue/build/eval micros
     /// ([`EvalResponse::latency`]) and feeds the [`ServeStats`] latency
@@ -990,7 +986,6 @@ pub struct PipelineOptions {
 impl Default for PipelineOptions {
     fn default() -> Self {
         Self {
-            depth: 2,
             chunk: 64,
             record_latency: false,
             fairness: FairnessPolicy::Fcfs,
@@ -999,17 +994,10 @@ impl Default for PipelineOptions {
 }
 
 impl PipelineOptions {
-    /// Default shape: depth 2, 64-request chunks, no latency recording.
+    /// Default shape: 64-request chunks, no latency recording, FCFS.
     #[must_use]
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Sets the queue depth (clamped to at least 1 at use).
-    #[must_use]
-    pub fn depth(mut self, depth: usize) -> Self {
-        self.depth = depth;
-        self
     }
 
     /// Sets the chunk size (clamped to at least 1 at use).
@@ -1034,44 +1022,57 @@ impl PipelineOptions {
     }
 }
 
-/// Counters of one [`EvalService::serve_pipelined`] run.
+/// Counters of one [`EvalService::serve_pipelined`] run or one v2
+/// connection.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PipelineStats {
     /// Non-empty input lines consumed.
     pub lines: u64,
     /// Lines that parsed into an [`EvalRequest`].
     pub requests: u64,
-    /// Lines answered with a parse-error response.
+    /// Lines answered with a parse-error response, plus a v2 protocol
+    /// error.
     pub parse_errors: u64,
-    /// Chunks pushed through the pipeline.
+    /// Chunks answered.
     pub chunks: u64,
     /// Responses written (one per non-empty line).
     pub responses: u64,
 }
 
-/// One non-empty intake line: a parsed request, or the parse failure
-/// that will be answered in place.
-enum LineItem {
-    /// The next entry of the chunk's `requests` vector.
-    Request,
-    /// A malformed line, answered by a parse-error response (naming the
-    /// line number) at its original stream position.
-    Bad { error: String },
-}
-
-/// A chunk mid-pipeline: the per-line layout (so responses interleave
-/// parse errors back in stream order) plus the batch being staged.
-struct Chunk {
-    layout: Vec<LineItem>,
-    batch: Batch,
-}
-
-/// Intake output: the parsed requests of one chunk plus its line layout
-/// and (when latency is recorded) the parse-completion timestamp.
-struct ParsedChunk {
-    layout: Vec<LineItem>,
+/// One chunk of intake, v1 lines or v2 frames: the requests that
+/// parsed, plus every line to answer in arrival order with its
+/// transport tag (`()` for v1, the stream id for v2) and its parse
+/// error, if it has one.
+#[derive(Default)]
+struct Chunk<T> {
+    lines: Vec<(T, Option<String>)>,
     requests: Vec<EvalRequest>,
-    parsed_at: Option<Instant>,
+}
+
+impl<T> Chunk<T> {
+    /// Parses line `line_no` of its stream. A blank line counts toward
+    /// the line numbers but is never answered; invalid UTF-8 and
+    /// malformed JSON are answered in place by a parse error naming the
+    /// line.
+    fn push_line(&mut self, tag: T, line_no: u64, bytes: &[u8]) {
+        let parsed = match std::str::from_utf8(bytes).map(str::trim) {
+            Ok("") => return,
+            Ok(text) => serde_json::from_str::<EvalRequest>(text).map_err(|e| e.to_string()),
+            Err(e) => Err(format!("invalid UTF-8: {e}")),
+        };
+        match parsed {
+            Ok(request) => {
+                self.requests.push(request);
+                self.lines.push((tag, None));
+            }
+            Err(e) => self.push_error(tag, format!("parse error on line {line_no}: {e}")),
+        }
+    }
+
+    /// Queues an error response at this point of the stream.
+    fn push_error(&mut self, tag: T, error: String) {
+        self.lines.push((tag, Some(error)));
+    }
 }
 
 /// The batched evaluation service. Construct with [`EvalService::new`]
@@ -1259,14 +1260,13 @@ impl EvalService {
         self.evaluate_batch(batch)
     }
 
-    /// Plan stage: resolves every request through the catalog registry
+    /// Plan step: resolves every request through the catalog registry
     /// and shards the resolvable ones by catalog-namespaced
     /// `(machine, workload)` pair — in first-appearance order under
     /// FCFS, or interleaved round-robin across catalogs under
-    /// [`FairnessPolicy::Weighted`] so the build stage starts every
+    /// [`FairnessPolicy::Weighted`] so the attach step starts every
     /// tenant's references fairly. `parsed_at` carries the intake
-    /// timestamp of a latency-recording pipeline (`None` everywhere
-    /// else).
+    /// timestamp of a latency-recording chunk (`None` everywhere else).
     fn plan_batch(
         &self,
         requests: Vec<EvalRequest>,
@@ -1306,11 +1306,15 @@ impl EvalService {
         }
     }
 
-    /// Build stage: one task per shard acquires (or builds) the pair
+    /// Attach step: one task per shard acquires (or builds) the pair
     /// state through the cache, so a batch performs at most one
-    /// reference build per distinct pair whatever the capacity. In the
-    /// pipeline this stage runs for chunk N+1 while chunk N evaluates.
+    /// reference build per distinct pair whatever the capacity. A timed
+    /// batch records its queue and build micros here.
     fn attach_batch(&self, batch: &mut Batch) {
+        let started = batch.timing.as_mut().map(|timing| {
+            timing.queue_us = micros_since(timing.parsed_at);
+            Instant::now()
+        });
         let attachments: Vec<Mutex<Option<Arc<PairParts>>>> =
             batch.shards.iter().map(|_| Mutex::new(None)).collect();
         for_each_index(self.threads, batch.shards.len(), |s| {
@@ -1323,9 +1327,12 @@ impl EvalService {
             .into_iter()
             .map(|a| a.into_inner().expect("no poisoned slots"))
             .collect();
+        if let (Some(timing), Some(at)) = (&mut batch.timing, started) {
+            timing.build_us = micros_since(at);
+        }
     }
 
-    /// Evaluate stage: one task per *request*, so skewed traffic (many
+    /// Evaluate step: one task per *request*, so skewed traffic (many
     /// requests on one hot pair) still spreads across every worker
     /// instead of serializing inside its shard. Under
     /// [`FairnessPolicy::Weighted`] the task list is interleaved
@@ -1444,27 +1451,28 @@ impl EvalService {
         out
     }
 
-    /// Serves a JSON-lines request stream through the staged pipeline:
+    /// Serves a JSON-lines request stream one chunk at a time:
     ///
     /// ```text
-    /// reader ──intake──▶ plan ──▶ build ──▶ evaluate+emit ──▶ writer
-    ///          (parse)  (shard)  (warm cache)  (in order)
+    /// reader ──read chunk──▶ plan ──▶ attach ──▶ evaluate ──▶ emit ──▶ writer
+    ///          (≤ chunk lines) (shard) (cache)  (fan-out)  (in order)
     /// ```
     ///
-    /// Each stage runs on its own scoped thread (evaluation on the
-    /// calling thread), connected by bounded lock-free SPSC ring
-    /// buffers holding at most
-    /// [`PipelineOptions::depth`] chunks of [`PipelineOptions::chunk`]
-    /// requests — so while chunk N evaluates, chunk N+1's reference
-    /// profiles are already building through the cache and chunk N+2 is
-    /// being parsed, instead of idling behind a batch barrier.
+    /// The calling thread reads a chunk of up to
+    /// [`PipelineOptions::chunk`] non-empty lines, answers it as one
+    /// batch — attach and evaluate fan out over the service's worker
+    /// threads — and only then reads the next chunk, so responses trail
+    /// the input by up to one chunk.
     ///
     /// Responses are written **in stream order**, one JSON line per
     /// non-empty input line (blank lines are skipped). A malformed line
-    /// becomes an in-order error response naming its line number — the
-    /// pipeline keeps draining. For a well-formed stream the output is
-    /// byte-identical to [`EvalService::serve_jsonl`] over the same
-    /// requests, for any thread count, queue depth or chunk size.
+    /// (invalid UTF-8 or JSON) becomes an in-order error response naming
+    /// its line number, and reading goes on. A line longer than
+    /// [`proto::MAX_FRAME_PAYLOAD`] bytes, the v2 frame limit, is
+    /// answered in order with an error too, and then reading stops: the
+    /// rest of the stream is never read. For a well-formed stream the
+    /// output is byte-identical to [`EvalService::serve_jsonl`] over the
+    /// same requests, for any thread count or chunk size.
     ///
     /// # Errors
     ///
@@ -1472,167 +1480,87 @@ impl EvalService {
     /// evaluation failures are never I/O errors (they are responses).
     pub fn serve_pipelined<R, W>(
         &self,
-        reader: R,
+        mut reader: R,
         writer: &mut W,
         options: &PipelineOptions,
     ) -> std::io::Result<PipelineStats>
     where
-        R: BufRead + Send,
+        R: BufRead,
         W: Write,
     {
-        let depth = options.depth.max(1);
-        let chunk_size = options.chunk.max(1);
-        let record_latency = options.record_latency;
-        let fairness = options.fairness;
+        let cap = proto::MAX_FRAME_PAYLOAD as usize;
         let mut stats = PipelineStats::default();
-        let mut io_result: std::io::Result<()> = Ok(());
-        // A reader error surfaces here: the plan stage parks it and
-        // closes its pipe, draining the pipeline behind it.
-        let read_error: Mutex<Option<std::io::Error>> = Mutex::new(None);
-        let read_error_slot = &read_error;
-
-        std::thread::scope(|scope| {
-            let (parsed_tx, parsed_rx) =
-                ring_channel::<std::io::Result<ParsedChunk>>(depth);
-            let (planned_tx, planned_rx) = ring_channel::<Chunk>(depth);
-            let (built_tx, built_rx) = ring_channel::<Chunk>(depth);
-
-            // Stage 1 — intake: read and parse lines incrementally,
-            // cutting a chunk every `chunk_size` non-empty lines. An
-            // abandoned send means a downstream stage (or the caller)
-            // aborted; the stage just stops reading.
-            scope.spawn(move || {
-                let mut reader = reader;
-                let mut line = String::new();
-                let mut line_no: u64 = 0;
-                let mut layout = Vec::new();
-                let mut requests = Vec::new();
-                loop {
-                    line.clear();
-                    match reader.read_line(&mut line) {
-                        Ok(0) => break,
-                        Ok(_) => {}
-                        Err(e) => {
-                            let _ = parsed_tx.send(Err(e));
-                            return;
-                        }
-                    }
-                    line_no += 1;
-                    let trimmed = line.trim();
-                    if trimmed.is_empty() {
-                        continue;
-                    }
-                    match serde_json::from_str::<EvalRequest>(trimmed) {
-                        Ok(request) => {
-                            layout.push(LineItem::Request);
-                            requests.push(request);
-                        }
-                        Err(e) => layout.push(LineItem::Bad {
-                            error: format!("parse error on line {line_no}: {e}"),
-                        }),
-                    }
-                    if layout.len() == chunk_size {
-                        let parsed = ParsedChunk {
-                            layout: std::mem::take(&mut layout),
-                            requests: std::mem::take(&mut requests),
-                            parsed_at: record_latency.then(Instant::now),
-                        };
-                        if parsed_tx.send(Ok(parsed)).is_err() {
-                            return;
-                        }
-                    }
+        let mut json = String::new();
+        let mut line = Vec::new();
+        let mut line_no: u64 = 0;
+        let mut reading = true;
+        while reading {
+            let mut chunk = Chunk::default();
+            while chunk.lines.len() < options.chunk.max(1) {
+                line.clear();
+                // One byte past the cap tells an over-long line from one
+                // that fits.
+                if (&mut reader).take(cap as u64 + 1).read_until(b'\n', &mut line)? == 0 {
+                    reading = false;
+                    break;
                 }
-                if !layout.is_empty() {
-                    let _ = parsed_tx.send(Ok(ParsedChunk {
-                        layout,
-                        requests,
-                        parsed_at: record_latency.then(Instant::now),
-                    }));
+                line_no += 1;
+                if line.strip_suffix(b"\n").unwrap_or(&line).len() > cap {
+                    let error = format!("parse error on line {line_no}: longer than {cap} bytes");
+                    chunk.push_error((), error);
+                    reading = false;
+                    break;
                 }
-            });
-
-            // Stage 2 — plan: resolve names and shard by pair. An intake
-            // I/O error is forwarded by closing the pipe behind it.
-            scope.spawn(move || {
-                for parsed in parsed_rx {
-                    match parsed {
-                        Ok(p) => {
-                            let chunk = Chunk {
-                                layout: p.layout,
-                                batch: self.plan_batch(p.requests, p.parsed_at, fairness),
-                            };
-                            if planned_tx.send(chunk).is_err() {
-                                return;
-                            }
-                        }
-                        Err(e) => {
-                            *read_error_slot.lock().expect("no poisoned slots") =
-                                Some(e);
-                            return;
-                        }
-                    }
-                }
-            });
-
-            // Stage 3 — build: warm the profile cache for every distinct
-            // pair of the chunk. This is the stage that overlaps chunk
-            // N+1's reference builds with chunk N's evaluation.
-            scope.spawn(move || {
-                for mut chunk in planned_rx {
-                    if let Some(timing) = &mut chunk.batch.timing {
-                        timing.queue_us = micros_since(timing.parsed_at);
-                    }
-                    let build_started = chunk.batch.timing.as_ref().map(|_| Instant::now());
-                    self.attach_batch(&mut chunk.batch);
-                    if let (Some(timing), Some(at)) =
-                        (&mut chunk.batch.timing, build_started)
-                    {
-                        timing.build_us = micros_since(at);
-                    }
-                    if built_tx.send(chunk).is_err() {
-                        return;
-                    }
-                }
-            });
-
-            // Stage 4 — evaluate and emit, on the calling thread, in
-            // stream order. One serialization buffer serves the whole
-            // stream: each response appends into it and it is flushed to
-            // the writer per line, so steady state allocates nothing.
-            let mut json = String::new();
-            'emit: for chunk in built_rx {
-                stats.chunks += 1;
-                let mut responses = self.evaluate_batch(chunk.batch).into_iter();
-                for item in chunk.layout {
-                    stats.lines += 1;
-                    let response = match item {
-                        LineItem::Request => {
-                            stats.requests += 1;
-                            responses.next().expect("one response per request")
-                        }
-                        LineItem::Bad { error } => {
-                            stats.parse_errors += 1;
-                            self.errors.fetch_add(1, Ordering::Relaxed);
-                            EvalResponse::parse_err(error)
-                        }
-                    };
-                    json.clear();
-                    serde_json::to_string_into(&response, &mut json)
-                        .expect("responses always serialize");
-                    json.push('\n');
-                    if let Err(e) = writer.write_all(json.as_bytes()) {
-                        io_result = Err(e);
-                        break 'emit;
-                    }
-                    stats.responses += 1;
-                }
+                chunk.push_line((), line_no, &line);
             }
-        });
-
-        if let Some(e) = read_error.into_inner().expect("no poisoned slots") {
-            return Err(e);
+            self.answer_chunk(chunk, options, &mut json, &mut stats, |(), response| {
+                writer.write_all(response)
+            })?;
         }
-        io_result.map(|()| stats)
+        Ok(stats)
+    }
+
+    /// The chunk answerer of both transports: plans, attaches and
+    /// evaluates the chunk's requests as one batch, then serializes each
+    /// line's response, in arrival order, as one JSON line into `json`
+    /// (the stream's reusable buffer) and hands it to `emit` with the
+    /// line's tag. An empty chunk answers nothing.
+    fn answer_chunk<T>(
+        &self,
+        chunk: Chunk<T>,
+        options: &PipelineOptions,
+        json: &mut String,
+        stats: &mut PipelineStats,
+        mut emit: impl FnMut(T, &[u8]) -> std::io::Result<()>,
+    ) -> std::io::Result<()> {
+        if chunk.lines.is_empty() {
+            return Ok(());
+        }
+        stats.chunks += 1;
+        let parsed_at = options.record_latency.then(Instant::now);
+        let mut batch = self.plan_batch(chunk.requests, parsed_at, options.fairness);
+        self.attach_batch(&mut batch);
+        let mut responses = self.evaluate_batch(batch).into_iter();
+        for (tag, error) in chunk.lines {
+            stats.lines += 1;
+            let response = match error {
+                None => {
+                    stats.requests += 1;
+                    responses.next().expect("one response per request")
+                }
+                Some(error) => {
+                    stats.parse_errors += 1;
+                    self.errors.fetch_add(1, Ordering::Relaxed);
+                    EvalResponse::parse_err(error)
+                }
+            };
+            json.clear();
+            serde_json::to_string_into(&response, json).expect("responses always serialize");
+            json.push('\n');
+            emit(tag, json.as_bytes())?;
+            stats.responses += 1;
+        }
+        Ok(())
     }
 
     /// A snapshot of the cumulative per-request counters. The latency
@@ -2094,7 +2022,7 @@ mod tests {
             expected.push_str(&batched.serve_jsonl(chunk));
         }
 
-        for (depth, chunk) in [(1, 2), (3, 2), (2, 1), (1, 64)] {
+        for chunk in [2, 1, 64] {
             let service = EvalService::new(&machines, &workloads)
                 .method_options(MethodOptions::fast())
                 .threads(4);
@@ -2103,7 +2031,7 @@ mod tests {
                 .serve_pipelined(
                     wire.as_bytes(),
                     &mut out,
-                    &PipelineOptions::new().depth(depth).chunk(chunk),
+                    &PipelineOptions::new().chunk(chunk),
                 )
                 .unwrap();
             assert_eq!(stats.requests, 5);
@@ -2112,7 +2040,7 @@ mod tests {
             assert_eq!(
                 String::from_utf8(out).unwrap(),
                 expected,
-                "depth {depth} chunk {chunk} must match batched output"
+                "chunk {chunk} must match batched output"
             );
         }
     }
@@ -2144,7 +2072,7 @@ mod tests {
     }
 
     #[test]
-    fn pipelined_depth_and_chunk_zero_are_clamped() {
+    fn pipelined_chunk_zero_is_clamped() {
         let program = kernel(5_000);
         let run_config = RunConfig::default();
         let workloads = [WorkloadSpec {
@@ -2162,7 +2090,7 @@ mod tests {
             .serve_pipelined(
                 wire.as_bytes(),
                 &mut out,
-                &PipelineOptions::new().depth(0).chunk(0),
+                &PipelineOptions::new().chunk(0),
             )
             .unwrap();
         assert_eq!(stats.requests, 1);

@@ -11,6 +11,15 @@
 //! their own v1 connection. v1 clients need no changes and see no
 //! difference.
 //!
+//! A connection is one loop on its worker, the same for both
+//! protocols: read a chunk (v1: up to [`PipelineOptions::chunk`] lines
+//! or EOF; v2: a burst of the frames already sent, up to the same
+//! bound), answer it in arrival order with the evaluation fanned out
+//! over the service's threads, then read the next. A v1 line longer
+//! than [`super::proto::MAX_FRAME_PAYLOAD`] bytes, the v2 frame limit,
+//! gets an in-order error response and then the connection closes,
+//! as an oversized v2 frame gets `ERR` and a close.
+//!
 //! The accept path is event-driven (the `serve::reactor` module):
 //! the listener blocks in the kernel until a connection is ready, and
 //! handing a connection to the worker pool blocks while all
@@ -31,9 +40,9 @@
 //!   (client gone, socket reset) is counted in [`NetStats::io_errors`];
 //!   a connection whose worker *panics* is counted separately in
 //!   [`NetStats::worker_panics`]. Both are logged to stderr and neither
-//!   takes down the accept loop or any sibling connection. Malformed
-//!   request lines are not errors at this layer at all — the pipeline
-//!   answers them in-order, per its contract.
+//!   takes down the accept loop or any sibling connection. Malformed or
+//!   over-long request lines are not errors at this layer at all — the
+//!   chunk loop answers them in order, per its contract.
 //! * **No lost accounting**: if the *listener itself* fails, the error
 //!   comes back as an [`AcceptError`] that still carries the
 //!   [`NetStats`] of everything served up to that point.
@@ -112,7 +121,8 @@ const WAKE_TIMEOUT: Duration = Duration::from_millis(200);
 /// Shape of a network-served evaluation tier.
 #[derive(Debug, Clone)]
 pub struct NetOptions {
-    /// The pipeline every connection is driven through.
+    /// The intake shape (chunk size, latency stamps, fairness) every
+    /// connection is served with.
     pub pipeline: PipelineOptions,
     /// Maximum concurrently served connections (values below 1 are
     /// served as 1) — the size of the connection worker pool. The
@@ -520,8 +530,8 @@ fn panic_message(panic: &(dyn std::any::Any + Send)) -> &str {
 }
 
 /// Drives one accepted connection: sniffs the protocol version from its
-/// first bytes, then serves v1 through the staged pipeline or v2
-/// through the framed session. The consumed sniff bytes of a v1
+/// first bytes, then serves v1 through [`EvalService::serve_pipelined`]
+/// or v2 through the framed session. The consumed sniff bytes of a v1
 /// connection are replayed in front of the socket, so v1 service is
 /// byte-identical to a pre-negotiation server.
 fn serve_connection(
@@ -596,9 +606,8 @@ mod tests {
     fn net_options_clamp_and_build() {
         let options = NetOptions::new()
             .max_connections(0)
-            .pipeline(PipelineOptions::new().depth(3).chunk(5));
+            .pipeline(PipelineOptions::new().chunk(5));
         assert_eq!(options.max_connections, 0, "stored raw, clamped at use");
-        assert_eq!(options.pipeline.depth, 3);
         assert_eq!(options.pipeline.chunk, 5);
         assert_eq!(NetOptions::default().max_connections, 8);
     }

@@ -47,12 +47,15 @@
 //! # Ordering
 //!
 //! The server reads frames in bursts (everything already buffered, up
-//! to the pipeline chunk size), evaluates a burst as one batch — so
-//! requests complete internally in any order, on all cores — and then
-//! answers **in frame-arrival order**, which preserves per-stream
-//! order. A burst is answered before the next blocking read, so a
+//! to the chunk size), evaluates a burst as one batch — so requests
+//! complete internally in any order, on all cores — and then answers
+//! **in frame-arrival order**, which preserves per-stream order. A
+//! burst is answered before the next blocking read, so a
 //! request/response client that sends one frame and waits never
-//! deadlocks.
+//! deadlocks. A burst is one chunk of the same loop v1 runs
+//! ([`super::EvalService::serve_pipelined`]): blank payloads are skipped
+//! and never counted, and latency stamps carry queue, build and
+//! evaluation time alike.
 //!
 //! # Examples
 //!
@@ -102,12 +105,12 @@
 //! assert_eq!(replies[1].as_bytes(), expected.as_slice());
 //! ```
 
-use super::{EvalRequest, EvalResponse, EvalService, PipelineOptions, PipelineStats};
+use super::{Chunk, EvalService, PipelineOptions, PipelineStats};
 use std::collections::HashMap;
 use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::sync::atomic::Ordering;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Client hello: the 8 bytes a v2 client writes before anything else.
 /// Starts with NUL, which no v1 JSON-lines stream can begin with.
@@ -292,22 +295,12 @@ pub(crate) fn negotiate_server(stream: &TcpStream) -> io::Result<Negotiated> {
     Ok(Negotiated::V2)
 }
 
-/// How one accepted v2 request frame lands in the response sequence.
-enum V2Item {
-    /// A parsed request; answered by the batch response at its index.
-    Request { stream: u32 },
-    /// A line that failed to parse; answered with an in-order error
-    /// response, exactly like the v1 pipeline.
-    Bad { stream: u32, error: String },
-    /// A blank line: consumes a line number, produces no response.
-    Blank,
-}
-
 /// Serves an accepted connection that completed v2 negotiation: acks
 /// the preamble, then answers framed request bursts until `BYE`, EOF or
-/// a protocol error. Counters mirror the v1 pipeline's
-/// [`PipelineStats`] so [`super::net::NetStats`] aggregates both
-/// protocols uniformly.
+/// a protocol error. Each burst is one chunk of the loop behind
+/// [`EvalService::serve_pipelined`]: the same line parser, the same
+/// chunk answerer and the same [`PipelineStats`], so
+/// [`super::net::NetStats`] aggregates both protocols uniformly.
 pub(crate) fn serve_v2(
     service: &EvalService,
     stream: &TcpStream,
@@ -317,7 +310,6 @@ pub(crate) fn serve_v2(
     ack_writer.write_all(&V2_ACK)?;
     let mut reader = BufReader::new(stream.try_clone()?);
     let mut writer = stream.try_clone()?;
-    let chunk_size = options.chunk.max(1);
     let mut stats = PipelineStats::default();
     // Reused across bursts: one JSON serialization buffer and one frame
     // accumulation buffer, so the steady-state emit path allocates
@@ -335,10 +327,9 @@ pub(crate) fn serve_v2(
 
     while !session_done && protocol_error.is_none() {
         // Collect one burst: block for the first frame, then greedily
-        // drain whatever the client already sent (bounded by the
-        // pipeline chunk size) so independent requests evaluate as one
-        // parallel batch.
-        let mut burst: Vec<Frame> = Vec::new();
+        // drain whatever the client already sent (bounded by the chunk
+        // size) so independent requests evaluate as one parallel batch.
+        let mut chunk = Chunk::default();
         loop {
             match read_frame(&mut reader) {
                 Ok(None) => {
@@ -347,8 +338,12 @@ pub(crate) fn serve_v2(
                 }
                 Ok(Some(frame)) => match frame.kind {
                     FrameKind::Req => {
-                        burst.push(frame);
-                        if burst.len() >= chunk_size || reader.buffer().is_empty() {
+                        let line_no = line_numbers.entry(frame.stream).or_insert(0);
+                        *line_no += 1;
+                        chunk.push_line(frame.stream, *line_no, &frame.payload);
+                        if chunk.lines.len() >= options.chunk.max(1)
+                            || reader.buffer().is_empty()
+                        {
                             // Burst full, or nothing already buffered:
                             // answer what we have before blocking again
                             // (request/response clients wait on it).
@@ -371,74 +366,14 @@ pub(crate) fn serve_v2(
             }
         }
 
-        // Turn the burst into one batch, preserving frame-arrival order.
-        let parsed_at = options.record_latency.then(Instant::now);
-        let mut layout: Vec<V2Item> = Vec::with_capacity(burst.len());
-        let mut requests: Vec<EvalRequest> = Vec::new();
-        for frame in &burst {
-            let line_no = line_numbers.entry(frame.stream).or_insert(0);
-            *line_no += 1;
-            let line = match std::str::from_utf8(&frame.payload) {
-                Ok(text) => text,
-                Err(e) => {
-                    layout.push(V2Item::Bad {
-                        stream: frame.stream,
-                        error: format!("parse error on line {line_no}: invalid UTF-8: {e}"),
-                    });
-                    continue;
-                }
-            };
-            let trimmed = line.trim();
-            if trimmed.is_empty() {
-                layout.push(V2Item::Blank);
-                continue;
-            }
-            match serde_json::from_str::<EvalRequest>(trimmed) {
-                Ok(request) => {
-                    layout.push(V2Item::Request {
-                        stream: frame.stream,
-                    });
-                    requests.push(request);
-                }
-                Err(e) => layout.push(V2Item::Bad {
-                    stream: frame.stream,
-                    error: format!("parse error on line {line_no}: {e}"),
-                }),
-            }
-        }
-
-        if !layout.is_empty() {
-            stats.chunks += 1;
-            let mut batch = service.plan_batch(requests, parsed_at, options.fairness);
-            service.attach_batch(&mut batch);
-            let mut responses = service.evaluate_batch(batch).into_iter();
-            burst_out.clear();
-            for item in layout {
-                stats.lines += 1;
-                let (stream_id, response) = match item {
-                    V2Item::Request { stream } => {
-                        stats.requests += 1;
-                        (stream, responses.next().expect("one response per request"))
-                    }
-                    V2Item::Bad { stream, error } => {
-                        stats.parse_errors += 1;
-                        service.errors.fetch_add(1, Ordering::Relaxed);
-                        (stream, EvalResponse::parse_err(error))
-                    }
-                    V2Item::Blank => continue,
-                };
-                json.clear();
-                serde_json::to_string_into(&response, &mut json)
-                    .expect("responses always serialize");
-                json.push('\n');
-                write_frame(&mut burst_out, FrameKind::Resp, stream_id, json.as_bytes())?;
-                stats.responses += 1;
-            }
-            // The whole burst — same frame bytes in the same order —
-            // leaves in one write.
-            writer.write_all(&burst_out)?;
-            writer.flush()?;
-        }
+        // Answer the burst in frame-arrival order; the whole burst —
+        // same frame bytes in the same order — leaves in one write.
+        burst_out.clear();
+        service.answer_chunk(chunk, options, &mut json, &mut stats, |stream, response| {
+            write_frame(&mut burst_out, FrameKind::Resp, stream, response)
+        })?;
+        writer.write_all(&burst_out)?;
+        writer.flush()?;
     }
 
     if let Some(e) = protocol_error {
@@ -728,6 +663,7 @@ pub fn exchange_v2_with(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Instant;
 
     #[test]
     fn frame_round_trip_all_kinds() {

@@ -1,9 +1,9 @@
 //! Multi-tenant serving in miniature: two named catalogs behind one
 //! shared profile cache — with per-tenant residency quotas and weighted
 //! round-robin fairness, so neither tenant can starve the other —
-//! JSON-lines requests streamed through the staged intake pipeline
-//! (intake → plan(registry) → build → evaluate) with per-request latency
-//! stamping, and the per-tenant accounting printed last. A coda serves
+//! JSON-lines requests streamed through the chunked intake (read a
+//! chunk → plan(registry) → attach → evaluate → emit) with per-request
+//! latency stamping, and the per-tenant accounting printed last. A coda serves
 //! the same service over TCP and drives it with a keep-alive
 //! protocol-v2 client multiplexing two logical streams on one
 //! connection.
@@ -80,11 +80,12 @@ this line is not a request at all
         .admission(AdmissionPolicy::Frequency)
         .cache_quotas(CacheQuotas::per_catalog(4));
 
-    // Requests flow straight from the reader: while one chunk evaluates,
-    // the next chunk's reference profiles are already building. Latency
-    // stamping adds queue/build/eval micros to every response (and makes
-    // the output wall-clock-dependent — leave it off when byte-identity
-    // matters).
+    // Requests flow straight from the reader, one chunk at a time: each
+    // chunk is read, then its references attach and its requests
+    // evaluate across the worker threads before the next chunk is read.
+    // Latency stamping adds queue/build/eval micros to every response
+    // (and makes the output wall-clock-dependent — leave it off when
+    // byte-identity matters).
     println!("# responses");
     let mut stdout = std::io::stdout().lock();
     let pipeline = service
@@ -92,7 +93,6 @@ this line is not a request at all
             wire.as_bytes(),
             &mut stdout,
             &PipelineOptions::new()
-                .depth(2)
                 .chunk(2)
                 .record_latency(true)
                 .fairness(FairnessPolicy::Weighted),

@@ -55,11 +55,11 @@ fn lock() -> MutexGuard<'static, ()> {
 const GOLDEN: [(&str, u64, u64, u64, u64); 8] = [
     ("grid_sweep", 0x7889_7164_1978_96e0, 0xaec7_8d00_e349_2c6e, 12, 12),
     ("serve_batched", 0x308d_08f8_3fb1_1771, 0xfc0e_b0eb_c33d_f48f, 3, 24),
-    ("serve_pipelined", 0xa380_18a1_c412_9d0c, 0x5914_297d_86c1_dbd1, 9, 24),
-    ("tcp_loopback", 0x4e10_4cec_47ba_7c8d, 0x5914_297d_86c1_dbd1, 9, 24),
-    ("v2_loopback", 0x0a8b_34d9_6a43_3caa, 0x5914_297d_86c1_dbd1, 9, 24),
-    ("mixed_tenant_zipfian", 0x6883_0080_8c6e_fdea, 0x1904_91cb_9389_33b5, 9, 24),
-    ("warm_start", 0x2efe_8860_e033_dfdf, 0x5914_297d_86c1_dbd1, 0, 24),
+    ("serve_pipelined", 0xba1f_20ad_3322_e503, 0x5914_297d_86c1_dbd1, 9, 24),
+    ("tcp_loopback", 0x5573_759e_96c8_67ea, 0x5914_297d_86c1_dbd1, 9, 24),
+    ("v2_loopback", 0x1d2f_c9f4_8d50_0a23, 0x5914_297d_86c1_dbd1, 9, 24),
+    ("mixed_tenant_zipfian", 0x5ec4_ddd5_c275_9ddf, 0x1904_91cb_9389_33b5, 9, 24),
+    ("warm_start", 0x1648_0774_ad09_c9a4, 0x5914_297d_86c1_dbd1, 0, 24),
     ("sim_replay", 0x680c_e14a_1132_2629, 0x74d0_8dec_254f_4431, 0, 24),
 ];
 
@@ -68,8 +68,6 @@ const SEED: u64 = 1_000;
 const REQUESTS: usize = 24;
 /// Batch size of the batched probe and chunk size of the pipelined ones.
 const BATCH: usize = 8;
-/// Pipeline depth of the zipfian probes.
-const DEPTH: usize = 4;
 
 /// What one probe observed, in [`GOLDEN`] column order.
 #[derive(Debug, Clone, Copy)]
@@ -277,9 +275,9 @@ fn zipfian_probes_are_pinned_and_agree_across_transports_and_restarts() {
     let zipf = StreamPattern::Zipfian;
     let requests = fx.stream(zipf);
     let wire = to_wire(&requests);
-    let pipeline = PipelineOptions::new().depth(DEPTH).chunk(BATCH);
+    let pipeline = PipelineOptions::new().chunk(BATCH);
     let config = |extra: &[(&'static str, String)]| {
-        let pipelined = [("depth", DEPTH.to_string()), ("chunk", BATCH.to_string())];
+        let pipelined = [("chunk", BATCH.to_string())];
         stream_config(zipf, &[pipelined.as_slice(), extra].concat())
     };
 
@@ -350,11 +348,10 @@ fn mixed_tenant_probe_is_pinned() {
     let _guard = lock();
     let fx = Fixture::new();
     let mixed = StreamPattern::Mixed;
-    let (capacity, quota, depth) = (16, 6, 2);
+    let (capacity, quota) = (16, 6);
     let requests = fx.stream(mixed);
     let service = fx.service(mixed, capacity, AdmissionPolicy::Frequency, quota);
     let pipeline = PipelineOptions::new()
-        .depth(depth)
         .chunk(BATCH)
         .fairness(FairnessPolicy::Weighted);
     let config = stream_config(
@@ -364,7 +361,6 @@ fn mixed_tenant_probe_is_pinned() {
             ("quota", quota.to_string()),
             ("admission", "freq".to_string()),
             ("fairness", "weighted".to_string()),
-            ("depth", depth.to_string()),
             ("chunk", BATCH.to_string()),
         ],
     );

@@ -97,7 +97,7 @@ fn concurrent_connections_match_offline_pipelined_runs() {
     let workloads = [WorkloadSpec { name: "k", program: &program, run_config: &run_config }];
     let machines = [MachineModel::ivy_bridge(), MachineModel::westmere()];
     let streams = connection_streams(&machines, 5);
-    let pipeline = PipelineOptions::new().depth(2).chunk(2);
+    let pipeline = PipelineOptions::new().chunk(2);
 
     let service = EvalService::new(&machines, &workloads)
         .method_options(MethodOptions::fast())
@@ -214,6 +214,68 @@ fn malformed_and_aborted_connections_never_poison_their_siblings() {
     for c in [2, 3] {
         assert_eq!(outputs[c].as_bytes(), expected.as_slice(), "connection {c}");
     }
+}
+
+#[test]
+fn over_long_v1_line_closes_its_connection_and_spares_its_siblings() {
+    use countertrust::serve::proto::MAX_FRAME_PAYLOAD;
+    let program = kernel(8_000);
+    let run_config = RunConfig::default();
+    let workloads = [WorkloadSpec { name: "k", program: &program, run_config: &run_config }];
+    let machines = [MachineModel::ivy_bridge()];
+    let good = EvalRequest::new("Ivy Bridge (Xeon E3-1265L)", "k", "classic", 1, 3);
+    let good_wire = wire(std::slice::from_ref(&good));
+    // A good line, a line twice the cap, and a good line the server
+    // must never read.
+    let hostile = format!("{good_wire}{}\n{good_wire}", "x".repeat(2 * MAX_FRAME_PAYLOAD as usize));
+    let service = EvalService::new(&machines, &workloads)
+        .method_options(MethodOptions::fast())
+        .threads(2);
+
+    let (outputs, stats) = serve_loopback(
+        &service,
+        NetOptions::default(),
+        |addr, c| match c {
+            // Connection 0 writes from its own thread: the server stops
+            // reading at the cap and closes, so that write may fail with
+            // a reset, which this client shrugs off.
+            0 => {
+                let stream = TcpStream::connect(addr).expect("connect");
+                stream.set_read_timeout(Some(std::time::Duration::from_secs(30))).unwrap();
+                stream.set_write_timeout(Some(std::time::Duration::from_secs(30))).unwrap();
+                std::thread::scope(|scope| {
+                    scope.spawn(|| {
+                        let mut writer = &stream;
+                        if writer.write_all(hostile.as_bytes()).is_ok() {
+                            let _ = stream.shutdown(Shutdown::Write);
+                        }
+                    });
+                    let mut out = Vec::new();
+                    let _ = (&stream).read_to_end(&mut out);
+                    String::from_utf8_lossy(&out).into_owned()
+                })
+            }
+            _ => exchange(addr, &good_wire).expect("exchange"),
+        },
+        2,
+    );
+
+    assert_eq!(stats.connections, 2);
+    assert_eq!(stats.io_errors, 0, "an over-long line is answered, not a failed connection");
+    assert_eq!(stats.parse_errors, 1, "{stats:?}");
+    assert_eq!(
+        stats.responses, 3,
+        "the hostile connection gets its good line and the error, nothing after"
+    );
+
+    let offline = EvalService::new(&machines, &workloads)
+        .method_options(MethodOptions::fast())
+        .threads(1);
+    let mut expected = Vec::new();
+    offline
+        .serve_pipelined(good_wire.as_bytes(), &mut expected, &PipelineOptions::default())
+        .unwrap();
+    assert_eq!(outputs[1].as_bytes(), expected.as_slice(), "the well-behaved sibling");
 }
 
 #[test]
@@ -373,7 +435,6 @@ fn fairness_and_quota_options_thread_through_the_tcp_stack() {
     let machines = [MachineModel::ivy_bridge(), MachineModel::westmere()];
     let streams = connection_streams(&machines, 3);
     let pipeline = PipelineOptions::new()
-        .depth(2)
         .chunk(2)
         .fairness(FairnessPolicy::Weighted);
 

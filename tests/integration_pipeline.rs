@@ -1,9 +1,10 @@
-//! Pipeline-intake guarantees: the staged pipeline
+//! Chunked-intake guarantees: the serve loop
 //! ([`countertrust::serve::EvalService::serve_pipelined`]) degenerates
 //! gracefully (empty stream, single request), keeps draining past
-//! malformed lines (answering them in order), and — the acceptance
-//! contract — produces byte-identical output to the batched service for
-//! the same stream at any thread count, queue depth and chunk size.
+//! malformed lines (answering them in order), stops at a line over the
+//! 1 MiB cap after answering it, and — the acceptance contract —
+//! produces byte-identical output to the batched service for the same
+//! stream at any thread count and chunk size.
 
 use countertrust::grid::WorkloadSpec;
 use countertrust::methods::MethodOptions;
@@ -130,7 +131,7 @@ fn malformed_lines_answer_in_order_and_the_pipeline_keeps_draining() {
     let svc = service(&machines, &workloads, 4);
     let mut out = Vec::new();
     let stats = svc
-        .serve_pipelined(input.as_bytes(), &mut out, &PipelineOptions::new().depth(1).chunk(2))
+        .serve_pipelined(input.as_bytes(), &mut out, &PipelineOptions::new().chunk(2))
         .unwrap();
     assert_eq!(stats.lines, 5);
     assert_eq!(stats.requests, 3);
@@ -155,6 +156,45 @@ fn malformed_lines_answer_in_order_and_the_pipeline_keeps_draining() {
     assert_eq!(parsed[2].request, good[2]);
     assert_eq!(parsed[4].request, good[3]);
     assert_eq!(svc.stats().errors, 2, "parse errors are counted as errors");
+}
+
+#[test]
+fn over_long_line_is_answered_in_order_then_reading_stops() {
+    use countertrust::serve::proto::MAX_FRAME_PAYLOAD;
+    let program = kernel(5_000);
+    let run_config = RunConfig::default();
+    let workloads = [WorkloadSpec { name: "k", program: &program, run_config: &run_config }];
+    let machines = [MachineModel::ivy_bridge()];
+    let request = sample_requests(&machines).remove(0);
+    let good = wire(std::slice::from_ref(&request));
+    let input = format!("{good}{}\n{good}", "x".repeat(2 << 20));
+
+    let svc = service(&machines, &workloads, 2);
+    let mut out = Vec::new();
+    let stats = svc
+        .serve_pipelined(input.as_bytes(), &mut out, &PipelineOptions::default())
+        .expect("an over-long line is answered, not an I/O error");
+    assert_eq!((stats.lines, stats.requests, stats.parse_errors), (2, 1, 1));
+    assert_eq!(stats.responses, 2, "nothing after the over-long line is read");
+
+    let text = String::from_utf8(out).unwrap();
+    let parsed: Vec<EvalResponse> =
+        text.lines().map(|l| serde_json::from_str(l).unwrap()).collect();
+    assert_eq!(parsed.len(), 2);
+    assert_eq!(parsed[0].request, request, "the good line is answered first");
+    assert!(parsed[0].is_ok(), "{:?}", parsed[0].error);
+    let error = parsed[1].error.as_deref().unwrap();
+    assert!(error.contains("parse error on line 2"), "{error}");
+    assert!(error.contains(&MAX_FRAME_PAYLOAD.to_string()), "{error}");
+
+    // A line of exactly the cap still parses (as bad JSON, not as too long).
+    let at_cap = format!("{}\n", "y".repeat(MAX_FRAME_PAYLOAD as usize));
+    let mut out = Vec::new();
+    let stats = svc
+        .serve_pipelined(at_cap.as_bytes(), &mut out, &PipelineOptions::default())
+        .unwrap();
+    assert_eq!((stats.parse_errors, stats.responses), (1, 1));
+    assert!(!String::from_utf8(out).unwrap().contains(&MAX_FRAME_PAYLOAD.to_string()));
 }
 
 #[test]
@@ -223,6 +263,9 @@ fn record_latency_stamps_responses_and_changes_nothing_else() {
     assert!(serve_stats.latency_p99_us >= serve_stats.latency_p50_us);
 }
 
+/// Depth one: the loop holds one chunk at a time, so each chunk's bytes
+/// are exactly one batched call's, for every chunk size and thread
+/// count.
 #[test]
 fn depth_one_pipeline_is_byte_identical_to_batched_chunks() {
     let program = kernel(10_000);
@@ -243,13 +286,13 @@ fn depth_one_pipeline_is_byte_identical_to_batched_chunks() {
             svc.serve_pipelined(
                 wire(&requests).as_bytes(),
                 &mut out,
-                &PipelineOptions::new().depth(1).chunk(chunk),
+                &PipelineOptions::new().chunk(chunk),
             )
             .unwrap();
             assert_eq!(
                 String::from_utf8(out).unwrap(),
                 expected,
-                "depth-1 pipeline (chunk {chunk}, threads {threads}) diverged from batched"
+                "chunk {chunk}, threads {threads}: diverged from batched"
             );
         }
     }

@@ -1,22 +1,23 @@
 //! Protocol v2 guarantees: negotiation never disturbs v1 clients, a v2
 //! connection carrying N interleaved streams answers each stream with
 //! bytes identical to N separate v1 connections (and to the offline
-//! pipeline), sessions are genuinely keep-alive, and malformed frames
-//! are answered with in-order `ERR` frames after everything that
-//! preceded them.
+//! pipeline), sessions are genuinely keep-alive, malformed frames are
+//! answered with in-order `ERR` frames after everything that preceded
+//! them, and malformed lines, blank lines and latency stamps behave the
+//! same over both protocols.
 
 use countertrust::grid::WorkloadSpec;
 use countertrust::methods::MethodOptions;
-use countertrust::serve::net::{exchange, EvalServer, NetOptions};
+use countertrust::serve::net::{exchange, EvalServer, NetOptions, NetStats};
 use countertrust::serve::proto::{
     exchange_v2, read_frame, write_frame, Frame, FrameKind, V2Client, V2_ACK, V2_PREAMBLE,
 };
-use countertrust::serve::{EvalRequest, EvalService, PipelineOptions};
+use countertrust::serve::{EvalRequest, EvalResponse, EvalService, PipelineOptions};
 use ct_isa::asm::assemble;
 use ct_isa::Program;
 use ct_sim::{MachineModel, RunConfig};
 use std::io::{BufReader, Read, Write};
-use std::net::TcpStream;
+use std::net::{Shutdown, SocketAddr, TcpStream};
 
 fn kernel(n: u64) -> Program {
     assemble(
@@ -64,12 +65,12 @@ fn streams_for(machines: &[MachineModel], count: usize) -> Vec<Vec<EvalRequest>>
 }
 
 /// Runs `body` against a freshly bound loopback server and returns its
-/// result after a graceful shutdown.
+/// result and the server's stats after a graceful shutdown.
 fn with_server<R>(
     service: &EvalService,
     options: NetOptions,
-    body: impl FnOnce(std::net::SocketAddr) -> R,
-) -> R {
+    body: impl FnOnce(SocketAddr) -> R,
+) -> (R, NetStats) {
     let server = EvalServer::listen("127.0.0.1:0", options).expect("loopback bind");
     let addr = server.local_addr();
     let handle = server.handle();
@@ -77,9 +78,41 @@ fn with_server<R>(
         let serving = scope.spawn(|| server.serve(service));
         let result = body(addr);
         handle.shutdown();
-        serving.join().expect("server thread").expect("accept loop");
-        result
+        let stats = serving.join().expect("server thread").expect("accept loop");
+        (result, stats)
     })
+}
+
+/// One v1 connection carrying raw bytes (which may not be UTF-8): the
+/// whole response stream.
+fn exchange_bytes(addr: SocketAddr, wire: &[u8]) -> Vec<u8> {
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream.write_all(wire).expect("write");
+    stream.shutdown(Shutdown::Write).expect("half-close");
+    let mut out = Vec::new();
+    stream.read_to_end(&mut out).expect("read");
+    out
+}
+
+/// One v2 session sending each payload as a `REQ` frame on stream 0,
+/// then `BYE`: the stream's `RESP` payloads, concatenated.
+fn exchange_frames(addr: SocketAddr, payloads: &[&[u8]]) -> Vec<u8> {
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream.write_all(&V2_PREAMBLE).expect("preamble");
+    let mut ack = [0u8; 8];
+    stream.read_exact(&mut ack).expect("ack");
+    assert_eq!(ack, V2_ACK);
+    for payload in payloads {
+        write_frame(&mut stream, FrameKind::Req, 0, payload).expect("request frame");
+    }
+    write_frame(&mut stream, FrameKind::Bye, 0, &[]).expect("bye");
+    let mut reader = BufReader::new(&stream);
+    let mut out = Vec::new();
+    while let Some(frame) = read_frame(&mut reader).expect("frame decodes") {
+        assert_eq!(frame.kind, FrameKind::Resp);
+        out.extend_from_slice(&frame.payload);
+    }
+    out
 }
 
 #[test]
@@ -97,7 +130,7 @@ fn multiplexed_streams_match_separate_v1_connections_and_offline() {
     // One keep-alive v2 connection carrying all four interleaved
     // streams, then the same four wires over four separate v1
     // connections, against the same server.
-    let (v2_replies, v1_replies) = with_server(&service, NetOptions::default(), |addr| {
+    let ((v2_replies, v1_replies), _) = with_server(&service, NetOptions::default(), |addr| {
         let v2 = exchange_v2(addr, &wires).expect("v2 exchange");
         let v1: Vec<String> = wires
             .iter()
@@ -189,7 +222,7 @@ fn v1_clients_and_nul_prefixed_garbage_negotiate_to_v1() {
         .method_options(MethodOptions::fast())
         .threads(2);
 
-    let (plain, nul_led, empty) = with_server(&service, NetOptions::default(), |addr| {
+    let ((plain, nul_led, empty), _) = with_server(&service, NetOptions::default(), |addr| {
         // A plain v1 client is served as v1 (the doctest and the whole
         // existing suite cover the byte-identity; here we pin the
         // negotiation matrix edges).
@@ -320,27 +353,86 @@ fn malformed_json_inside_v2_matches_v1_parse_errors() {
     let run_config = RunConfig::default();
     let workloads = [WorkloadSpec { name: "k", program: &program, run_config: &run_config }];
     let machines = [MachineModel::ivy_bridge()];
-    let request = EvalRequest::new("Ivy Bridge (Xeon E3-1265L)", "k", "lbr", 1, 4);
-    let mixed = format!(
-        "not json at all\n{}\n\nalso not json\n",
-        serde_json::to_string(&request).unwrap()
-    );
+    let request = serde_json::to_string(&EvalRequest::new(
+        "Ivy Bridge (Xeon E3-1265L)",
+        "k",
+        "lbr",
+        1,
+        4,
+    ))
+    .unwrap();
+    // Bad JSON, a good request, a blank line, more bad JSON, a line that
+    // is not UTF-8, and a good request after it.
+    let lines: [&[u8]; 6] = [
+        b"not json at all",
+        request.as_bytes(),
+        b"",
+        b"also not json",
+        b"\xff\xfe not utf-8",
+        request.as_bytes(),
+    ];
+    let v1_wire: Vec<u8> = lines.iter().flat_map(|l| l.iter().chain(b"\n")).copied().collect();
     let service = EvalService::new(&machines, &workloads)
         .method_options(MethodOptions::fast())
         .threads(2);
 
-    let (v2, v1) = with_server(&service, NetOptions::default(), |addr| {
-        let v2 = exchange_v2(addr, std::slice::from_ref(&mixed.to_string()))
-            .expect("v2 exchange")
-            .remove(0);
-        let v1 = exchange(addr, &mixed).expect("v1 exchange");
-        (v2, v1)
+    let (v2, v2_stats) = with_server(&service, NetOptions::default(), |addr| {
+        exchange_frames(addr, &lines)
     });
+    let (v1, v1_stats) = with_server(&service, NetOptions::default(), |addr| {
+        exchange_bytes(addr, &v1_wire)
+    });
+    let v1 = String::from_utf8(v1).expect("responses are UTF-8");
+    let v2 = String::from_utf8(v2).expect("responses are UTF-8");
     assert_eq!(
-        v2.as_bytes(),
-        v1.as_bytes(),
+        v2, v1,
         "parse errors (and their line numbers, counting blanks) must match v1"
     );
-    assert!(v2.contains("parse error on line 1"));
-    assert!(v2.contains("parse error on line 4"), "blank line 3 still counts");
+    let responses: Vec<EvalResponse> =
+        v1.lines().map(|l| serde_json::from_str(l).unwrap()).collect();
+    assert_eq!(responses.len(), 5, "one response per non-blank line");
+    let error = |i: usize| responses[i].error.clone().unwrap_or_default();
+    assert!(error(0).contains("parse error on line 1"));
+    assert!(responses[1].is_ok());
+    assert!(error(2).contains("parse error on line 4"), "blank line 3 still counts");
+    assert!(
+        error(3).contains("parse error on line 5: invalid UTF-8"),
+        "a non-UTF-8 v1 line is answered in order: {}",
+        error(3)
+    );
+    assert!(responses[4].is_ok(), "and reading goes on after it");
+
+    // Blank lines are skipped by both protocols, so neither counts them.
+    for (proto, stats) in [("v1", v1_stats), ("v2", v2_stats)] {
+        assert_eq!(stats.lines, 5, "{proto}: {stats:?}");
+        assert_eq!((stats.requests, stats.parse_errors), (2, 3), "{proto}: {stats:?}");
+        assert_eq!(stats.io_errors, 0, "{proto}: {stats:?}");
+    }
+}
+
+#[test]
+fn v2_latency_stamps_carry_queue_and_build_time() {
+    let program = kernel(20_000);
+    let run_config = RunConfig::default();
+    let workloads = [WorkloadSpec { name: "k", program: &program, run_config: &run_config }];
+    let machines = [MachineModel::ivy_bridge()];
+    let request = EvalRequest::new("Ivy Bridge (Xeon E3-1265L)", "k", "classic", 1, 5);
+    let line = serde_json::to_string(&request).unwrap();
+    let service = EvalService::new(&machines, &workloads)
+        .method_options(MethodOptions::fast())
+        .threads(1);
+    let options = NetOptions::new().pipeline(PipelineOptions::new().record_latency(true));
+
+    // A cold pair: the chunk's attach step runs a reference build, and
+    // the v2 response must account for it.
+    let (reply, _) = with_server(&service, options, |addr| {
+        exchange_frames(addr, &[line.as_bytes()])
+    });
+    let reply = String::from_utf8(reply).expect("responses are UTF-8");
+    let response: EvalResponse = serde_json::from_str(reply.trim_end()).expect("one response line");
+    assert!(response.is_ok(), "{:?}", response.error);
+    let latency = response.latency.expect("v2 responses are stamped under record_latency");
+    assert!(latency.build_us > 0, "a cold pair builds a reference: {latency:?}");
+    assert!(latency.eval_us > 0, "{latency:?}");
+    assert_eq!(service.stats().builds, 1);
 }

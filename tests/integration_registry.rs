@@ -138,7 +138,7 @@ fn default_catalog_requests_are_byte_identical_to_single_catalog_serving() {
         .serve_pipelined(
             wire(&requests).as_bytes(),
             &mut out,
-            &PipelineOptions::new().depth(2).chunk(2),
+            &PipelineOptions::new().chunk(2),
         )
         .unwrap();
     assert_eq!(String::from_utf8(out).unwrap(), expected);
@@ -259,7 +259,7 @@ fn unknown_catalog_answers_in_order_pipelined_and_the_stream_drains() {
         .serve_pipelined(
             wire(&stream).as_bytes(),
             &mut out,
-            &PipelineOptions::new().depth(1).chunk(2),
+            &PipelineOptions::new().chunk(2),
         )
         .unwrap();
     assert_eq!((stats.requests, stats.parse_errors, stats.responses), (4, 0, 4));

@@ -144,11 +144,11 @@ fn zipfian_500_stream_hits_cache_and_is_thread_invariant() {
     );
     assert_eq!(serial_out.lines().count(), 500);
 
-    // The staged pipeline serves the same 500-request stream off its
-    // wire form and must agree byte for byte — at several thread counts,
-    // queue depths and chunk sizes.
+    // The chunked intake serves the same 500-request stream off its
+    // wire form and must agree byte for byte — at several thread counts
+    // and chunk sizes.
     let wire = to_wire(&stream);
-    for (threads, depth, chunk) in [(1, 1, 64), (8, 2, 64), (4, 3, 17), (8, 1, 500)] {
+    for (threads, chunk) in [(1, 64), (8, 64), (4, 17), (8, 500)] {
         let service = EvalService::new(&machines, &specs)
             .method_options(opts)
             .threads(threads);
@@ -157,7 +157,7 @@ fn zipfian_500_stream_hits_cache_and_is_thread_invariant() {
             .serve_pipelined(
                 wire.as_bytes(),
                 &mut out,
-                &PipelineOptions::new().depth(depth).chunk(chunk),
+                &PipelineOptions::new().chunk(chunk),
             )
             .expect("in-memory pipeline never hits I/O errors");
         assert_eq!(pstats.requests, 500);
@@ -165,7 +165,7 @@ fn zipfian_500_stream_hits_cache_and_is_thread_invariant() {
         assert_eq!(
             String::from_utf8(out).unwrap(),
             serial_out,
-            "pipelined (threads {threads}, depth {depth}, chunk {chunk}) \
+            "pipelined (threads {threads}, chunk {chunk}) \
              must be byte-identical to batched"
         );
         assert!(

@@ -116,7 +116,7 @@ fn warm_restart_is_byte_identical_with_zero_rebuilds_batched_and_pipelined() {
         "snapshot loads still count as cache builds (residency accounting)"
     );
 
-    // Warm *pipelined* replay — the staged intake path goes through the
+    // Warm *pipelined* replay — the chunked intake path goes through the
     // same cache seam.
     let piped = service(Some(&tmp));
     let audit = CollectionAudit::begin();
@@ -125,7 +125,7 @@ fn warm_restart_is_byte_identical_with_zero_rebuilds_batched_and_pipelined() {
         .serve_pipelined(
             to_wire(&stream).as_bytes(),
             &mut out,
-            &PipelineOptions::new().depth(2).chunk(4),
+            &PipelineOptions::new().chunk(4),
         )
         .expect("in-memory pipeline never hits I/O errors");
     assert_eq!(audit.collections(), 0, "warm pipelined replay must be build-free");
@@ -154,7 +154,7 @@ fn warm_restart_over_tcp_via_net_options_is_byte_identical_and_build_free() {
         let server = EvalServer::listen(
             "127.0.0.1:0",
             NetOptions::new()
-                .pipeline(PipelineOptions::new().depth(2).chunk(4))
+                .pipeline(PipelineOptions::new().chunk(4))
                 .snapshot_dir(&tmp.0),
         )
         .expect("ephemeral loopback listener binds");

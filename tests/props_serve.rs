@@ -1,7 +1,7 @@
 //! Property-based tests for the serving layer: for arbitrary request
 //! streams and cache capacities, responses depend only on the requests —
-//! never on worker-thread count, batch decomposition, pipeline queue
-//! depth, chunk size, cache eviction order or admission policy — and a
+//! never on worker-thread count, batch decomposition, chunk size, cache
+//! eviction order or admission policy — and a
 //! served batch never performs more reference collections than the
 //! number of distinct `(machine, workload)` pairs it touches.
 //!
@@ -113,13 +113,11 @@ proptest! {
     /// Identical streams, served as one batch, produce byte-identical
     /// JSONL for every thread count and cache capacity — and no service
     /// collects more references than the stream touches pairs. The
-    /// staged pipeline agrees byte for byte at any queue depth and chunk
-    /// size.
+    /// chunked intake agrees byte for byte at any chunk size.
     #[test]
     fn serve_is_invariant_under_threads_and_capacity(
         raw in prop::collection::vec((0usize..2, 0usize..2, 0usize..7, 1usize..=2, 0u64..1_000), 1..8),
         capacity in 1usize..=8,
-        depth in 1usize..=3,
         chunk in 1usize..=5,
     ) {
         let _guard = lock();
@@ -155,7 +153,7 @@ proptest! {
         prop_assert_eq!(&outputs[0], &outputs[1], "thread count changed responses");
         prop_assert_eq!(&outputs[0], &outputs[2], "cache capacity changed responses");
 
-        // The staged pipeline reads the same stream off the wire and
+        // The chunked intake reads the same stream off the wire and
         // must emit the very same bytes, whatever its decomposition.
         let pipelined = EvalService::new(&machines, &workloads)
             .method_options(opts)
@@ -166,14 +164,14 @@ proptest! {
             .serve_pipelined(
                 to_wire(&requests).as_bytes(),
                 &mut piped,
-                &PipelineOptions::new().depth(depth).chunk(chunk),
+                &PipelineOptions::new().chunk(chunk),
             )
             .expect("in-memory pipeline never hits I/O errors");
         prop_assert_eq!(pstats.requests as usize, requests.len());
         prop_assert_eq!(pstats.parse_errors, 0);
         prop_assert_eq!(
             &String::from_utf8(piped).unwrap(), &outputs[0],
-            "pipelining (depth {}, chunk {}) changed responses", depth, chunk
+            "pipelining (chunk {}) changed responses", chunk
         );
 
         // Tenant fairness is scheduling + residency only: per-catalog
@@ -191,14 +189,13 @@ proptest! {
                 to_wire(&requests).as_bytes(),
                 &mut fair_out,
                 &PipelineOptions::new()
-                    .depth(depth)
                     .chunk(chunk)
                     .fairness(countertrust::serve::FairnessPolicy::Weighted),
             )
             .expect("in-memory pipeline never hits I/O errors");
         prop_assert_eq!(
             &String::from_utf8(fair_out).unwrap(), &outputs[0],
-            "quotas/fairness (depth {}, chunk {}) changed responses", depth, chunk
+            "quotas/fairness (chunk {}) changed responses", chunk
         );
     }
 }
@@ -208,7 +205,7 @@ proptest! {
 
     /// The heavier tier (CI runs it via `--include-ignored`): batch
     /// decomposition — one batch, per-request calls on a thrashing
-    /// capacity-1 cache, chunked batches, or the staged pipeline under a
+    /// capacity-1 cache, chunked batches, or the chunked intake under a
     /// frequency-admission cache — never changes responses, and every
     /// batched decomposition respects the per-batch collection bound.
     #[test]
@@ -269,7 +266,7 @@ proptest! {
             .serve_pipelined(
                 to_wire(&requests).as_bytes(),
                 &mut piped,
-                &PipelineOptions::new().depth(2).chunk(chunk),
+                &PipelineOptions::new().chunk(chunk),
             )
             .expect("in-memory pipeline never hits I/O errors");
 
