@@ -5,8 +5,10 @@
 //! parallelism *and* re-drives the most expensive step — the instrumented
 //! reference execution — once per consumer. This module fixes both:
 //!
-//! * a [`GridRunner`] fans independent cells across
-//!   [`std::thread::scope`] workers pulling from a shared work queue;
+//! * a [`GridRunner`] fans independent cells across a process-wide pool
+//!   of parked worker threads that claim them from a shared atomic
+//!   counter ([`for_each_index`]), so a fan-out spawns no thread once
+//!   the pool has grown to its width;
 //! * each `(machine, workload)` pair's [`ReferenceProfile`] is collected
 //!   exactly once (phase 1, itself parallel) and shared via [`Arc`] with
 //!   every method evaluation of that pair (phase 2) through
@@ -59,6 +61,8 @@ use ct_isa::{Cfg, Program};
 use ct_sim::{MachineModel, RunConfig};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
+
+mod pool;
 
 /// A borrowed workload: everything the engine needs to run one
 /// `(machine, workload)` pair.
@@ -229,15 +233,34 @@ pub(crate) fn default_threads() -> usize {
         .unwrap_or(1)
 }
 
-/// Runs `f(0..total)` across `workers` scoped threads pulling indices
-/// from a shared atomic queue — the work-distribution primitive behind
-/// both the grid engine and the serving layer ([`crate::serve`]), and
-/// the hook for new parallel consumers that don't fit the grid shape.
+/// Runs `f(0..total)` on up to `workers` threads of a process-wide pool
+/// — the work-distribution primitive behind both the grid engine and the
+/// serving layer ([`crate::serve`]), and the hook for new parallel
+/// consumers that don't fit the grid shape.
 ///
-/// Serial when one worker (or one task) suffices — no thread is ever
-/// spawned in that case, keeping single-threaded runs a true serial
-/// baseline. Every index in `0..total` is visited exactly once; nothing
-/// is guaranteed about ordering, so keep outputs index-addressed.
+/// Every index in `0..total` runs exactly once; nothing is guaranteed
+/// about ordering, so keep outputs index-addressed.
+///
+/// * **Serial baseline.** When one worker (or one task) suffices, every
+///   index runs on the calling thread and no thread is ever spawned, so
+///   single-threaded runs stay a true serial baseline; a panic then
+///   propagates at once.
+/// * **Parked pool.** Otherwise the call lends at most `workers`
+///   threads of one pool shared by every caller in the process. The
+///   pool grows lazily to the largest `workers` any caller has asked
+///   for, and its threads stay parked between calls, so a fan-out pays
+///   no thread start-up. The lent threads claim indices from one
+///   atomic counter while the calling thread sleeps until every index
+///   has finished; the caller itself runs no task.
+/// * **Panics.** Each task runs under `catch_unwind`. The first task
+///   panic is re-raised on the caller, with its payload, after every
+///   other index has run, and the pool keeps serving.
+/// * **Nesting.** A fan-out started from inside a task runs inline on
+///   that task's pool thread, so nested calls cannot deadlock.
+///
+/// The pool's one condition: a task must never wait for a sibling task
+/// of the same call, because concurrent calls share the pool's threads
+/// and the sibling may not be running yet.
 ///
 /// ```
 /// use std::sync::atomic::{AtomicUsize, Ordering};
@@ -250,24 +273,13 @@ pub(crate) fn default_threads() -> usize {
 /// ```
 pub fn for_each_index<F: Fn(usize) + Sync>(workers: usize, total: usize, f: F) {
     let workers = workers.min(total);
-    if workers <= 1 {
+    if workers <= 1 || pool::on_pool_thread() {
         for i in 0..total {
             f(i);
         }
         return;
     }
-    let next = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= total {
-                    break;
-                }
-                f(i);
-            });
-        }
-    });
+    pool::run(workers, total, &f);
 }
 
 impl GridRunner {
@@ -277,8 +289,9 @@ impl GridRunner {
         Self::default()
     }
 
-    /// Sets the worker-thread count; `0` restores the default (available
-    /// hardware parallelism).
+    /// Sets how many pool threads one fan-out may use (see
+    /// [`for_each_index`]); `0` restores the default (available hardware
+    /// parallelism).
     #[must_use]
     pub fn threads(mut self, n: usize) -> Self {
         self.threads = if n == 0 { default_threads() } else { n };
@@ -586,6 +599,85 @@ mod tests {
                 assert_eq!(x.mean_samples, y.mean_samples);
             }
         }
+    }
+
+    fn counters(n: usize) -> Vec<AtomicUsize> {
+        (0..n).map(|_| AtomicUsize::new(0)).collect()
+    }
+
+    fn each_ran_once(runs: &[AtomicUsize]) -> bool {
+        runs.iter().all(|r| r.load(Ordering::Relaxed) == 1)
+    }
+
+    #[test]
+    fn a_task_panic_reaches_the_caller_after_every_other_index() {
+        let runs = counters(64);
+        let caught = std::panic::catch_unwind(|| {
+            for_each_index(4, runs.len(), |i| {
+                runs[i].fetch_add(1, Ordering::Relaxed);
+                if i == 13 {
+                    std::panic::panic_any(i);
+                }
+            });
+        });
+        let payload = caught.expect_err("the task panic reaches the caller");
+        assert_eq!(payload.downcast_ref::<usize>(), Some(&13));
+        assert!(each_ran_once(&runs));
+
+        let next = counters(64);
+        for_each_index(4, next.len(), |i| {
+            next[i].fetch_add(1, Ordering::Relaxed);
+        });
+        assert!(each_ran_once(&next), "the pool serves the next fan-out");
+    }
+
+    #[test]
+    fn a_fan_out_inside_a_task_runs_inline_and_completes() {
+        let runs = counters(4 * 3);
+        for_each_index(2, 4, |outer| {
+            let thread = std::thread::current().id();
+            for_each_index(2, 3, |inner| {
+                assert_eq!(std::thread::current().id(), thread);
+                runs[outer * 3 + inner].fetch_add(1, Ordering::Relaxed);
+            });
+        });
+        assert!(each_ran_once(&runs));
+    }
+
+    #[test]
+    fn one_worker_runs_on_the_caller_and_more_never_do() {
+        let caller = std::thread::current().id();
+        for workers in [1, 2, 3, 8] {
+            let threads = Mutex::new(Vec::new());
+            for_each_index(workers, 16, |_| {
+                threads.lock().unwrap().push(std::thread::current().id());
+            });
+            let threads = threads.into_inner().unwrap();
+            assert_eq!(threads.len(), 16);
+            if workers == 1 {
+                assert!(threads.iter().all(|&t| t == caller));
+            } else {
+                assert!(threads.iter().all(|&t| t != caller), "workers = {workers}");
+            }
+        }
+    }
+
+    #[test]
+    #[ignore = "heavy pool stress, exercised by the CI --include-ignored step"]
+    fn concurrent_callers_each_see_every_index_once() {
+        std::thread::scope(|scope| {
+            for caller in 0..8 {
+                scope.spawn(move || {
+                    for round in 0..200 {
+                        let runs = counters(1 + (caller * 31 + round) % 40);
+                        for_each_index(2 + caller % 3, runs.len(), |i| {
+                            runs[i].fetch_add(1, Ordering::Relaxed);
+                        });
+                        assert!(each_ran_once(&runs), "caller {caller}, round {round}");
+                    }
+                });
+            }
+        });
     }
 
     #[test]

@@ -10,13 +10,14 @@
 //!    per-request error responses, never panics);
 //! 2. **sharded** by `(machine, workload)` pair, so every request touching
 //!    a pair rides on the same expensive state;
-//! 3. fanned across a worker pool (the same scoped-thread queue the grid
-//!    uses) in two waves: shards first *attach* to their pair state
-//!    through the LRU-bounded [`ProfileCache`] (one task per shard — a
-//!    reference profile and CFG are built **at most once per pair per
-//!    cache residency**, and at most once per pair per batch regardless
-//!    of cache capacity, because the batch holds the attached parts for
-//!    its whole lifetime), then every request *evaluates* as its own
+//! 3. fanned across a worker pool (the grid's process-wide pool of parked
+//!    threads, [`crate::grid::for_each_index`]) in two waves: shards
+//!    first *attach* to their pair state through the LRU-bounded
+//!    [`ProfileCache`] (one task per shard — a reference profile and
+//!    CFG are built **at most once per pair per cache residency**, and
+//!    at most once per pair per batch regardless of cache capacity,
+//!    because the batch holds the attached parts for its whole
+//!    lifetime), then every request *evaluates* as its own
 //!    task, so even a fully skewed batch — all requests on one hot
 //!    pair — spreads across every worker;
 //! 4. answered **in request order**, with per-run seeds derived from the
@@ -218,6 +219,12 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
+/// The most measurement runs one request may ask for. A request above it
+/// is answered with an in-order error before any work starts: a
+/// request's runs share one pool thread, and their seeds are allocated
+/// up front. The paper repeats each measurement five times.
+pub const MAX_RUNS: usize = 1_000;
+
 /// One evaluation request: machine, workload and method by name, plus the
 /// measurement shape (`runs` repeats from base `seed`) and an optional
 /// catalog (tenant) name.
@@ -235,7 +242,8 @@ pub struct EvalRequest {
     pub workload: String,
     /// Method label as in [`MethodKind::label`] (e.g. `"lbr"`).
     pub method: String,
-    /// Number of repeated measurements (`0` is served as `1`).
+    /// Number of repeated measurements (`0` is served as `1`; above
+    /// [`MAX_RUNS`] the request is rejected).
     pub runs: usize,
     /// Base seed; per-run seeds derive from it via [`request_seed`].
     pub seed: u64,
@@ -1165,8 +1173,9 @@ impl EvalService {
         Ok(self)
     }
 
-    /// Sets the worker-thread count; `0` restores the default (available
-    /// hardware parallelism). Responses do not depend on this.
+    /// Sets how many pool threads one fan-out may use (see
+    /// [`for_each_index`]); `0` restores the default (available hardware
+    /// parallelism). Responses do not depend on this.
     #[must_use]
     pub fn threads(mut self, n: usize) -> Self {
         self.threads = if n == 0 { default_threads() } else { n };
@@ -1725,12 +1734,15 @@ impl EvalService {
         }
     }
 
-    /// Resolves a request's names through the registry: the catalog
-    /// first (absent = default), then machine, workload and method
-    /// within it. Every failure is a per-request error string — an
-    /// unknown catalog answers exactly like an unknown machine, in
-    /// order, never a panic.
+    /// Checks a request's run count against [`MAX_RUNS`], then resolves
+    /// its names through the registry: the catalog first (absent =
+    /// default), then machine, workload and method within it. Every
+    /// failure is a per-request error string — an unknown catalog
+    /// answers exactly like an unknown machine, in order, never a panic.
     fn resolve(&self, request: &EvalRequest) -> Result<Resolved, String> {
+        if request.runs > MAX_RUNS {
+            return Err(format!("runs {} exceeds the limit of {MAX_RUNS}", request.runs));
+        }
         let catalog_index = self.registry.index_of(request.catalog.as_deref())?;
         let catalog = self.registry.catalog(catalog_index);
         let machine = catalog
@@ -1990,6 +2002,29 @@ mod tests {
         let response =
             service.serve_one(&EvalRequest::new("Ivy Bridge (Xeon E3-1265L)", "k", "classic", 0, 9));
         assert_eq!(response.stats.unwrap().runs.len(), 1);
+    }
+
+    #[test]
+    fn runs_above_the_cap_are_rejected_before_any_work() {
+        let program = kernel(200);
+        let run_config = RunConfig::default();
+        let workloads = [WorkloadSpec {
+            name: "k",
+            program: &program,
+            run_config: &run_config,
+        }];
+        let machines = [MachineModel::ivy_bridge()];
+        let service = EvalService::new(&machines, &workloads)
+            .method_options(MethodOptions::fast());
+        let at_cap = EvalRequest::new("Ivy Bridge (Xeon E3-1265L)", "k", "classic", MAX_RUNS, 9);
+        let over = EvalRequest { runs: MAX_RUNS + 1, ..at_cap.clone() };
+        let response = service.serve_one(&over);
+        assert!(response.stats.is_none());
+        assert_eq!(response.error.as_deref(), Some("runs 1001 exceeds the limit of 1000"));
+        assert_eq!(service.stats().errors, 1);
+        assert_eq!(service.cache_stats().builds, 0, "rejected before attach");
+        let response = service.serve_one(&at_cap);
+        assert_eq!(response.stats.unwrap().runs.len(), MAX_RUNS);
     }
 
     #[test]

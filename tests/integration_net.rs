@@ -279,6 +279,67 @@ fn over_long_v1_line_closes_its_connection_and_spares_its_siblings() {
 }
 
 #[test]
+fn over_cap_runs_get_an_in_order_error_and_spare_their_siblings() {
+    use countertrust::serve::MAX_RUNS;
+    let program = kernel(8_000);
+    let run_config = RunConfig::default();
+    let workloads = [WorkloadSpec { name: "k", program: &program, run_config: &run_config }];
+    let machines = [MachineModel::ivy_bridge(), MachineModel::westmere()];
+    let good = EvalRequest::new("Ivy Bridge (Xeon E3-1265L)", "k", "classic", 1, 3);
+    // Before the cap, this line made the server try to allocate 32 GB of
+    // seeds and abort the whole process.
+    let hostile = [
+        good.clone(),
+        EvalRequest { runs: 4_000_000_000, ..good.clone() },
+        EvalRequest { seed: 4, ..good.clone() },
+    ];
+    let sibling = connection_streams(&machines, 1).remove(0);
+    let service = EvalService::new(&machines, &workloads)
+        .method_options(MethodOptions::fast())
+        .threads(2);
+
+    let (outputs, stats) = serve_loopback(
+        &service,
+        NetOptions::default(),
+        |addr, c| match c {
+            // The hostile client, then a fresh connection from it once
+            // its stream is answered: the server is still serving.
+            0 => [wire(&hostile), wire(&hostile[..1])]
+                .iter()
+                .map(|w| exchange(addr, w).expect("exchange"))
+                .collect(),
+            _ => vec![exchange(addr, &wire(&sibling)).expect("exchange")],
+        },
+        2,
+    );
+    assert_eq!(stats.connections, 3);
+    assert_eq!((stats.io_errors, stats.worker_panics, stats.parse_errors), (0, 0, 0));
+    assert_eq!(stats.responses, 3 + 1 + 3);
+
+    let offline = |requests: &[EvalRequest]| {
+        let service = EvalService::new(&machines, &workloads)
+            .method_options(MethodOptions::fast())
+            .threads(1);
+        let mut out = Vec::new();
+        service
+            .serve_pipelined(wire(requests).as_bytes(), &mut out, &PipelineOptions::default())
+            .unwrap();
+        String::from_utf8(out).unwrap()
+    };
+    let lines: Vec<&str> = outputs[0][0].lines().collect();
+    assert_eq!(lines.len(), 3, "one response per line, in order");
+    let rejected: EvalResponse = serde_json::from_str(lines[1]).unwrap();
+    assert_eq!(rejected.request, hostile[1]);
+    assert!(rejected.stats.is_none());
+    let expected = format!("runs 4000000000 exceeds the limit of {MAX_RUNS}");
+    assert_eq!(rejected.error.as_deref(), Some(expected.as_str()));
+    assert_eq!(format!("{}\n", lines[0]), offline(&hostile[..1]));
+    assert_eq!(format!("{}\n", lines[2]), offline(&hostile[2..]));
+    assert_eq!(outputs[0][1], offline(&hostile[..1]), "the follow-up connection");
+    assert_eq!(outputs[1][0], offline(&sibling), "the well-behaved sibling");
+}
+
+#[test]
 fn shutdown_drains_in_flight_connections() {
     let program = kernel(20_000);
     let run_config = RunConfig::default();

@@ -348,6 +348,66 @@ fn malformed_frames_get_in_order_error_frames_after_prior_responses() {
 }
 
 #[test]
+fn over_cap_runs_on_a_v2_stream_get_an_in_order_error_and_spare_its_siblings() {
+    use countertrust::serve::MAX_RUNS;
+    let program = kernel(8_000);
+    let run_config = RunConfig::default();
+    let workloads = [WorkloadSpec { name: "k", program: &program, run_config: &run_config }];
+    let machines = [MachineModel::ivy_bridge(), MachineModel::westmere()];
+    let good = EvalRequest::new("Ivy Bridge (Xeon E3-1265L)", "k", "lbr", 1, 5);
+    let hostile = [
+        good.clone(),
+        EvalRequest { runs: 4_000_000_000, ..good.clone() },
+        EvalRequest { seed: 6, ..good.clone() },
+    ];
+    let streams = streams_for(&machines, 2);
+    let service = EvalService::new(&machines, &workloads)
+        .method_options(MethodOptions::fast())
+        .threads(2);
+
+    // One v2 connection carries the hostile stream next to a
+    // well-behaved one while a second v2 client runs concurrently; a
+    // last session follows once both are answered.
+    let ((session, concurrent, follow_up), stats) =
+        with_server(&service, NetOptions::default(), |addr| {
+            std::thread::scope(|scope| {
+                let concurrent =
+                    scope.spawn(|| exchange_v2(addr, &[wire(&streams[1])]).expect("concurrent"));
+                let session =
+                    exchange_v2(addr, &[wire(&hostile), wire(&streams[0])]).expect("v2 exchange");
+                let concurrent = concurrent.join().expect("concurrent client");
+                let follow_up = exchange_v2(addr, &[wire(&hostile[..1])]).expect("follow-up");
+                (session, concurrent, follow_up)
+            })
+        });
+    assert_eq!(stats.connections, 3);
+    assert_eq!((stats.io_errors, stats.worker_panics, stats.parse_errors), (0, 0, 0));
+
+    let offline = |requests: &[EvalRequest]| {
+        let service = EvalService::new(&machines, &workloads)
+            .method_options(MethodOptions::fast())
+            .threads(1);
+        let mut out = Vec::new();
+        service
+            .serve_pipelined(wire(requests).as_bytes(), &mut out, &PipelineOptions::default())
+            .unwrap();
+        String::from_utf8(out).unwrap()
+    };
+    let lines: Vec<&str> = session[0].lines().collect();
+    assert_eq!(lines.len(), 3, "one response per request, in order");
+    let rejected: EvalResponse = serde_json::from_str(lines[1]).unwrap();
+    assert_eq!(rejected.request, hostile[1]);
+    assert!(rejected.stats.is_none());
+    let expected = format!("runs 4000000000 exceeds the limit of {MAX_RUNS}");
+    assert_eq!(rejected.error.as_deref(), Some(expected.as_str()));
+    assert_eq!(format!("{}\n", lines[0]), offline(&hostile[..1]));
+    assert_eq!(format!("{}\n", lines[2]), offline(&hostile[2..]));
+    assert_eq!(session[1], offline(&streams[0]), "the sibling stream");
+    assert_eq!(concurrent[0], offline(&streams[1]), "the concurrent client");
+    assert_eq!(follow_up[0], offline(&hostile[..1]), "the follow-up session");
+}
+
+#[test]
 fn malformed_json_inside_v2_matches_v1_parse_errors() {
     let program = kernel(4_000);
     let run_config = RunConfig::default();
