@@ -10,7 +10,10 @@
 //! | `function_rank` | §5.2 — FullCMS top-10 function ordering check |
 //! | `ablation_periods` | §6.1 — period policy sweep (round/prime/randomized) |
 //! | `ablation_lbr` | §6.2 — LBR depth sweep and call-stack-mode collision |
-//! | `serve_bench` | serving-mode benchmark: batched or pipelined request streams against the profile cache |
+//!
+//! `serve` is the one binary that is not a paper artifact: it serves the
+//! built-in catalog over TCP (`--listen ADDR [--scale F] [--capacity N]
+//! [--workload-dir DIR] [--snapshot-dir DIR]`) until killed.
 //!
 //! All experiment binaries run on the parallel grid engine
 //! ([`countertrust::grid::GridRunner`]): cells fan out across worker
@@ -28,7 +31,7 @@
 //! * `golden_exec_traces` pins every retirement event of the 27
 //!   machine × workload traces;
 //! * `integration_serve` drives the service with generated request
-//!   streams;
+//!   streams and checks the `serve` binary against an offline service;
 //! * `integration_warm_start` proves a restart on a snapshot directory
 //!   byte-identical with zero rebuilds;
 //! * `alloc_audit` (feature `alloc_audit`) proves the warm interpreter

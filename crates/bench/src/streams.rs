@@ -1,8 +1,8 @@
-//! Request-stream generation for the serving benchmarks.
+//! Request-stream generation for the serving tests and `perfbench`.
 //!
-//! `serve_bench` (and the serving integration tests) drive the
-//! [`countertrust::serve::EvalService`] with synthetic JSON-lines request
-//! workloads whose pair-popularity distribution is the experiment knob:
+//! Both drive the [`countertrust::serve::EvalService`] with synthetic
+//! JSON-lines request workloads whose pair-popularity distribution is
+//! the experiment knob:
 //!
 //! * [`StreamPattern::Hot`] — most requests hammer one pair (best case
 //!   for any cache);
@@ -15,7 +15,7 @@
 //!   hot default-catalog tenant owning [`MIXED_HOT_SHARE_PCT`]% of the
 //!   stream and a cold tenant (catalog [`MIXED_COLD_CATALOG`]) owning
 //!   the rest, both zipfian over the pair table — the stream behind the
-//!   per-tenant quota/fairness benchmarks.
+//!   `mixed_tenant_zipfian` golden probe of quotas and fairness.
 //!
 //! Streams are pure functions of their seed: the same
 //! [`StreamConfig`] always generates the same requests, so two services
@@ -56,19 +56,8 @@ pub enum StreamPattern {
 }
 
 impl StreamPattern {
-    /// Parses a CLI flag value (`hot` / `cold` / `zipfian` / `mixed`).
-    #[must_use]
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "hot" => Some(Self::Hot),
-            "cold" => Some(Self::Cold),
-            "zipfian" => Some(Self::Zipfian),
-            "mixed" => Some(Self::Mixed),
-            _ => None,
-        }
-    }
-
-    /// The flag spelling of this pattern.
+    /// The short name of this pattern (`hot` / `cold` / `zipfian` /
+    /// `mixed`).
     #[must_use]
     pub fn name(self) -> &'static str {
         match self {
@@ -453,7 +442,6 @@ mod tests {
         );
         assert!(StreamPattern::Mixed.is_multi_tenant());
         assert!(!StreamPattern::Zipfian.is_multi_tenant());
-        assert_eq!(StreamPattern::parse("mixed"), Some(StreamPattern::Mixed));
         assert_eq!(StreamPattern::Mixed.name(), "mixed");
     }
 

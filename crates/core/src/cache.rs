@@ -97,17 +97,7 @@ pub enum AdmissionPolicy {
 }
 
 impl AdmissionPolicy {
-    /// Parses a CLI flag value (`lru` / `freq`).
-    #[must_use]
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "lru" => Some(Self::Lru),
-            "freq" | "frequency" => Some(Self::Frequency),
-            _ => None,
-        }
-    }
-
-    /// The flag spelling of this policy.
+    /// The short name of this policy (`lru` / `freq`).
     #[must_use]
     pub fn name(self) -> &'static str {
         match self {
@@ -313,9 +303,8 @@ pub struct CacheStats {
 }
 
 impl CacheStats {
-    /// One-line human summary of the residency knobs and their outcome —
-    /// the shape every consumer (`serve_bench`, examples) prints, so the
-    /// formatting lives here once.
+    /// One-line human summary of the residency knobs and their outcome;
+    /// also this type's `Display` form.
     #[must_use]
     pub fn summary(&self) -> String {
         let capacity = if self.capacity == 0 {
@@ -693,8 +682,8 @@ impl ProfileCache {
     /// fingerprinted misses read through it before building, and cold
     /// builds write behind into it. Attaching resets the snapshot
     /// counters; the resident set and ordinary counters are untouched.
-    /// Takes `&self` so a service already behind a shared reference
-    /// (e.g. one being served over a socket) can still be given a store.
+    /// Takes `&self` so a cache already behind a shared reference can
+    /// still be given a store.
     pub fn attach_snapshot_store(&self, dir: impl Into<PathBuf>) {
         self.set_snapshot_backing(Some(Arc::new(SnapshotBacking {
             store: SnapshotStore::new(dir),
@@ -1201,13 +1190,6 @@ mod tests {
 
     #[test]
     fn admission_policy_parses_flag_values() {
-        assert_eq!(AdmissionPolicy::parse("lru"), Some(AdmissionPolicy::Lru));
-        assert_eq!(AdmissionPolicy::parse("freq"), Some(AdmissionPolicy::Frequency));
-        assert_eq!(
-            AdmissionPolicy::parse("frequency"),
-            Some(AdmissionPolicy::Frequency)
-        );
-        assert_eq!(AdmissionPolicy::parse("arc"), None);
         assert_eq!(AdmissionPolicy::Frequency.name(), "freq");
         assert_eq!(AdmissionPolicy::default(), AdmissionPolicy::Lru);
     }

@@ -25,9 +25,9 @@
 //!   both the grid and serving layers build sessions from;
 //! * [`serve`] — the evaluation service: ad-hoc [`serve::EvalRequest`]
 //!   streams sharded by pair across a worker pool and satisfied through
-//!   the cache, batched ([`serve::EvalService::serve`]) or as a staged
-//!   intake pipeline ([`serve::EvalService::serve_pipelined`]), with
-//!   byte-identical responses for any thread count;
+//!   the cache, batched ([`serve::EvalService::serve`]) or through the
+//!   chunked JSON-lines intake ([`serve::EvalService::serve_pipelined`]),
+//!   with byte-identical responses for any thread count;
 //! * [`store`] — versioned, checksummed on-disk snapshots of
 //!   [`cache::PairParts`] ([`store::SnapshotStore`]) so a restarted server
 //!   warm-starts at full hit rate without re-running a single reference;
@@ -65,10 +65,8 @@
 
 #![deny(rustdoc::broken_intra_doc_links)]
 
-pub mod annotate;
 pub mod attrib;
 pub mod cache;
-pub mod coverage;
 pub mod diagnostics;
 pub mod error;
 pub mod evaluate;
@@ -81,7 +79,6 @@ pub mod report;
 pub mod serve;
 pub mod session;
 pub mod store;
-pub mod tripcount;
 
 pub use cache::{AdmissionPolicy, CacheStats, PairKey, PairParts, ProfileCache};
 pub use error::CoreError;

@@ -926,17 +926,7 @@ pub enum FairnessPolicy {
 }
 
 impl FairnessPolicy {
-    /// Parses a CLI flag value (`fcfs` / `weighted`).
-    #[must_use]
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "fcfs" => Some(Self::Fcfs),
-            "weighted" | "wrr" => Some(Self::Weighted),
-            _ => None,
-        }
-    }
-
-    /// The flag spelling of this policy.
+    /// The short name of this policy (`fcfs` / `weighted`).
     #[must_use]
     pub fn name(self) -> &'static str {
         match self {
@@ -1228,15 +1218,8 @@ impl EvalService {
     /// cache-rebuilding builders above in either order.
     #[must_use]
     pub fn snapshot_dir(self, dir: impl Into<PathBuf>) -> Self {
-        self.attach_snapshot_dir(dir);
-        self
-    }
-
-    /// [`Self::snapshot_dir`] through a shared reference — how
-    /// [`net::NetOptions::snapshot_dir`] attaches the store to a service
-    /// already behind the server's `&self`.
-    pub fn attach_snapshot_dir(&self, dir: impl Into<PathBuf>) {
         self.cache.attach_snapshot_store(dir);
+        self
     }
 
     /// Sets the method options requests against the **default** catalog
@@ -1963,10 +1946,6 @@ mod tests {
 
     #[test]
     fn fairness_policy_parses_flag_values() {
-        assert_eq!(FairnessPolicy::parse("fcfs"), Some(FairnessPolicy::Fcfs));
-        assert_eq!(FairnessPolicy::parse("weighted"), Some(FairnessPolicy::Weighted));
-        assert_eq!(FairnessPolicy::parse("wrr"), Some(FairnessPolicy::Weighted));
-        assert_eq!(FairnessPolicy::parse("lifo"), None);
         assert_eq!(FairnessPolicy::default(), FairnessPolicy::Fcfs);
         assert_eq!(FairnessPolicy::Weighted.name(), "weighted");
         assert_eq!(PipelineOptions::default().fairness, FairnessPolicy::Fcfs);

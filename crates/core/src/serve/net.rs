@@ -129,25 +129,6 @@ pub struct NetOptions {
     /// accept loop blocks at the cap; waiting clients queue in the OS
     /// listen backlog.
     pub max_connections: usize,
-    /// Optional snapshot-store directory ([`crate::store`]) attached to
-    /// the served service's cache before the first accept: reference
-    /// profiles persist across server restarts, so a server restarted
-    /// on the same directory warm-starts at full hit rate with zero
-    /// instrumented executions. `None` (the default) serves exactly as
-    /// before.
-    pub snapshot_dir: Option<std::path::PathBuf>,
-    /// Optional directory of `.ctasm` + manifest pairs compiled into an
-    /// extra served tenant catalog (named after the directory) before
-    /// the first accept — the data-catalog path. Programs are assembled
-    /// and size/step-limit checked by `ct_workloads::loader`; a
-    /// malformed directory is rejected with a typed error at
-    /// [`EvalServer::configure_service`] time, never at request time.
-    /// `None` (the default) serves exactly as before.
-    pub workload_dir: Option<std::path::PathBuf>,
-    /// Scale applied to [`NetOptions::workload_dir`] workloads' declared
-    /// size constants (the registry sizing rule). Ignored without a
-    /// `workload_dir`.
-    pub workload_scale: f64,
 }
 
 impl Default for NetOptions {
@@ -155,9 +136,6 @@ impl Default for NetOptions {
         Self {
             pipeline: PipelineOptions::default(),
             max_connections: 8,
-            snapshot_dir: None,
-            workload_dir: None,
-            workload_scale: 1.0,
         }
     }
 }
@@ -181,29 +159,6 @@ impl NetOptions {
     #[must_use]
     pub fn max_connections(mut self, cap: usize) -> Self {
         self.max_connections = cap;
-        self
-    }
-
-    /// Backs the served service's cache with an on-disk snapshot store
-    /// (see [`EvalService::snapshot_dir`]).
-    #[must_use]
-    pub fn snapshot_dir(mut self, dir: impl Into<std::path::PathBuf>) -> Self {
-        self.snapshot_dir = Some(dir.into());
-        self
-    }
-
-    /// Serves an extra tenant catalog compiled from a directory of
-    /// `.ctasm` + manifest pairs (see [`EvalService::workload_dir`]).
-    #[must_use]
-    pub fn workload_dir(mut self, dir: impl Into<std::path::PathBuf>) -> Self {
-        self.workload_dir = Some(dir.into());
-        self
-    }
-
-    /// Sets the scale applied to [`NetOptions::workload_dir`] workloads.
-    #[must_use]
-    pub fn workload_scale(mut self, scale: f64) -> Self {
-        self.workload_scale = scale;
         self
     }
 }
@@ -388,29 +343,6 @@ impl EvalServer {
         self.serve_with(service, serve_connection)
     }
 
-    /// Applies the data-catalog options to a service before serving it:
-    /// when [`NetOptions::workload_dir`] is set, compiles that directory
-    /// through [`EvalService::workload_dir`] at
-    /// [`NetOptions::workload_scale`] and registers the result as a
-    /// served tenant catalog. With no `workload_dir` the service is
-    /// returned unchanged. Consuming because tenant registration
-    /// happens before the (shared, `&self`) serve loop starts.
-    ///
-    /// # Errors
-    ///
-    /// A malformed catalog directory (unparsable manifest, assembler
-    /// diagnostic, size/step-limit violation, duplicate name) surfaces
-    /// here as `InvalidData` — before the first accept, never at
-    /// request time.
-    pub fn configure_service(&self, service: EvalService) -> std::io::Result<EvalService> {
-        match &self.options.workload_dir {
-            Some(dir) => service
-                .workload_dir(dir, self.options.workload_scale)
-                .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string())),
-            None => Ok(service),
-        }
-    }
-
     /// [`EvalServer::serve`] with a custom per-connection handler — the
     /// seam for alternative wire protocols and for fault-injection
     /// tests (the panic-isolation regression drives a handler that
@@ -453,9 +385,6 @@ impl EvalServer {
     {
         let workers = self.options.max_connections.max(1);
         let pipeline = self.options.pipeline;
-        if let Some(dir) = &self.options.snapshot_dir {
-            service.attach_snapshot_dir(dir.clone());
-        }
         let handler = &handler;
         let connections = AtomicU64::new(0);
         let lines = AtomicU64::new(0);

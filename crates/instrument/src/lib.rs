@@ -4,7 +4,7 @@
 //! instrumentation-based basic-block counts obtained through Pin ("REF",
 //! §3.3). Here the same ground truth is obtained by observing the simulated
 //! retirement stream exactly — every retired instruction increments its
-//! basic block, function, edge and loop counters with no sampling involved.
+//! basic block and function counters with no sampling involved.
 //!
 //! The headline type is [`ReferenceProfile`], consumed by the accuracy
 //! metric in `countertrust`:
@@ -29,12 +29,8 @@
 
 pub mod bbcount;
 pub mod callgraph;
-pub mod edges;
-pub mod loops;
 pub mod reference;
 
 pub use bbcount::BbCounter;
 pub use callgraph::CallGraphObserver;
-pub use edges::EdgeProfiler;
-pub use loops::LoopProfiler;
 pub use reference::{collection_count, CollectionAudit, ReferenceProfile};

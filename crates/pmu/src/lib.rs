@@ -49,7 +49,6 @@
 
 #![deny(rustdoc::broken_intra_doc_links)]
 
-pub mod counting;
 pub mod error;
 pub mod event;
 pub mod lbr;
@@ -57,7 +56,6 @@ pub mod period;
 pub mod sample;
 pub mod sampler;
 
-pub use counting::{CountingSession, EventCount};
 pub use error::PmuError;
 pub use event::PmuEvent;
 pub use lbr::{LbrEntry, LbrFilter, LbrMode, LbrStack};

@@ -251,9 +251,9 @@ fn load_dir_orders_by_filename_and_scales() {
     assert_eq!(ws[1].class, ct_workloads::WorkloadClass::Application);
 }
 
-/// The end-to-end identity the CI serve leg depends on: a directory
-/// copy of the checked-in built-ins loads to exactly the registry's
-/// workload list.
+/// A directory copy of the checked-in built-ins loads to exactly the
+/// registry's workload list, so a catalog served from disk answers like
+/// the compiled-in one.
 #[test]
 fn programs_dir_loads_identical_to_registry() {
     let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("programs");

@@ -185,9 +185,9 @@ this line is not a request at all
 
     // --- Data-catalog coda: a directory served as a tenant ---------------
     // Workloads are data: author a `.ctasm` source and a JSON manifest,
-    // point the server at the directory, and it becomes a served tenant
+    // register the directory on the service, and it becomes a tenant
     // catalog (named after the directory) — assembled, size-checked and
-    // rejected with typed errors *before* the first accept. Requests
+    // rejected with typed errors *before* anything is served. Requests
     // address it with `"catalog":"<dirname>"`.
     use countertrust::serve::net::exchange;
 
@@ -213,16 +213,12 @@ this line is not a request at all
     .expect("source");
     let tenant = dir.file_name().unwrap().to_string_lossy().into_owned();
 
-    let server = EvalServer::listen(
-        "127.0.0.1:0",
-        NetOptions::new().workload_dir(&dir).workload_scale(0.5),
-    )
-    .expect("loopback listener binds");
-    // configure_service compiles the directory into the served registry;
-    // a malformed catalog errors out here, not at request time.
-    let service = server
-        .configure_service(service)
+    // A malformed catalog errors out here, not at request time.
+    let service = service
+        .workload_dir(&dir, 0.5)
         .expect("catalog directory is well-formed");
+    let server = EvalServer::listen("127.0.0.1:0", NetOptions::default())
+        .expect("loopback listener binds");
     let addr = server.local_addr();
     let handle = server.handle();
     let wire = format!(

@@ -310,11 +310,7 @@ fn zipfian_probes_are_pinned_and_agree_across_transports_and_restarts() {
     // the probe. The directory is not part of the config.
     let dir = std::env::temp_dir().join(format!("ctstore_golden_probe_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let snapshot_service = || {
-        let service = fx.plain_service(zipf);
-        service.attach_snapshot_dir(&dir);
-        service
-    };
+    let snapshot_service = || fx.plain_service(zipf).snapshot_dir(&dir);
     let _ = serve_pipelined(&snapshot_service(), &requests, &pipeline);
     let warm_config = config(&[("snapshot", "warm".to_string())]);
     let service = snapshot_service();

@@ -12,6 +12,7 @@ use countertrust::serve::{EvalRequest, EvalResponse, EvalService, PipelineOption
 use ct_isa::asm::assemble;
 use ct_isa::Program;
 use ct_sim::{MachineModel, RunConfig};
+use ct_workloads::LoaderError;
 use std::io::{Read, Write};
 use std::net::{Shutdown, TcpStream};
 
@@ -564,11 +565,10 @@ fn record_latency_stamps_networked_responses() {
 }
 
 /// The data-catalog path end to end: a directory of `.ctasm` + manifest
-/// pairs rides in on [`NetOptions::workload_dir`], is compiled by
-/// [`EvalServer::configure_service`] into a served tenant catalog named
-/// after the directory, and answers TCP requests byte-identically to an
-/// offline service built the same way — while the default catalog keeps
-/// serving untouched.
+/// pairs is compiled by [`EvalService::workload_dir`] into a tenant
+/// catalog named after the directory, and a served service answers TCP
+/// requests byte-identically to an offline service built the same way —
+/// while the default catalog keeps serving untouched.
 #[test]
 fn workload_dir_option_serves_a_directory_as_a_tenant_catalog() {
     let dir = std::env::temp_dir().join(format!("ct_net_wdir_{}", std::process::id()));
@@ -604,9 +604,8 @@ fn workload_dir_option_serves_a_directory_as_a_tenant_catalog() {
         EvalRequest::new("Westmere (Xeon X5650)", "spin", "lbr", 1, 3).in_catalog(&tenant),
     ];
 
-    let options = NetOptions::new().workload_dir(&dir).workload_scale(0.5);
-    let server = EvalServer::listen("127.0.0.1:0", options).expect("loopback bind");
-    let served = server.configure_service(base()).expect("well-formed catalog dir");
+    let served = base().workload_dir(&dir, 0.5).expect("well-formed catalog dir");
+    let server = EvalServer::listen("127.0.0.1:0", NetOptions::new()).expect("loopback bind");
     let addr = server.local_addr();
     let handle = server.handle();
     let (output, stats) = std::thread::scope(|scope| {
@@ -618,8 +617,7 @@ fn workload_dir_option_serves_a_directory_as_a_tenant_catalog() {
     assert_eq!(stats.responses, 3);
     assert_eq!(stats.io_errors, 0);
 
-    // Offline reference: the same base service with the same directory
-    // registered through the library API.
+    // Offline reference: a second service built the same way.
     let offline = base().workload_dir(&dir, 0.5).unwrap();
     let mut expected = Vec::new();
     offline
@@ -632,15 +630,13 @@ fn workload_dir_option_serves_a_directory_as_a_tenant_catalog() {
         assert!(response.error.is_none(), "{line}");
     }
 
-    // A malformed directory is rejected at configure time, typed, before
-    // any accept: the serve loop never sees it.
+    // A malformed directory is rejected with a typed error while the
+    // service is built, before anything is served.
     std::fs::write(dir.join("01_bad.json"), "{ not json").unwrap();
-    let bad = EvalServer::listen("127.0.0.1:0", NetOptions::new().workload_dir(&dir))
-        .expect("loopback bind");
-    let err = match bad.configure_service(base()) {
+    let err = match base().workload_dir(&dir, 1.0) {
         Err(e) => e,
         Ok(_) => panic!("malformed manifest must be rejected"),
     };
-    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+    assert!(matches!(err, LoaderError::Manifest { .. }), "{err}");
     let _ = std::fs::remove_dir_all(&dir);
 }

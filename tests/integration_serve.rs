@@ -1,20 +1,30 @@
 //! Serving-layer guarantees: the profile-cache contract (capacity-1
 //! thrashes by transitions, unbounded builds once per pair, replays are
-//! byte-identical) and the headline acceptance run — a zipfian
+//! byte-identical), the headline acceptance run — a zipfian
 //! 500-request stream served with >80% cache hit rate and byte-identical
-//! output for 1 vs 8 worker threads.
+//! output for 1 vs 8 worker threads — and the `serve` binary: over v1
+//! and v2 it answers like an offline service built from the same flags,
+//! warm-restarts from its snapshot directory, and rejects a bad command
+//! line with exit status 2.
 //!
-//! The reference-collection counter is process-global, so the audited
-//! tests serialize on [`GUARD`] (this file owns its whole test binary —
-//! see `crates/bench/Cargo.toml`).
+//! The reference-collection counter is process-global, so the tests that
+//! build references in this process serialize on [`GUARD`] (this file
+//! owns its whole test binary — see `crates/bench/Cargo.toml`).
 
 use countertrust::methods::MethodOptions;
+use countertrust::serve::net::exchange;
+use countertrust::serve::proto::exchange_v2;
 use countertrust::serve::{EvalRequest, EvalService, PipelineOptions};
 use ct_bench::streams::{distinct_pairs, request_stream, to_wire, StreamConfig, StreamPattern};
 use ct_bench::workload_specs;
 use ct_instrument::CollectionAudit;
 use ct_sim::MachineModel;
+use std::io::{BufRead, BufReader, Read};
+use std::net::SocketAddr;
+use std::path::{Path, PathBuf};
+use std::process::{Child, ChildStderr, Command, Stdio};
 use std::sync::Mutex;
+use std::time::{Duration, Instant};
 
 static GUARD: Mutex<()> = Mutex::new(());
 
@@ -99,8 +109,8 @@ fn cache_contract_capacity_one_unbounded_and_replay() {
     assert_eq!(tiny_out, first_pass, "cache capacity must not change responses");
 }
 
-/// The acceptance run from the issue: a zipfian 500-request stream over
-/// the full kernel catalog, batched as `serve_bench` batches it.
+/// The acceptance run: a zipfian 500-request stream over the full
+/// kernel catalog, served in batches of 64.
 #[test]
 fn zipfian_500_stream_hits_cache_and_is_thread_invariant() {
     let _guard = lock();
@@ -190,5 +200,188 @@ fn zipfian_500_stream_hits_cache_and_is_thread_invariant() {
             "{label}: {builds} reference builds exceed {pairs} distinct pairs"
         );
         assert_eq!(stats.requests, 500, "{label}");
+    }
+}
+
+/// A spawned `serve` process, killed and reaped when dropped, so a
+/// failing assertion never leaves a listener running. Its stderr pipe
+/// stays open for the process's whole life.
+struct ServeProcess {
+    child: Child,
+    stderr: BufReader<ChildStderr>,
+}
+
+impl ServeProcess {
+    fn spawn(args: &[&str]) -> Self {
+        let mut child = Command::new(env!("CARGO_BIN_EXE_serve"))
+            .args(args)
+            .stdin(Stdio::null())
+            .stdout(Stdio::null())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("spawn the serve binary");
+        let stderr = BufReader::new(child.stderr.take().expect("stderr is piped"));
+        Self { child, stderr }
+    }
+
+    /// The address from the first stderr line, `serve: listening on
+    /// <addr>`.
+    fn listening_addr(&mut self) -> SocketAddr {
+        let mut line = String::new();
+        self.stderr.read_line(&mut line).expect("read serve's stderr");
+        line.trim_end()
+            .strip_prefix("serve: listening on ")
+            .unwrap_or_else(|| panic!("unexpected first stderr line {line:?}"))
+            .parse()
+            .expect("a socket address")
+    }
+
+    /// Waits up to 60 s for the process to exit on its own, returning
+    /// its exit code and everything it wrote to stderr.
+    fn exit(&mut self) -> (Option<i32>, String) {
+        let deadline = Instant::now() + Duration::from_secs(60);
+        let status = loop {
+            if let Some(status) = self.child.try_wait().expect("poll the serve process") {
+                break status;
+            }
+            assert!(Instant::now() < deadline, "serve did not exit");
+            std::thread::sleep(Duration::from_millis(20));
+        };
+        let mut stderr = String::new();
+        self.stderr.read_to_string(&mut stderr).expect("read serve's stderr");
+        (status.code(), stderr)
+    }
+}
+
+impl Drop for ServeProcess {
+    fn drop(&mut self) {
+        let _ = self.child.kill();
+        let _ = self.child.wait();
+    }
+}
+
+/// A scratch directory removed when dropped.
+struct TempDir(PathBuf);
+
+impl TempDir {
+    fn new(tag: &str) -> Self {
+        let dir = std::env::temp_dir().join(format!("ct_serve_bin_{}_{tag}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        Self(dir)
+    }
+
+    fn path(&self) -> &str {
+        self.0.to_str().expect("temp paths are UTF-8")
+    }
+}
+
+impl Drop for TempDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+/// Writes one `.ctasm` + manifest pair: a counted loop of `n` trips
+/// whose body adds `adds` instructions.
+fn write_program(dir: &Path, file: &str, name: &str, n: u64, adds: usize) {
+    std::fs::write(
+        dir.join(format!("{file}.json")),
+        format!(
+            "{{\"name\": \"{name}\", \"class\": \"kernel\", \"source\": \"{file}.ctasm\", \
+             \"scaled\": {{ \"N\": {{ \"base\": {n}, \"min\": 100 }} }} }}\n"
+        ),
+    )
+    .unwrap();
+    std::fs::write(
+        dir.join(format!("{file}.ctasm")),
+        format!(
+            ".const N = {n}\n.func main\n    movi r1, N\ntop:\n{}    subi r1, r1, 1\n    brnz r1, top\n    halt\n.endfunc\n",
+            "    addi r2, r2, 1\n".repeat(adds)
+        ),
+    )
+    .unwrap();
+}
+
+#[test]
+fn serve_binary_matches_an_offline_service_over_v1_and_v2_and_warm_restarts() {
+    let _guard = lock();
+    let root = TempDir::new("serve");
+    let tenant_dir = root.0.join("lab");
+    std::fs::create_dir_all(&tenant_dir).unwrap();
+    write_program(&tenant_dir, "00_spin", "spin", 2_000_000, 1);
+    write_program(&tenant_dir, "01_wide", "wide", 1_000_000, 5);
+    let tenant_dir = tenant_dir.to_str().expect("temp paths are UTF-8");
+    let snapshots = root.0.join("snapshots");
+    let snapshots = snapshots.to_str().expect("temp paths are UTF-8");
+    let args = [
+        "--listen", "127.0.0.1:0", "--scale", "0.01", "--workload-dir", tenant_dir,
+        "--snapshot-dir", snapshots,
+    ];
+
+    // Default-catalog and tenant requests in one stream.
+    let ivy = "Ivy Bridge (Xeon E3-1265L)";
+    let westmere = "Westmere (Xeon X5650)";
+    let amd = "Magny-Cours (Opteron 6164 HE)";
+    let requests = [
+        EvalRequest::new(ivy, "callchain", "lbr", 1, 1),
+        EvalRequest::new(westmere, "spin", "classic", 1, 2).in_catalog("lab"),
+        EvalRequest::new(amd, "test40", "precise", 2, 3),
+        EvalRequest::new(ivy, "wide", "precise+fix", 1, 4).in_catalog("lab"),
+        EvalRequest::new(westmere, "mcf", "classic", 1, 5),
+    ];
+    let wire = to_wire(&requests);
+    let halves = [
+        to_wire(&requests.iter().step_by(2).cloned().collect::<Vec<_>>()),
+        to_wire(&requests.iter().skip(1).step_by(2).cloned().collect::<Vec<_>>()),
+    ];
+
+    // The offline service `serve` builds from the same flags.
+    let machines = MachineModel::paper_machines();
+    let workloads = ct_workloads::all(0.01);
+    let offline = EvalService::new(&machines, &workload_specs(&workloads))
+        .workload_dir(tenant_dir, 0.01)
+        .expect("well-formed tenant directory");
+    let expected = |wire: &str| {
+        let mut out = Vec::new();
+        offline
+            .serve_pipelined(wire.as_bytes(), &mut out, &PipelineOptions::default())
+            .expect("in-memory pipeline never hits I/O errors");
+        String::from_utf8(out).expect("responses are UTF-8")
+    };
+    let expected_v1 = expected(&wire);
+    let expected_v2: Vec<String> = halves.iter().map(|half| expected(half)).collect();
+    assert_eq!(expected_v1.lines().count(), requests.len());
+    assert!(!expected_v1.contains("\"error\":\""), "{expected_v1}");
+
+    let mut cold = ServeProcess::spawn(&args);
+    let addr = cold.listening_addr();
+    assert_eq!(exchange(addr, &wire).expect("v1 exchange"), expected_v1);
+    assert_eq!(exchange_v2(addr, &halves).expect("v2 exchange"), expected_v2);
+    drop(cold);
+
+    let written = std::fs::read_dir(snapshots).expect("the snapshot directory exists").count();
+    assert!(written > 0, "cold builds write snapshots behind");
+
+    let mut warm = ServeProcess::spawn(&args);
+    let addr = warm.listening_addr();
+    assert_eq!(exchange(addr, &wire).expect("v1 exchange"), expected_v1);
+    assert_eq!(exchange_v2(addr, &halves).expect("v2 exchange"), expected_v2);
+}
+
+#[test]
+fn serve_binary_rejects_a_bad_command_line_with_status_2() {
+    let root = TempDir::new("reject");
+    std::fs::write(root.0.join("00_bad.json"), "{ not json").unwrap();
+    for args in [
+        &["--listen", "127.0.0.1:0", "--snapshot-dri", "snaps"][..],
+        &["--scale", "0.01"],
+        &["--listen", "127.0.0.1:0", "--scale", "0"],
+        &["--listen", "127.0.0.1:0", "--scale", "0.01", "--workload-dir", root.path()],
+    ] {
+        let (code, stderr) = ServeProcess::spawn(args).exit();
+        assert_eq!(code, Some(2), "serve {args:?}: {stderr}");
+        assert_eq!(stderr.lines().count(), 1, "serve {args:?}: {stderr}");
+        assert!(stderr.starts_with("serve: "), "serve {args:?}: {stderr}");
     }
 }

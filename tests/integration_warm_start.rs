@@ -1,8 +1,7 @@
 //! Warm-start byte-identity: a service restarted on its snapshot
 //! directory must serve the replayed stream **byte-identically** to the
 //! cold run while `CollectionAudit` proves it re-ran **zero** reference
-//! collections — batched, pipelined, and over TCP (where the directory
-//! rides in on `NetOptions::snapshot_dir`).
+//! collections — batched, pipelined, and over TCP.
 //!
 //! The reference-collection counter is process-global, so the audited
 //! tests serialize on [`GUARD`] (this file owns its whole test binary —
@@ -137,7 +136,7 @@ fn warm_restart_is_byte_identical_with_zero_rebuilds_batched_and_pipelined() {
 }
 
 #[test]
-fn warm_restart_over_tcp_via_net_options_is_byte_identical_and_build_free() {
+fn warm_restart_over_tcp_is_byte_identical_and_build_free() {
     let _guard = lock();
     let tmp = TempDir::new("tcp");
     let machines = MachineModel::paper_machines();
@@ -150,12 +149,11 @@ fn warm_restart_over_tcp_via_net_options_is_byte_identical_and_build_free() {
     let serve_once = |audited: bool| -> (String, usize) {
         let service = EvalService::new(&machines, &specs)
             .method_options(opts.clone())
-            .threads(2);
+            .threads(2)
+            .snapshot_dir(&tmp.0);
         let server = EvalServer::listen(
             "127.0.0.1:0",
-            NetOptions::new()
-                .pipeline(PipelineOptions::new().chunk(4))
-                .snapshot_dir(&tmp.0),
+            NetOptions::new().pipeline(PipelineOptions::new().chunk(4)),
         )
         .expect("ephemeral loopback listener binds");
         let local = server.local_addr();
@@ -176,8 +174,8 @@ fn warm_restart_over_tcp_via_net_options_is_byte_identical_and_build_free() {
     // point is what the *restarted* server does.
     let (cold_response, _) = serve_once(false);
 
-    // Restarted server, fresh service, same directory via NetOptions:
-    // byte-identical response stream, zero audited collections.
+    // Restarted server, fresh service, same directory: byte-identical
+    // response stream, zero audited collections.
     let (warm_response, warm_builds) = serve_once(true);
     assert_eq!(warm_builds, 0, "warm TCP restart must be reference-build-free");
     assert_eq!(
