@@ -3,8 +3,9 @@
 //! The paper cross-references every sampling method against
 //! instrumentation-based basic-block counts obtained through Pin ("REF",
 //! §3.3). Here the same ground truth is obtained by observing the simulated
-//! retirement stream exactly — every retired instruction increments its
-//! basic block and function counters with no sampling involved.
+//! retirement stream exactly, with no sampling involved: the run counts
+//! retirements per instruction address, and block and function counts
+//! fold out of that one array afterwards.
 //!
 //! The headline type is [`ReferenceProfile`], consumed by the accuracy
 //! metric in `countertrust`:
@@ -27,10 +28,6 @@
 
 #![deny(rustdoc::broken_intra_doc_links)]
 
-pub mod bbcount;
-pub mod callgraph;
 pub mod reference;
 
-pub use bbcount::BbCounter;
-pub use callgraph::CallGraphObserver;
 pub use reference::{collection_count, CollectionAudit, ReferenceProfile};

@@ -1,7 +1,5 @@
 //! The complete "REF" profile: the paper's instrumentation ground truth.
 
-use crate::bbcount::BbCounter;
-use crate::callgraph::CallGraphObserver;
 use ct_isa::{Cfg, Program};
 use ct_sim::{Cpu, MachineModel, RetireEvent, RetireObserver, RunConfig, RunSummary, SimError};
 use serde::{Deserialize, Serialize};
@@ -94,35 +92,31 @@ impl ReferenceProfile {
         config: &RunConfig,
     ) -> Result<(Self, RunSummary), SimError> {
         COLLECTIONS.fetch_add(1, Ordering::Relaxed);
-        let mut bb = BbCounter::new(cfg);
-        let mut cg = CallGraphObserver::new(program);
-        // Fuse the two instrumentation observers into one statically-typed
-        // sink so both inline into the dispatch loop (a dyn-slice run would
-        // pay two virtual calls per retired instruction).
-        struct BothObservers<'a>(&'a mut BbCounter, &'a mut CallGraphObserver);
-        impl RetireObserver for BothObservers<'_> {
+        // One count per instruction address is all the run keeps; block
+        // and function counts fold out of it afterwards.
+        struct AddrHits(Vec<u64>);
+        impl RetireObserver for AddrHits {
             #[inline]
             fn on_retire(&mut self, ev: &RetireEvent) {
-                self.0.on_retire(ev);
-                self.1.on_retire(ev);
-            }
-            fn on_finish(&mut self, final_cycle: u64) {
-                self.0.on_finish(final_cycle);
-                self.1.on_finish(final_cycle);
+                self.0[ev.addr as usize] += 1;
             }
         }
-        let summary = Cpu::new(machine).run_observed(
-            program,
-            config,
-            &mut BothObservers(&mut bb, &mut cg),
-        )?;
+        let mut hits = AddrHits(vec![0; program.len()]);
+        let summary = Cpu::new(machine).run_observed(program, config, &mut hits)?;
+        let hits = hits.0;
+        let sum = |start: u32, end: u32| hits[start as usize..end as usize].iter().sum::<u64>();
+        let functions = program.symbols.functions();
         Ok((
             Self {
-                bb_instructions: bb.instruction_counts().to_vec(),
-                bb_entries: bb.entry_counts().to_vec(),
-                function_instructions: cg.instruction_counts().to_vec(),
-                function_names: cg.names().to_vec(),
-                total_instructions: bb.total_instructions(),
+                bb_instructions: cfg.blocks().iter().map(|b| sum(b.start, b.end)).collect(),
+                bb_entries: cfg
+                    .blocks()
+                    .iter()
+                    .map(|b| hits[b.start as usize])
+                    .collect(),
+                function_instructions: functions.iter().map(|f| sum(f.entry, f.end)).collect(),
+                function_names: functions.iter().map(|f| f.name.clone()).collect(),
+                total_instructions: summary.instructions,
                 taken_branches: summary.taken_branches,
                 cycles: summary.cycles,
             },
@@ -186,12 +180,106 @@ mod tests {
     }
 
     #[test]
+    fn loop_counts_are_exact() {
+        let p = assemble(
+            "t",
+            r#"
+            .func main
+                movi r1, 10
+            top:
+                subi r1, r1, 1
+                brnz r1, top
+                halt
+            .endfunc
+        "#,
+        )
+        .unwrap();
+        let r = ReferenceProfile::collect(&MachineModel::ivy_bridge(), &p, &RunConfig::default())
+            .unwrap();
+        // Block 0: movi (1 entry, 1 insn). Block 1: subi+brnz (10 entries,
+        // 20 insns). Block 2: halt (1 entry, 1 insn).
+        assert_eq!(r.bb_entries[0], 1);
+        assert_eq!(r.bb_instructions[0], 1);
+        assert_eq!(r.bb_entries[1], 10);
+        assert_eq!(r.bb_instructions[1], 20);
+        assert_eq!(r.bb_entries[2], 1);
+        assert_eq!(r.total_instructions(), 22);
+    }
+
+    #[test]
+    fn totals_match_summary() {
+        let p = assemble(
+            "t",
+            r#"
+            .func main
+                movi r1, 100
+            top:
+                andi r2, r1, 3
+                brz r2, skip
+                addi r3, r3, 1
+            skip:
+                subi r1, r1, 1
+                brnz r1, top
+                halt
+            .endfunc
+        "#,
+        )
+        .unwrap();
+        let (r, s) = ReferenceProfile::collect_with_cfg(
+            &MachineModel::westmere(),
+            &p,
+            &Cfg::build(&p),
+            &RunConfig::default(),
+        )
+        .unwrap();
+        assert_eq!(r.total_instructions(), s.instructions);
+        let sum: u64 = r.bb_instructions.iter().sum();
+        assert_eq!(sum, s.instructions);
+    }
+
+    #[test]
+    fn counts_per_function() {
+        let p = assemble(
+            "t",
+            r#"
+            .func main
+                movi r1, 4
+            top:
+                call work
+                subi r1, r1, 1
+                brnz r1, top
+                halt
+            .endfunc
+            .func work
+                addi r2, r2, 1
+                addi r2, r2, 1
+                ret
+            .endfunc
+        "#,
+        )
+        .unwrap();
+        let r = ReferenceProfile::collect(&MachineModel::ivy_bridge(), &p, &RunConfig::default())
+            .unwrap();
+        let main_idx = r.function_names.iter().position(|n| n == "main").unwrap();
+        let work_idx = r.function_names.iter().position(|n| n == "work").unwrap();
+        // main: movi + 4*(call+subi+brnz) + halt = 14.
+        assert_eq!(r.function_instructions[main_idx], 14);
+        // work: 4 * 3 = 12.
+        assert_eq!(r.function_instructions[work_idx], 12);
+        // `work` is entered only by main's `call`: its first block's entry
+        // count is the call count.
+        let entry = p.symbols.by_name("work").unwrap().entry;
+        assert_eq!(r.bb_entries[Cfg::build(&p).block_of(entry) as usize], 4);
+    }
+
+    #[test]
     fn ranking_is_sorted() {
         let p = assemble(
             "t",
             r#"
             .func main
                 call hot
+                call cold
                 halt
             .endfunc
             .func hot
@@ -201,6 +289,9 @@ mod tests {
                 brnz r1, t
                 ret
             .endfunc
+            .func cold
+                ret
+            .endfunc
         "#,
         )
         .unwrap();
@@ -208,6 +299,7 @@ mod tests {
             .unwrap();
         let rank = r.function_ranking();
         assert_eq!(rank[0].0, "hot");
+        assert!(rank[0].1 > rank[1].1);
         for w in rank.windows(2) {
             assert!(w[0].1 >= w[1].1);
         }

@@ -1,10 +1,10 @@
 //! Property-based tests for instrumentation: conservation laws that the
 //! reference profile must satisfy on arbitrary structured programs.
 
-use ct_instrument::{BbCounter, CallGraphObserver, ReferenceProfile};
+use ct_instrument::ReferenceProfile;
 use ct_isa::reg::names::*;
 use ct_isa::{Cfg, ProgramBuilder};
-use ct_sim::{Cpu, MachineModel, RunConfig};
+use ct_sim::{MachineModel, RunConfig};
 use proptest::prelude::*;
 
 /// Nested counted loops with conditional arms and a leaf call.
@@ -72,12 +72,12 @@ proptest! {
         let p = structured_program(outer, inner, 2);
         let cfg = Cfg::build(&p);
         let machine = MachineModel::westmere();
-        let mut bb = BbCounter::new(&cfg);
-        Cpu::new(&machine).run(&p, &RunConfig::default(), &mut [&mut bb]).unwrap();
+        let (r, _) =
+            ReferenceProfile::collect_with_cfg(&machine, &p, &cfg, &RunConfig::default()).unwrap();
         for blk in cfg.blocks() {
             prop_assert_eq!(
-                bb.instruction_count(blk.id),
-                bb.entry_count(blk.id) * blk.len() as u64,
+                r.bb_instructions[blk.id as usize],
+                r.bb_entries[blk.id as usize] * blk.len() as u64,
                 "block {}", blk.id
             );
         }
@@ -88,13 +88,14 @@ proptest! {
         outer in 1u16..6,
         inner in 1u16..10,
     ) {
+        // `leaf` is straight-line and entered only by `call`, so the entry
+        // count of its first block is its call count.
         let p = structured_program(outer, inner, 1);
         let machine = MachineModel::ivy_bridge();
-        let mut cg = CallGraphObserver::new(&p);
-        Cpu::new(&machine).run(&p, &RunConfig::default(), &mut [&mut cg]).unwrap();
-        let leaf = cg.names().iter().position(|n| n == "leaf").unwrap();
+        let r = ReferenceProfile::collect(&machine, &p, &RunConfig::default()).unwrap();
+        let leaf = p.symbols.by_name("leaf").unwrap().entry;
         prop_assert_eq!(
-            cg.call_counts()[leaf],
+            r.bb_entries[Cfg::build(&p).block_of(leaf) as usize],
             u64::from(outer) * u64::from(inner)
         );
     }

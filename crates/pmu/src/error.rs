@@ -21,6 +21,13 @@ pub enum PmuError {
     FixedCounterUnsupported { machine: String },
     /// A sampling period of zero was configured.
     ZeroPeriod,
+    /// A randomization width the period generator cannot draw from:
+    /// software randomization takes `1..=62` bits, hardware LSB
+    /// randomization `0..=63`.
+    RandomizationBits { bits: u32, min: u32, max: u32 },
+    /// A period policy whose largest reload value does not fit the
+    /// counter, which holds at most `i64::MAX` events.
+    PeriodTooLarge { max_reload: u64 },
 }
 
 impl fmt::Display for PmuError {
@@ -42,6 +49,18 @@ impl fmt::Display for PmuError {
                 write!(f, "{machine}: no fixed architectural counter")
             }
             PmuError::ZeroPeriod => write!(f, "sampling period must be non-zero"),
+            PmuError::RandomizationBits { bits, min, max } => {
+                write!(
+                    f,
+                    "period randomization width {bits} is outside {min}..={max} bits"
+                )
+            }
+            PmuError::PeriodTooLarge { max_reload } => {
+                write!(
+                    f,
+                    "largest period reload {max_reload} exceeds the counter's 2^63 - 1"
+                )
+            }
         }
     }
 }

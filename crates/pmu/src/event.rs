@@ -4,7 +4,7 @@
 //! (§4.2, Table 3); the simulation reduces each to an increment rule over
 //! [`ct_sim::RetireEvent`]s.
 
-use ct_sim::RetireEvent;
+use ct_sim::{QuietBudget, RetireEvent, Skipped};
 use serde::{Deserialize, Serialize};
 
 /// A hardware performance event selector.
@@ -38,25 +38,45 @@ impl PmuEvent {
     #[must_use]
     #[inline]
     pub fn increment(self, ev: &RetireEvent) -> u64 {
+        self.count(&Skipped {
+            insns: 1,
+            uops: u64::from(ev.uops),
+            taken_branches: u64::from(ev.is_taken_branch()),
+        })
+    }
+
+    /// How much this event counts over a stretch of retirement, such as
+    /// one the sampler did not see.
+    #[must_use]
+    #[inline]
+    pub fn count(self, retired: &Skipped) -> u64 {
         match self {
             PmuEvent::InstRetiredAny
             | PmuEvent::InstRetiredAll
             | PmuEvent::InstRetiredPrecDist
-            | PmuEvent::AmdRetiredInstructions => 1,
-            PmuEvent::BrInstRetiredNearTaken | PmuEvent::BrInstExecTaken => {
-                u64::from(ev.is_taken_branch())
-            }
-            PmuEvent::IbsOp => u64::from(ev.uops),
+            | PmuEvent::AmdRetiredInstructions => retired.insns,
+            PmuEvent::BrInstRetiredNearTaken | PmuEvent::BrInstExecTaken => retired.taken_branches,
+            PmuEvent::IbsOp => retired.uops,
         }
     }
 
-    /// True when the event counts taken branches (LBR sampling events).
+    /// A budget that lets `quiet` increments of this event retire unseen
+    /// and nothing else force a delivery.
     #[must_use]
-    pub fn is_branch_event(self) -> bool {
-        matches!(
-            self,
-            PmuEvent::BrInstRetiredNearTaken | PmuEvent::BrInstExecTaken
-        )
+    #[inline]
+    pub fn quiet_budget(self, quiet: u64) -> QuietBudget {
+        let mut budget = QuietBudget::UNLIMITED;
+        match self {
+            PmuEvent::InstRetiredAny
+            | PmuEvent::InstRetiredAll
+            | PmuEvent::InstRetiredPrecDist
+            | PmuEvent::AmdRetiredInstructions => budget.insns = quiet,
+            PmuEvent::BrInstRetiredNearTaken | PmuEvent::BrInstExecTaken => {
+                budget.taken_branches = quiet;
+            }
+            PmuEvent::IbsOp => budget.uops = quiet,
+        }
+        budget
     }
 
     /// The vendor event-name string, for reports and Table 3 output.
@@ -104,8 +124,33 @@ mod tests {
             PmuEvent::BrInstRetiredNearTaken.increment(&ev(1, Some(3))),
             1
         );
-        assert!(PmuEvent::BrInstRetiredNearTaken.is_branch_event());
-        assert!(!PmuEvent::InstRetiredAny.is_branch_event());
+    }
+
+    #[test]
+    fn counts_and_budgets_use_the_events_unit() {
+        let skipped = Skipped {
+            insns: 10,
+            uops: 14,
+            taken_branches: 3,
+        };
+        for (event, count) in [
+            (PmuEvent::InstRetiredPrecDist, 10),
+            (PmuEvent::BrInstExecTaken, 3),
+            (PmuEvent::IbsOp, 14),
+        ] {
+            assert_eq!(event.count(&skipped), count);
+            // The budget limits exactly the unit the event counts.
+            let b = event.quiet_budget(7);
+            let as_skipped = Skipped {
+                insns: b.insns,
+                uops: b.uops,
+                taken_branches: b.taken_branches,
+            };
+            assert_eq!(event.count(&as_skipped), 7);
+            assert_eq!(b.insns.min(b.uops).min(b.taken_branches), 7);
+            assert_eq!(b.insns.max(b.uops).max(b.taken_branches), u64::MAX);
+            assert_eq!(b.deadline, u64::MAX);
+        }
     }
 
     #[test]

@@ -16,7 +16,6 @@
 use ct_isa::{Addr, InsnClass};
 use ct_sim::RetireEvent;
 use serde::{Deserialize, Serialize};
-use std::collections::VecDeque;
 
 /// One recorded branch: source address and target address.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -57,14 +56,15 @@ pub enum LbrMode {
     CallStack,
 }
 
-/// The LBR stack.
+/// The LBR stack: a fixed ring of `depth` entries.
 #[derive(Debug, Clone)]
 pub struct LbrStack {
-    entries: VecDeque<LbrEntry>,
-    depth: usize,
+    ring: Box<[LbrEntry]>,
+    /// Slot the next recorded branch goes to.
+    next: usize,
+    len: usize,
     filter: LbrFilter,
     mode: LbrMode,
-    recorded: u64,
 }
 
 impl LbrStack {
@@ -73,11 +73,11 @@ impl LbrStack {
     #[must_use]
     pub fn new(depth: usize, filter: LbrFilter, mode: LbrMode) -> Self {
         Self {
-            entries: VecDeque::with_capacity(depth),
-            depth,
+            ring: vec![LbrEntry { from: 0, to: 0 }; depth].into_boxed_slice(),
+            next: 0,
+            len: 0,
             filter,
             mode,
-            recorded: 0,
         }
     }
 
@@ -92,7 +92,7 @@ impl LbrStack {
     /// transfer admitted by the filter.
     #[inline]
     pub fn observe(&mut self, ev: &RetireEvent) {
-        if self.depth == 0 {
+        if self.ring.is_empty() {
             return;
         }
         let Some(target) = ev.taken_target else {
@@ -101,36 +101,35 @@ impl LbrStack {
         if !self.filter.admits(ev) {
             return;
         }
-        match self.mode {
-            LbrMode::Ring => {
-                if self.entries.len() == self.depth {
-                    self.entries.pop_front();
-                }
-                self.entries.push_back(LbrEntry {
-                    from: ev.addr,
-                    to: target,
-                });
-                self.recorded += 1;
-            }
-            LbrMode::CallStack => {
-                match ev.class {
-                    InsnClass::Call => {
-                        if self.entries.len() == self.depth {
-                            self.entries.pop_front();
-                        }
-                        self.entries.push_back(LbrEntry {
-                            from: ev.addr,
-                            to: target,
-                        });
-                        self.recorded += 1;
-                    }
-                    InsnClass::Ret => {
-                        self.entries.pop_back();
-                    }
-                    // Other transfers are not recorded in call-stack mode.
-                    _ => {}
-                }
-            }
+        let entry = LbrEntry {
+            from: ev.addr,
+            to: target,
+        };
+        match (self.mode, ev.class) {
+            (LbrMode::Ring, _) | (LbrMode::CallStack, InsnClass::Call) => self.push(entry),
+            (LbrMode::CallStack, InsnClass::Ret) => self.pop(),
+            // Other transfers are not recorded in call-stack mode.
+            (LbrMode::CallStack, _) => {}
+        }
+    }
+
+    /// Records `entry` as the newest, evicting the oldest when full.
+    #[inline]
+    fn push(&mut self, entry: LbrEntry) {
+        self.ring[self.next] = entry;
+        self.next = if self.next + 1 == self.ring.len() {
+            0
+        } else {
+            self.next + 1
+        };
+        self.len = (self.len + 1).min(self.ring.len());
+    }
+
+    /// Drops the newest entry, if any.
+    fn pop(&mut self) {
+        if self.len > 0 {
+            self.len -= 1;
+            self.next = self.next.checked_sub(1).unwrap_or(self.ring.len() - 1);
         }
     }
 
@@ -138,31 +137,22 @@ impl LbrStack {
     /// reconstruction consumes).
     #[must_use]
     pub fn snapshot(&self) -> Vec<LbrEntry> {
-        self.entries.iter().copied().collect()
+        let depth = self.ring.len();
+        (0..self.len)
+            .map(|i| self.ring[(self.next + depth - self.len + i) % depth])
+            .collect()
     }
 
     /// Number of entries currently held.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.len
     }
 
     /// True when no branches have been recorded yet.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Newest entry, if any (the "top" used by the IP+1 offset fix).
-    #[must_use]
-    pub fn top(&self) -> Option<LbrEntry> {
-        self.entries.back().copied()
-    }
-
-    /// Total branches ever recorded (diagnostic).
-    #[must_use]
-    pub fn total_recorded(&self) -> u64 {
-        self.recorded
+        self.len == 0
     }
 }
 
@@ -200,8 +190,7 @@ mod tests {
         lbr.observe(&plain(1));
         lbr.observe(&branch(2, 10, InsnClass::Branch));
         lbr.observe(&plain(11));
-        assert_eq!(lbr.len(), 1);
-        assert_eq!(lbr.top(), Some(LbrEntry { from: 2, to: 10 }));
+        assert_eq!(lbr.snapshot(), [LbrEntry { from: 2, to: 10 }]);
     }
 
     #[test]
@@ -214,7 +203,6 @@ mod tests {
         assert_eq!(snap.len(), 3);
         assert_eq!(snap[0].from, 20, "oldest surviving entry");
         assert_eq!(snap[2].from, 40, "newest entry last");
-        assert_eq!(lbr.total_recorded(), 5);
     }
 
     #[test]
@@ -231,8 +219,26 @@ mod tests {
         lbr.observe(&branch(1, 100, InsnClass::Call));
         lbr.observe(&branch(5, 1, InsnClass::Branch));
         lbr.observe(&branch(101, 2, InsnClass::Ret));
-        assert_eq!(lbr.len(), 1);
-        assert_eq!(lbr.top().unwrap().to, 100);
+        assert_eq!(lbr.snapshot(), [LbrEntry { from: 1, to: 100 }]);
+    }
+
+    #[test]
+    fn call_stack_pops_across_the_ring_wrap() {
+        let mut lbr = LbrStack::new(3, LbrFilter::Any, LbrMode::CallStack);
+        for i in 0..5u32 {
+            lbr.observe(&branch(i, 100 + i, InsnClass::Call));
+        }
+        lbr.observe(&branch(200, 4, InsnClass::Ret));
+        assert_eq!(
+            lbr.snapshot().iter().map(|e| e.from).collect::<Vec<_>>(),
+            [2, 3]
+        );
+        lbr.observe(&branch(201, 3, InsnClass::Ret));
+        lbr.observe(&branch(202, 2, InsnClass::Ret));
+        lbr.observe(&branch(203, 1, InsnClass::Ret));
+        assert!(lbr.is_empty());
+        lbr.observe(&branch(7, 107, InsnClass::Call));
+        assert_eq!(lbr.snapshot(), [LbrEntry { from: 7, to: 107 }]);
     }
 
     #[test]

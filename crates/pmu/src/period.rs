@@ -6,6 +6,7 @@
 //! bits of the period whether the user wants it or not ("the hardware
 //! randomizes the 4 least significant bits", §4.2).
 
+use crate::error::PmuError;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -50,10 +51,36 @@ impl PeriodSpec {
             randomization: Randomization::Software { bits },
         }
     }
+
+    /// Checks that the policy can run: a non-zero period, a randomization
+    /// width the generator's shifts support, and reload values that fit
+    /// the sampler's signed counter.
+    pub fn validate(&self) -> Result<(), PmuError> {
+        if self.nominal == 0 {
+            return Err(PmuError::ZeroPeriod);
+        }
+        let (bits, min, max) = match self.randomization {
+            Randomization::None => (0, 0, 0),
+            Randomization::Software { bits } => (bits, 1, 62),
+            Randomization::HardwareLsb { bits } => (bits, 0, 63),
+        };
+        if !(min..=max).contains(&bits) {
+            return Err(PmuError::RandomizationBits { bits, min, max });
+        }
+        let max_reload = match self.randomization {
+            Randomization::None => self.nominal,
+            Randomization::Software { bits } => self.nominal.saturating_add((1 << (bits - 1)) - 1),
+            Randomization::HardwareLsb { bits } => self.nominal | ((1 << bits) - 1),
+        };
+        if max_reload > i64::MAX as u64 {
+            return Err(PmuError::PeriodTooLarge { max_reload });
+        }
+        Ok(())
+    }
 }
 
 /// Stateful period generator (owns the RNG so reloads are reproducible for
-/// a given seed).
+/// a given seed). The spec must pass [`PeriodSpec::validate`].
 #[derive(Debug, Clone)]
 pub struct PeriodGenerator {
     spec: PeriodSpec,

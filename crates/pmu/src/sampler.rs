@@ -18,7 +18,7 @@ use crate::lbr::{LbrFilter, LbrMode, LbrStack};
 use crate::period::{PeriodGenerator, PeriodSpec};
 use crate::sample::{Sample, SampleBatch};
 use ct_isa::Addr;
-use ct_sim::{MachineModel, RetireEvent, RetireObserver};
+use ct_sim::{MachineModel, QuietBudget, RetireEvent, RetireObserver, Skipped};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -77,20 +77,11 @@ impl SamplerConfig {
         self
     }
 
-    /// Sets the RNG seed.
-    #[must_use]
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
     /// Checks the configuration against a machine's PMU capabilities,
     /// mirroring a driver rejecting an unsupported event.
     pub fn validate(&self, machine: &MachineModel) -> Result<(), PmuError> {
         let name = machine.name.clone();
-        if self.period.nominal == 0 {
-            return Err(PmuError::ZeroPeriod);
-        }
+        self.period.validate()?;
         match self.precision {
             Precision::Pebs if !machine.pmu.pebs => {
                 return Err(PmuError::PebsUnsupported { machine: name });
@@ -165,7 +156,6 @@ pub struct Sampler {
     /// `(addr, seq)` of the first instruction retiring in the current
     /// cycle — the dispatch-group head IBS tags resolve to.
     cycle_head: (Addr, u64),
-    last_cycle: u64,
     batch: SampleBatch,
     stats: SamplerStats,
 }
@@ -196,7 +186,6 @@ impl Sampler {
             rng: SmallRng::seed_from_u64(config.seed),
             state: CaptureState::Idle,
             cycle_head: (0, 0),
-            last_cycle: u64::MAX,
             batch: SampleBatch::default(),
             stats: SamplerStats::default(),
         })
@@ -221,30 +210,15 @@ impl Sampler {
         self.stats
     }
 
-    fn record(&mut self, reported: &RetireEvent, trigger_ip: Addr, trigger_seq: u64) {
-        self.record_at(
-            reported.addr,
-            reported.seq,
-            reported.cycle,
-            trigger_ip,
-            trigger_seq,
-        );
-    }
-
-    fn record_at(
-        &mut self,
-        reported_ip: Addr,
-        reported_seq: u64,
-        cycle: u64,
-        trigger_ip: Addr,
-        trigger_seq: u64,
-    ) {
+    /// Records a sample reporting `reported` at `cycle` for the overflow
+    /// of `trigger`, each an `(addr, seq)` pair.
+    fn record(&mut self, reported: (Addr, u64), cycle: u64, trigger: (Addr, u64)) {
         let lbr = self.collect_lbr.then(|| self.lbr.snapshot());
         self.batch.samples.push(Sample {
-            reported_ip,
-            trigger_ip,
-            trigger_seq,
-            reported_seq,
+            reported_ip: reported.0,
+            trigger_ip: trigger.0,
+            trigger_seq: trigger.1,
+            reported_seq: reported.1,
             cycle,
             lbr,
         });
@@ -264,7 +238,7 @@ impl Sampler {
                 deliver_at,
             } => {
                 if ev.cycle >= deliver_at {
-                    self.record(ev, trigger_ip, trigger_seq);
+                    self.record((ev.addr, ev.seq), ev.cycle, (trigger_ip, trigger_seq));
                     self.state = CaptureState::Idle;
                 }
             }
@@ -286,7 +260,7 @@ impl Sampler {
                 trigger_ip,
                 trigger_seq,
             } => {
-                self.record(ev, trigger_ip, trigger_seq);
+                self.record((ev.addr, ev.seq), ev.cycle, (trigger_ip, trigger_seq));
                 self.state = CaptureState::Idle;
             }
         }
@@ -358,25 +332,53 @@ impl Sampler {
                 // "consistently burdened with high error rates" despite
                 // IBS being nominally precise, and why it laments the
                 // missing "precise instruction event" in IBS (§6.2).
-                let (head_ip, head_seq) = self.cycle_head;
-                self.record_at(head_ip, head_seq, ev.cycle, ev.addr, ev.seq);
+                self.record(self.cycle_head, ev.cycle, (ev.addr, ev.seq));
             }
         }
     }
 }
 
+/// Like the hardware it models, the sampler pays per event: its counter
+/// counts down in the dispatch loop's totals, so it sees only the event
+/// that overflows it, the events that resolve a capture and, for the
+/// LBR, taken branches.
 impl RetireObserver for Sampler {
-    // The serving layer runs this once per retired instruction through
-    // `Cpu::run_observed`; the hint lets the whole per-event path inline
-    // into the dispatch loop across the crate boundary.
+    #[inline]
+    fn quiet_budget(&self) -> QuietBudget {
+        let deadline = match self.state {
+            CaptureState::Idle => u64::MAX,
+            CaptureState::PendingPmi { deliver_at, .. } => deliver_at,
+            CaptureState::PebsArmed { armed_cycle, .. } => armed_cycle.saturating_add(1),
+            CaptureState::AwaitNextAddr { .. } => return QuietBudget::EVERY_EVENT,
+        };
+        // The counter is at least 1 between events: the event on which it
+        // reaches zero is the overflow, which must be seen.
+        QuietBudget {
+            deadline,
+            taken_hook: self.collect_lbr,
+            ..self.event.quiet_budget(self.counter as u64 - 1)
+        }
+    }
+
+    #[inline]
+    fn on_skipped(&mut self, skipped: Skipped, cycle_head: (Addr, u64)) {
+        let n = self.event.count(&skipped);
+        self.batch.total_events += n;
+        self.counter -= n as i64;
+        self.cycle_head = cycle_head;
+    }
+
+    #[inline]
+    fn on_taken_branch(&mut self, ev: &RetireEvent) {
+        self.lbr.observe(ev);
+    }
+
     #[inline]
     fn on_retire(&mut self, ev: &RetireEvent) {
-        if ev.cycle != self.last_cycle {
-            self.cycle_head = (ev.addr, ev.seq);
-            self.last_cycle = ev.cycle;
-        }
         self.resolve_pending(ev);
-        self.lbr.observe(ev);
+        if self.collect_lbr {
+            self.lbr.observe(ev);
+        }
         self.count_and_overflow(ev);
     }
 
@@ -612,6 +614,79 @@ mod tests {
             Sampler::new(&MachineModel::ivy_bridge(), &zero).unwrap_err(),
             PmuError::ZeroPeriod
         ));
+    }
+
+    #[test]
+    fn validation_rejects_periods_the_counter_cannot_run() {
+        let m = MachineModel::ivy_bridge();
+        let with = |nominal, randomization| {
+            SamplerConfig::new(
+                PmuEvent::InstRetiredPrecDist,
+                Precision::Pdir,
+                PeriodSpec {
+                    nominal,
+                    randomization,
+                },
+            )
+        };
+        let rejected = [
+            (
+                with(1000, Randomization::Software { bits: 0 }),
+                PmuError::RandomizationBits {
+                    bits: 0,
+                    min: 1,
+                    max: 62,
+                },
+            ),
+            (
+                with(1000, Randomization::Software { bits: 63 }),
+                PmuError::RandomizationBits {
+                    bits: 63,
+                    min: 1,
+                    max: 62,
+                },
+            ),
+            (
+                with(1000, Randomization::HardwareLsb { bits: 64 }),
+                PmuError::RandomizationBits {
+                    bits: 64,
+                    min: 0,
+                    max: 63,
+                },
+            ),
+            (
+                with(1 << 63, Randomization::None),
+                PmuError::PeriodTooLarge {
+                    max_reload: 1 << 63,
+                },
+            ),
+            (
+                with(u64::MAX, Randomization::HardwareLsb { bits: 4 }),
+                PmuError::PeriodTooLarge {
+                    max_reload: u64::MAX,
+                },
+            ),
+            (
+                with(i64::MAX as u64, Randomization::Software { bits: 2 }),
+                PmuError::PeriodTooLarge {
+                    max_reload: i64::MAX as u64 + 1,
+                },
+            ),
+        ];
+        for (cfg, err) in rejected {
+            assert_eq!(Sampler::new(&m, &cfg).unwrap_err(), err, "{:?}", cfg.period);
+        }
+        // The widest accepted policies construct and run without overflow.
+        let p = straight_line_workload();
+        for cfg in [
+            with(i64::MAX as u64, Randomization::None),
+            with(1 << 40, Randomization::Software { bits: 62 }),
+            with(1, Randomization::HardwareLsb { bits: 63 }),
+            with(1000, Randomization::HardwareLsb { bits: 0 }),
+        ] {
+            let (batch, summary) = run_sampler(&m, &p, &cfg);
+            assert_eq!(batch.total_events, summary.instructions, "{:?}", cfg.period);
+        }
     }
 
     #[test]

@@ -18,7 +18,7 @@
 use crate::bpred::BranchPredictor;
 use crate::cache::CacheModel;
 use crate::error::SimError;
-use crate::event::{RetireEvent, RetireObserver};
+use crate::event::{NullObserver, QuietBudget, RetireEvent, RetireObserver, Skipped};
 use crate::machine::MachineModel;
 use ct_isa::{Addr, InsnClass, Opcode, Program};
 
@@ -144,59 +144,100 @@ struct Decoded {
     latency: u32,
 }
 
-/// Internal observer-set abstraction for the dispatch loop.
-///
-/// [`Cpu::run`] takes `&mut [&mut dyn RetireObserver]`, which forces a
-/// virtual call per *retired instruction* — the sampler's whole
-/// per-event path (pending-capture resolution, LBR shift, period
-/// countdown) hides behind it and can never inline. Monomorphizing the
-/// loop over this sink instead lets the single-observer entry points
-/// ([`Cpu::run_observed`], [`Cpu::run_silent`]) compile the observer
-/// body straight into the interpreter. Semantics are identical across
-/// all sinks: same events, same order, same `on_finish` timing.
-trait RetireSink {
-    fn retire(&mut self, ev: &RetireEvent);
-    fn finish(&mut self, final_cycle: u64);
-}
+/// [`Cpu::run`]'s observer set behind dyn dispatch. It keeps the default
+/// budget, so every observer sees every event and the set needs no
+/// per-observer budget state.
+struct Fanout<'a, 'b>(&'a mut [&'b mut dyn RetireObserver]);
 
-/// No observers: the sink compiles away entirely (pure replay).
-struct NoSink;
-
-impl RetireSink for NoSink {
-    #[inline(always)]
-    fn retire(&mut self, _ev: &RetireEvent) {}
-    #[inline(always)]
-    fn finish(&mut self, _final_cycle: u64) {}
-}
-
-/// Exactly one observer, statically typed — the hot-path sink.
-struct OneSink<'a, O: RetireObserver + ?Sized>(&'a mut O);
-
-impl<O: RetireObserver + ?Sized> RetireSink for OneSink<'_, O> {
-    #[inline(always)]
-    fn retire(&mut self, ev: &RetireEvent) {
-        self.0.on_retire(ev);
-    }
-    #[inline(always)]
-    fn finish(&mut self, final_cycle: u64) {
-        self.0.on_finish(final_cycle);
-    }
-}
-
-/// Arbitrary observer set behind dyn dispatch (the [`Cpu::run`] API).
-struct SliceSink<'a, 'b>(&'a mut [&'b mut dyn RetireObserver]);
-
-impl RetireSink for SliceSink<'_, '_> {
-    #[inline]
-    fn retire(&mut self, ev: &RetireEvent) {
+impl RetireObserver for Fanout<'_, '_> {
+    fn on_retire(&mut self, ev: &RetireEvent) {
         for obs in self.0.iter_mut() {
             obs.on_retire(ev);
         }
     }
-    #[inline]
-    fn finish(&mut self, final_cycle: u64) {
+    fn on_finish(&mut self, final_cycle: u64) {
         for obs in self.0.iter_mut() {
             obs.on_finish(final_cycle);
+        }
+    }
+    fn on_skipped(&mut self, skipped: Skipped, cycle_head: (Addr, u64)) {
+        for obs in self.0.iter_mut() {
+            obs.on_skipped(skipped, cycle_head);
+        }
+    }
+}
+
+/// The loop's side of the quiet-budget contract (see [`QuietBudget`]).
+/// Budgets are kept as limits on the totals the loop counts anyway, so
+/// an unseen instruction costs a few compares and no call.
+#[derive(Default)]
+struct Watch {
+    /// `(addr, seq)` of the first instruction of the current cycle.
+    cycle_head: (Addr, u64),
+    /// `(instructions, uops, taken branches)` at the last delivered event.
+    seen: (u64, u64, u64),
+    /// Deliver the event after which a total exceeds its limit.
+    limit: (u64, u64, u64),
+    deadline: u64,
+    taken_hook: bool,
+}
+
+impl Watch {
+    #[inline(always)]
+    fn arm(&mut self, budget: QuietBudget, totals: (u64, u64, u64)) {
+        self.seen = totals;
+        self.limit = (
+            totals.0.saturating_add(budget.insns),
+            totals.1.saturating_add(budget.uops),
+            totals.2.saturating_add(budget.taken_branches),
+        );
+        self.deadline = budget.deadline;
+        self.taken_hook = budget.taken_hook;
+    }
+
+    /// Delivers `ev` when the budget names it; `totals` include it, and
+    /// `heads_cycle` says `ev` is the first retirement of its cycle.
+    ///
+    /// The callbacks get copies of `ev` made inside their branches, which
+    /// keeps the event in registers on the quiet path: only a delivery
+    /// writes it to memory.
+    #[inline(always)]
+    fn observe<O: RetireObserver + ?Sized>(
+        &mut self,
+        observer: &mut O,
+        ev: RetireEvent,
+        heads_cycle: bool,
+        totals: (u64, u64, u64),
+    ) {
+        if heads_cycle {
+            self.cycle_head = (ev.addr, ev.seq);
+        }
+        if totals.0 > self.limit.0
+            || totals.1 > self.limit.1
+            || totals.2 > self.limit.2
+            || ev.cycle >= self.deadline
+        {
+            let before = (
+                totals.0 - 1,
+                totals.1 - u64::from(ev.uops),
+                totals.2 - u64::from(ev.is_taken_branch()),
+            );
+            observer.on_skipped(self.unseen(before), self.cycle_head);
+            let delivered = ev;
+            observer.on_retire(&delivered);
+            self.arm(observer.quiet_budget(), totals);
+        } else if self.taken_hook && ev.is_taken_branch() {
+            let taken = ev;
+            observer.on_taken_branch(&taken);
+        }
+    }
+
+    /// What retired unseen between the last delivered event and `totals`.
+    fn unseen(&self, totals: (u64, u64, u64)) -> Skipped {
+        Skipped {
+            insns: totals.0 - self.seen.0,
+            uops: totals.1 - self.seen.1,
+            taken_branches: totals.2 - self.seen.2,
         }
     }
 }
@@ -224,7 +265,7 @@ impl<'m> Cpu<'m> {
     }
 
     /// Runs `program` to completion, publishing every retired instruction
-    /// to `observers` in order.
+    /// to `observers` in order (their quiet budgets are not read).
     ///
     /// Every run starts from the identical architectural cold state
     /// (cleared memory, empty call stack, invalid cache ways,
@@ -237,21 +278,22 @@ impl<'m> Cpu<'m> {
         config: &RunConfig,
         observers: &mut [&mut dyn RetireObserver],
     ) -> Result<RunSummary, SimError> {
-        self.run_sink(program, config, &mut SliceSink(observers))
+        self.run_sink::<_, true>(program, config, &mut Fanout(observers))
     }
 
     /// Like [`Cpu::run`] with exactly one observer, monomorphized over
-    /// its concrete type: the observer's `on_retire` inlines into the
-    /// dispatch loop instead of paying a virtual call per retired
-    /// instruction. The serving layer runs its PMU sampler through
-    /// this entry point.
+    /// its concrete type, and the only entry point that honours the
+    /// observer's [`QuietBudget`]: the loop runs silently between the
+    /// events the budget names, and the observer's hooks inline into it
+    /// instead of paying a virtual call. The serving layer runs its PMU
+    /// sampler through this entry point.
     pub fn run_observed<O: RetireObserver + ?Sized>(
         &mut self,
         program: &Program,
         config: &RunConfig,
         observer: &mut O,
     ) -> Result<RunSummary, SimError> {
-        self.run_sink(program, config, &mut OneSink(observer))
+        self.run_sink::<_, true>(program, config, observer)
     }
 
     /// Like [`Cpu::run`] with no observers at all: the event stream is
@@ -262,14 +304,17 @@ impl<'m> Cpu<'m> {
         program: &Program,
         config: &RunConfig,
     ) -> Result<RunSummary, SimError> {
-        self.run_sink(program, config, &mut NoSink)
+        self.run_sink::<_, false>(program, config, &mut NullObserver)
     }
 
-    fn run_sink<S: RetireSink>(
+    /// The dispatch loop, monomorphized over the observer so its budget
+    /// and event path compile straight into the interpreter. With
+    /// `OBSERVED` false the loop keeps no budget and builds no event.
+    fn run_sink<O: RetireObserver + ?Sized, const OBSERVED: bool>(
         &mut self,
         program: &Program,
         config: &RunConfig,
-        sink: &mut S,
+        observer: &mut O,
     ) -> Result<RunSummary, SimError> {
         let m = self.machine;
         let SimScratch {
@@ -324,6 +369,8 @@ impl<'m> Cpu<'m> {
         let mut taken_branches: u64 = 0;
         let mut mispredicts: u64 = 0;
         let hide = m.hide_latency;
+        let mut watch = Watch::default();
+        watch.arm(observer.quiet_budget(), (0, 0, 0));
 
         let stop = loop {
             if instructions >= config.max_insns {
@@ -533,7 +580,10 @@ impl<'m> Cpu<'m> {
                     );
                     instructions += 1;
                     uops += u64::from(insn.uops);
-                    sink.retire(&ev);
+                    if OBSERVED {
+                        let totals = (instructions, uops, taken_branches);
+                        watch.observe(observer, ev, slot == 1, totals);
+                    }
                     break StopReason::Halted;
                 }
             }
@@ -556,14 +606,23 @@ impl<'m> Cpu<'m> {
             uops += u64::from(insn.uops);
             taken_branches += u64::from(taken_target.is_some());
             mispredicts += u64::from(mispredicted);
-            sink.retire(&ev);
+            if OBSERVED {
+                let totals = (instructions, uops, taken_branches);
+                watch.observe(observer, ev, slot == 1, totals);
+            }
             if mispredicted {
                 pending_bubble = u64::from(m.mispredict_penalty);
             }
             pc = next_pc;
         };
 
-        sink.finish(cycle);
+        if OBSERVED {
+            let totals = (instructions, uops, taken_branches);
+            if totals != watch.seen {
+                observer.on_skipped(watch.unseen(totals), watch.cycle_head);
+            }
+            observer.on_finish(cycle);
+        }
         let (l1_hits, l2_hits, mem_accesses) = cache.stats();
         let (bp_lookups, bp_miss) = bpred.stats();
         debug_assert_eq!(bp_miss, mispredicts);
@@ -583,7 +642,8 @@ impl<'m> Cpu<'m> {
     }
 
     /// Advances the retirement clock for one instruction and builds its
-    /// retire event.
+    /// retire event. Afterwards `slot` is 1 exactly when the instruction
+    /// opened a new retirement cycle (it is the cycle head).
     #[expect(clippy::too_many_arguments)]
     fn advance_clock(
         m: &MachineModel,

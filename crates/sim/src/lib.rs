@@ -17,7 +17,7 @@
 //! while a retirement clock advances using per-class latencies, a two-level
 //! cache model for loads, a branch predictor for control flow, and a
 //! `retire_width`-wide retirement stage that drains bursts after stalls.
-//! Every retired instruction is published to [`event::RetireObserver`]s —
+//! The retirement stream is published to [`event::RetireObserver`]s —
 //! the PMU model (`ct-pmu`), the reference instrumentation
 //! (`ct-instrument`) and the profiling session (`countertrust`) all observe
 //! this one stream, exactly as PMU, Pin and perf all observe one execution
@@ -26,8 +26,8 @@
 //! # Examples
 //!
 //! Run a small loop on a paper machine and observe its retirement
-//! stream — every retired instruction reaches every observer, once, in
-//! program order:
+//! stream — an observer that declares no [`QuietBudget`] sees every
+//! retired instruction, once, in program order:
 //!
 //! ```
 //! use ct_isa::asm::assemble;
@@ -66,6 +66,6 @@ pub mod exec;
 pub mod machine;
 
 pub use error::SimError;
-pub use event::{RetireEvent, RetireObserver};
+pub use event::{QuietBudget, RetireEvent, RetireObserver, Skipped};
 pub use exec::{Cpu, RunConfig, RunSummary, StopReason};
 pub use machine::{CacheConfig, Latencies, MachineModel, PmuCaps, Vendor};

@@ -4,6 +4,7 @@
 use countertrust::methods::{MethodKind, MethodOptions};
 use countertrust::{CoreError, Session};
 use ct_pmu::{LbrMode, PeriodSpec, PmuError, PmuEvent, Precision, Sampler, SamplerConfig};
+use ct_instrument::ReferenceProfile;
 use ct_sim::{Cpu, MachineModel, RunConfig, StopReason};
 
 #[test]
@@ -96,20 +97,22 @@ fn zero_period_is_rejected() {
 fn fuel_exhaustion_keeps_counts_consistent() {
     let program = ct_workloads::by_name("omnetpp", 50_000).unwrap().program;
     let machine = MachineModel::westmere();
-    let cfg = ct_isa::Cfg::build(&program);
-    let mut bb = ct_instrument::BbCounter::new(&cfg);
     let run_config = RunConfig {
         max_insns: 200_000,
         ..RunConfig::default()
     };
-    let summary = Cpu::new(&machine)
-        .run(&program, &run_config, &mut [&mut bb])
-        .unwrap();
+    let (reference, summary) = ReferenceProfile::collect_with_cfg(
+        &machine,
+        &program,
+        &ct_isa::Cfg::build(&program),
+        &run_config,
+    )
+    .unwrap();
     assert_eq!(summary.stop, StopReason::FuelExhausted);
     assert_eq!(summary.instructions, 200_000);
     // Instrumentation agrees exactly with the truncated run.
-    assert_eq!(bb.total_instructions(), 200_000);
-    let sum: u64 = bb.instruction_counts().iter().sum();
+    assert_eq!(reference.total_instructions(), 200_000);
+    let sum: u64 = reference.bb_instructions.iter().sum();
     assert_eq!(sum, 200_000);
 }
 
