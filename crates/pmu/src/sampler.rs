@@ -77,6 +77,13 @@ impl SamplerConfig {
         self
     }
 
+    /// Sets the RNG seed.
+    #[must_use]
+    pub fn with_seed(mut self, seed: u64) -> Self {
+        self.seed = seed;
+        self
+    }
+
     /// Checks the configuration against a machine's PMU capabilities,
     /// mirroring a driver rejecting an unsupported event.
     pub fn validate(&self, machine: &MachineModel) -> Result<(), PmuError> {
