@@ -15,7 +15,8 @@
 //!   hot default-catalog tenant owning [`MIXED_HOT_SHARE_PCT`]% of the
 //!   stream and a cold tenant (catalog [`MIXED_COLD_CATALOG`]) owning
 //!   the rest, both zipfian over the pair table — the stream behind the
-//!   `mixed_tenant_zipfian` golden probe of quotas and fairness.
+//!   `mixed_tenant_zipfian` golden probe of two tenants sharing one
+//!   bounded LRU cache.
 //!
 //! Streams are pure functions of their seed: the same
 //! [`StreamConfig`] always generates the same requests, so two services

@@ -20,9 +20,9 @@
 //! * [`evaluate`] — the repeated-measurement harness behind Tables 1 and 2;
 //! * [`grid`] — the parallel machine × workload × method evaluation
 //!   engine, sharing one reference profile per (machine, workload) pair;
-//! * [`cache`] — the bounded reference-profile cache ([`cache::PairParts`]
-//!   + [`cache::ProfileCache`], with pluggable [`cache::AdmissionPolicy`])
-//!   both the grid and serving layers build sessions from;
+//! * [`cache`] — the LRU-bounded reference-profile cache
+//!   ([`cache::PairParts`] + [`cache::ProfileCache`]) both the grid and
+//!   serving layers build sessions from;
 //! * [`serve`] — the evaluation service: ad-hoc [`serve::EvalRequest`]
 //!   streams sharded by pair across a worker pool and satisfied through
 //!   the cache, batched ([`serve::EvalService::serve`]) or through the
@@ -80,7 +80,7 @@ pub mod serve;
 pub mod session;
 pub mod store;
 
-pub use cache::{AdmissionPolicy, CacheStats, PairKey, PairParts, ProfileCache};
+pub use cache::{CacheStats, PairKey, PairParts, ProfileCache};
 pub use error::CoreError;
 pub use evaluate::{evaluate_method, evaluate_method_with_seeds, ErrorStats, Evaluation};
 pub use grid::{cell_seed, for_each_index, GridMethod, GridRunner, PairCtx, WorkloadSpec};

@@ -43,34 +43,20 @@
 //! with. A service constructed with [`EvalService::new`] owns a single
 //! default catalog; [`EvalService::with_registry`] serves a whole
 //! [`CatalogRegistry`] of named catalogs behind **one** shared
-//! [`ProfileCache`] and admission policy. Requests pick their catalog
-//! with the optional `catalog` field ([`EvalRequest::catalog`]); absent
-//! means the default catalog, and the wire format without the field is
+//! [`ProfileCache`]. Requests pick their catalog with the optional
+//! `catalog` field ([`EvalRequest::catalog`]); absent means the default
+//! catalog, and the wire format without the field is
 //! byte-identical to the single-catalog service's. Cache keys are
 //! namespaced by catalog index ([`PairKey::catalog`]), so tenants never
 //! collide even when they bind the same names to different programs.
 //!
-//! # Tenant fairness
+//! # Per-tenant accounting
 //!
-//! A multi-tenant service shares one cache and one worker pool, so by
-//! default a hot tenant can crowd everyone else out. Two opt-in knobs
-//! control the interference (both default to off, preserving the exact
-//! first-come-first-served bytes *and* build counts):
-//!
-//! * [`CacheQuotas`] ([`EvalService::cache_quotas`]) cap how many cache
-//!   entries each catalog keeps resident, with eviction and admission
-//!   decisions taken tenant-locally once a catalog is at its quota — a
-//!   hot catalog churns within its own slots instead of flushing a cold
-//!   tenant's references;
-//! * [`PipelineOptions::fairness`] ([`FairnessPolicy::Weighted`])
-//!   interleaves the plan/build/evaluate work of each chunk round-robin
-//!   across catalogs, so a one-tenant burst cannot monopolize reference
-//!   builds ahead of other tenants' requests.
-//!
-//! Per-tenant request/hit/error/latency breakdowns are surfaced through
-//! [`ServeStats::tenants`] and [`CacheStats::tenants`]. Neither knob
-//! changes response bytes — responses are emitted in stream order and
-//! cache contents are pure functions of the pair.
+//! Every tenant shares one LRU cache and one worker pool, and each chunk
+//! runs its work in stream order. Each catalog's requests, hits, builds,
+//! errors and latency are counted in [`ServeStats::tenants`], and its
+//! cache hits, misses, evictions and residency in
+//! [`CacheStats::tenants`].
 //!
 //! # Network intake
 //!
@@ -91,11 +77,11 @@
 //! # Determinism contract
 //!
 //! Identical request streams yield byte-identical responses for any
-//! worker-thread count, cache capacity, admission policy and chunk size:
-//! cache contents are pure functions of the pair, so
-//! eviction, admission and rebuild change *when* work happens, never
-//! *what* a response contains — and for a well-formed stream the
-//! pipelined output is byte-identical to the batched output. Timing-
+//! worker-thread count, cache capacity and chunk size: cache contents
+//! are pure functions of the pair, so eviction and rebuild change
+//! *when* work happens, never *what* a response contains — and for a
+//! well-formed stream the pipelined output is byte-identical to the
+//! batched output. Timing-
 //! dependent numbers (hit rates, latency) live in [`ServeStats`],
 //! [`PipelineStats`] and the cache counters, outside the response stream
 //! — unless a request explicitly opts into latency stamping
@@ -205,7 +191,7 @@ pub mod net;
 pub mod proto;
 mod reactor;
 
-use crate::cache::{AdmissionPolicy, CacheQuotas, CacheStats, PairKey, PairParts, ProfileCache};
+use crate::cache::{CacheStats, PairKey, PairParts, ProfileCache};
 use crate::evaluate::{evaluate_method_with_seeds, ErrorStats};
 use crate::grid::{default_threads, for_each_index, mix64, WorkloadSpec};
 use crate::methods::{MethodInstance, MethodKind, MethodOptions};
@@ -858,9 +844,6 @@ struct Batch {
     /// Latency bookkeeping; `Some` only when the serving mode records
     /// latency ([`PipelineOptions::record_latency`]).
     timing: Option<BatchTiming>,
-    /// Cross-catalog scheduling policy for this batch's attach and
-    /// evaluate steps.
-    fairness: FairnessPolicy,
 }
 
 /// Wall-clock bookkeeping of one timed batch. Queue and build times are
@@ -904,63 +887,6 @@ fn micros_since(from: Instant) -> u64 {
     u64::try_from(from.elapsed().as_micros()).unwrap_or(u64::MAX)
 }
 
-/// How the plan/attach/evaluate steps order work across catalogs within
-/// one chunk.
-///
-/// Fairness is a pure *scheduling* knob: responses are always emitted in
-/// stream order, so output bytes are identical under every policy — what
-/// changes is which tenant's reference builds and evaluations get worker
-/// time first, and therefore per-tenant latency under mixed traffic.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum FairnessPolicy {
-    /// First-come-first-served: shards and evaluation tasks run in
-    /// stream order (the default — a burst from one tenant occupies the
-    /// workers until its chunk share is done).
-    #[default]
-    Fcfs,
-    /// Weighted round-robin over catalogs: within each chunk, shards and
-    /// evaluation tasks are interleaved one-per-catalog in rotation
-    /// (equal weights), so a hot tenant's burst cannot monopolize
-    /// reference builds ahead of a cold tenant's single request.
-    Weighted,
-}
-
-impl FairnessPolicy {
-    /// The short name of this policy (`fcfs` / `weighted`).
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            Self::Fcfs => "fcfs",
-            Self::Weighted => "weighted",
-        }
-    }
-}
-
-/// Round-robin interleave over catalogs: items tagged with their catalog
-/// index come back one-per-catalog in rotation (catalogs ordered by
-/// first appearance, per-catalog order preserved) — the
-/// [`FairnessPolicy::Weighted`] schedule. A pure function of its input,
-/// so scheduling stays deterministic.
-fn interleave_by_catalog<T>(tagged: Vec<(usize, T)>) -> Vec<T> {
-    let total = tagged.len();
-    let mut groups: Vec<(usize, std::collections::VecDeque<T>)> = Vec::new();
-    for (catalog, item) in tagged {
-        match groups.iter_mut().find(|(c, _)| *c == catalog) {
-            Some((_, group)) => group.push_back(item),
-            None => groups.push((catalog, std::collections::VecDeque::from([item]))),
-        }
-    }
-    let mut out = Vec::with_capacity(total);
-    while out.len() < total {
-        for (_, group) in &mut groups {
-            if let Some(item) = group.pop_front() {
-                out.push(item);
-            }
-        }
-    }
-    out
-}
-
 /// Shape of the chunked intake behind [`EvalService::serve_pipelined`]
 /// and protocol v2 connections.
 #[derive(Debug, Clone, Copy)]
@@ -975,10 +901,6 @@ pub struct PipelineOptions {
     /// measurements, so turning this on intentionally steps outside the
     /// byte-identical determinism contract.
     pub record_latency: bool,
-    /// How plan/build/evaluate order work across catalogs inside each
-    /// chunk (see [`FairnessPolicy`]; default FCFS). Never changes
-    /// output bytes — only which tenant's work runs first.
-    pub fairness: FairnessPolicy,
 }
 
 impl Default for PipelineOptions {
@@ -986,13 +908,12 @@ impl Default for PipelineOptions {
         Self {
             chunk: 64,
             record_latency: false,
-            fairness: FairnessPolicy::Fcfs,
         }
     }
 }
 
 impl PipelineOptions {
-    /// Default shape: 64-request chunks, no latency recording, FCFS.
+    /// Default shape: 64-request chunks, no latency recording.
     #[must_use]
     pub fn new() -> Self {
         Self::default()
@@ -1009,13 +930,6 @@ impl PipelineOptions {
     #[must_use]
     pub fn record_latency(mut self, on: bool) -> Self {
         self.record_latency = on;
-        self
-    }
-
-    /// Sets the cross-catalog scheduling policy (see [`FairnessPolicy`]).
-    #[must_use]
-    pub fn fairness(mut self, fairness: FairnessPolicy) -> Self {
-        self.fairness = fairness;
         self
     }
 }
@@ -1109,8 +1023,8 @@ impl EvalService {
     }
 
     /// A service over a whole registry of named catalogs sharing one
-    /// cache and one admission policy. Requests pick their catalog with
-    /// the `catalog` field; absent means the registry's default.
+    /// cache. Requests pick their catalog with the `catalog` field;
+    /// absent means the registry's default.
     #[must_use]
     pub fn with_registry(registry: CatalogRegistry) -> Self {
         let tenants = (0..registry.len()).map(|_| TenantCounters::default()).collect();
@@ -1140,6 +1054,10 @@ impl EvalService {
     /// the paper's three machine models. Loading failures are typed
     /// [`ct_workloads::LoaderError`]s — a malformed or over-limit file
     /// rejects the whole directory before anything reaches the cache.
+    ///
+    /// A name already registered replaces that catalog in place, under
+    /// the same cache namespace, so every resident reference is dropped:
+    /// the replaced tenant is never answered from its old programs.
     pub fn workload_dir(
         mut self,
         dir: impl AsRef<Path>,
@@ -1154,7 +1072,14 @@ impl EvalService {
         let machines = MachineModel::paper_machines();
         let catalog = Catalog::from_dir(&machines, dir, scale)?;
         match self.registry.catalogs.iter_mut().find(|(n, _)| *n == name) {
-            Some(slot) => slot.1 = catalog,
+            Some(slot) => {
+                slot.1 = catalog;
+                self.cache.clear();
+                self.snapshot_fingerprints
+                    .get_mut()
+                    .expect("fingerprint memo lock never poisoned")
+                    .clear();
+            }
             None => {
                 self.registry.catalogs.push((name, catalog));
                 self.tenants.push(TenantCounters::default());
@@ -1172,39 +1097,13 @@ impl EvalService {
         self
     }
 
-    /// Bounds the profile cache to `capacity` pairs (`0` means
-    /// unbounded), keeping the configured admission policy and quotas.
-    /// Responses do not depend on this — only build counts do.
+    /// Bounds the profile cache to `capacity` pairs with LRU eviction
+    /// (`0` means unbounded). Responses do not depend on this — only
+    /// build counts do.
     #[must_use]
     pub fn cache_capacity(mut self, capacity: usize) -> Self {
         let backing = self.cache.snapshot_backing();
-        self.cache =
-            ProfileCache::with_config(capacity, self.cache.policy(), self.cache.quotas());
-        self.cache.set_snapshot_backing(backing);
-        self
-    }
-
-    /// Sets the cache admission policy (see [`AdmissionPolicy`]), keeping
-    /// the configured capacity and quotas. Responses do not depend on
-    /// this — only build counts do.
-    #[must_use]
-    pub fn admission(mut self, policy: AdmissionPolicy) -> Self {
-        let backing = self.cache.snapshot_backing();
-        self.cache =
-            ProfileCache::with_config(self.cache.capacity(), policy, self.cache.quotas());
-        self.cache.set_snapshot_backing(backing);
-        self
-    }
-
-    /// Sets per-catalog residency quotas on the shared cache (see
-    /// [`CacheQuotas`]; default unlimited), keeping the configured
-    /// capacity and admission policy. Responses do not depend on this —
-    /// only build counts and per-tenant hit rates do.
-    #[must_use]
-    pub fn cache_quotas(mut self, quotas: CacheQuotas) -> Self {
-        let backing = self.cache.snapshot_backing();
-        self.cache =
-            ProfileCache::with_config(self.cache.capacity(), self.cache.policy(), quotas);
+        self.cache = ProfileCache::with_capacity(capacity);
         self.cache.set_snapshot_backing(backing);
         self
     }
@@ -1214,8 +1113,8 @@ impl EvalService {
     /// snapshots instead of re-running references, and cold builds write
     /// behind into the directory — so a service restarted on the same
     /// directory warm-starts at full hit rate with **zero** instrumented
-    /// executions, byte-identical to the cold run. Survives the
-    /// cache-rebuilding builders above in either order.
+    /// executions, byte-identical to the cold run. Survives
+    /// [`Self::cache_capacity`] in either order.
     #[must_use]
     pub fn snapshot_dir(self, dir: impl Into<PathBuf>) -> Self {
         self.cache.attach_snapshot_store(dir);
@@ -1247,24 +1146,17 @@ impl EvalService {
     /// performs at most one reference build per distinct pair no matter
     /// how small the cache is.
     pub fn serve(&self, requests: &[EvalRequest]) -> Vec<EvalResponse> {
-        let mut batch = self.plan_batch(requests.to_vec(), None, FairnessPolicy::Fcfs);
+        let mut batch = self.plan_batch(requests.to_vec(), None);
         self.attach_batch(&mut batch);
         self.evaluate_batch(batch)
     }
 
     /// Plan step: resolves every request through the catalog registry
     /// and shards the resolvable ones by catalog-namespaced
-    /// `(machine, workload)` pair — in first-appearance order under
-    /// FCFS, or interleaved round-robin across catalogs under
-    /// [`FairnessPolicy::Weighted`] so the attach step starts every
-    /// tenant's references fairly. `parsed_at` carries the intake
-    /// timestamp of a latency-recording chunk (`None` everywhere else).
-    fn plan_batch(
-        &self,
-        requests: Vec<EvalRequest>,
-        parsed_at: Option<Instant>,
-        fairness: FairnessPolicy,
-    ) -> Batch {
+    /// `(machine, workload)` pair, in first-appearance order.
+    /// `parsed_at` carries the intake timestamp of a latency-recording
+    /// chunk (`None` everywhere else).
+    fn plan_batch(&self, requests: Vec<EvalRequest>, parsed_at: Option<Instant>) -> Batch {
         let resolved: Vec<Result<Resolved, String>> =
             requests.iter().map(|r| self.resolve(r)).collect();
         let mut shard_of: HashMap<PairKey, usize> = HashMap::new();
@@ -1279,11 +1171,6 @@ impl EvalService {
                 shards[s].1.push(i);
             }
         }
-        if fairness == FairnessPolicy::Weighted {
-            shards = interleave_by_catalog(
-                shards.into_iter().map(|s| (s.0.catalog, s)).collect(),
-            );
-        }
         let slots = requests.iter().map(|_| Mutex::new(None)).collect();
         let attachments = shards.iter().map(|_| None).collect();
         let timing = parsed_at.map(|at| BatchTiming::new(at, requests.len()));
@@ -1294,7 +1181,6 @@ impl EvalService {
             slots,
             attachments,
             timing,
-            fairness,
         }
     }
 
@@ -1326,10 +1212,7 @@ impl EvalService {
 
     /// Evaluate step: one task per *request*, so skewed traffic (many
     /// requests on one hot pair) still spreads across every worker
-    /// instead of serializing inside its shard. Under
-    /// [`FairnessPolicy::Weighted`] the task list is interleaved
-    /// round-robin across catalogs, so a hot tenant's burst cannot queue
-    /// ahead of every other tenant's requests. Responses come back in
+    /// instead of serializing inside its shard. Responses come back in
     /// request order; requests that never reached a shard failed
     /// resolution and are answered here.
     fn evaluate_batch(&self, batch: Batch) -> Vec<EvalResponse> {
@@ -1340,19 +1223,13 @@ impl EvalService {
             slots,
             attachments,
             timing,
-            fairness,
         } = batch;
-        let mut tasks: Vec<(usize, usize)> = shards
+        let tasks: Vec<(usize, usize)> = shards
             .iter()
             .enumerate()
             .filter(|(s, _)| attachments[*s].is_some())
             .flat_map(|(s, (_, members))| members.iter().map(move |&i| (s, i)))
             .collect();
-        if fairness == FairnessPolicy::Weighted {
-            tasks = interleave_by_catalog(
-                tasks.into_iter().map(|t| (shards[t.0].0.catalog, t)).collect(),
-            );
-        }
         let timing_ref = timing.as_ref();
         for_each_index(self.threads, tasks.len(), |t| {
             let (s, i) = tasks[t];
@@ -1530,7 +1407,7 @@ impl EvalService {
         }
         stats.chunks += 1;
         let parsed_at = options.record_latency.then(Instant::now);
-        let mut batch = self.plan_batch(chunk.requests, parsed_at, options.fairness);
+        let mut batch = self.plan_batch(chunk.requests, parsed_at);
         self.attach_batch(&mut batch);
         let mut responses = self.evaluate_batch(batch).into_iter();
         for (tag, error) in chunk.lines {
@@ -1921,38 +1798,6 @@ mod tests {
         let (samples, _) = partial.sorted_samples();
         assert_eq!(samples.iter().filter(|&&s| s == 9).count(), 1);
         assert_eq!(samples.len(), LATENCY_WINDOW);
-    }
-
-    #[test]
-    fn weighted_interleave_rotates_catalogs_and_preserves_order() {
-        let tagged = vec![
-            (0, "a0"),
-            (0, "a1"),
-            (0, "a2"),
-            (1, "b0"),
-            (0, "a3"),
-            (2, "c0"),
-            (1, "b1"),
-        ];
-        assert_eq!(
-            interleave_by_catalog(tagged),
-            vec!["a0", "b0", "c0", "a1", "b1", "a2", "a3"],
-            "one item per catalog per turn, catalogs by first appearance"
-        );
-        assert_eq!(interleave_by_catalog::<u32>(Vec::new()), Vec::<u32>::new());
-        let single = vec![(5, 1), (5, 2), (5, 3)];
-        assert_eq!(interleave_by_catalog(single), vec![1, 2, 3], "one catalog is a no-op");
-    }
-
-    #[test]
-    fn fairness_policy_parses_flag_values() {
-        assert_eq!(FairnessPolicy::default(), FairnessPolicy::Fcfs);
-        assert_eq!(FairnessPolicy::Weighted.name(), "weighted");
-        assert_eq!(PipelineOptions::default().fairness, FairnessPolicy::Fcfs);
-        assert_eq!(
-            PipelineOptions::new().fairness(FairnessPolicy::Weighted).fairness,
-            FairnessPolicy::Weighted
-        );
     }
 
     #[test]

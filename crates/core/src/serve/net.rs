@@ -121,7 +121,7 @@ const WAKE_TIMEOUT: Duration = Duration::from_millis(200);
 /// Shape of a network-served evaluation tier.
 #[derive(Debug, Clone)]
 pub struct NetOptions {
-    /// The intake shape (chunk size, latency stamps, fairness) every
+    /// The intake shape (chunk size, latency stamps) every
     /// connection is served with.
     pub pipeline: PipelineOptions,
     /// Maximum concurrently served connections (values below 1 are

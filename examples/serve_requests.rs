@@ -1,22 +1,17 @@
 //! Multi-tenant serving in miniature: two named catalogs behind one
-//! shared profile cache — with per-tenant residency quotas and weighted
-//! round-robin fairness, so neither tenant can starve the other —
-//! JSON-lines requests streamed through the chunked intake (read a
-//! chunk → plan(registry) → attach → evaluate → emit) with per-request
-//! latency stamping, and the per-tenant accounting printed last. A coda serves
-//! the same service over TCP and drives it with a keep-alive
-//! protocol-v2 client multiplexing two logical streams on one
-//! connection.
+//! shared LRU profile cache, JSON-lines requests streamed through the
+//! chunked intake (read a chunk → plan(registry) → attach → evaluate →
+//! emit) with per-request latency stamping, and the per-tenant
+//! accounting printed last. A coda serves the same service over TCP
+//! and drives it with a keep-alive protocol-v2 client multiplexing two
+//! logical streams on one connection.
 //!
 //! ```text
 //! cargo run --release -p countertrust --example serve_requests
 //! ```
 
-use countertrust::cache::{AdmissionPolicy, CacheQuotas};
 use countertrust::methods::MethodOptions;
-use countertrust::serve::{
-    Catalog, CatalogRegistry, EvalService, FairnessPolicy, PipelineOptions,
-};
+use countertrust::serve::{Catalog, CatalogRegistry, EvalService, PipelineOptions};
 use ct_bench_shim::workload_specs;
 use ct_sim::MachineModel;
 
@@ -71,14 +66,11 @@ this line is not a request at all
 {"machine":"Ivy Bridge (Xeon E3-1265L)","workload":"povray","method":"lbr","runs":1,"seed":5,"catalog":"apps"}
 "#;
 
-    // Each tenant may keep at most four entries resident in the shared
-    // 8-slot cache, and the pipeline interleaves the tenants' work
-    // round-robin — neither knob changes a single response byte.
+    // Both tenants share one 8-slot LRU cache; its capacity changes build
+    // counts, never a response byte.
     let service = EvalService::with_registry(registry)
         .method_options(MethodOptions::fast())
-        .cache_capacity(8)
-        .admission(AdmissionPolicy::Frequency)
-        .cache_quotas(CacheQuotas::per_catalog(4));
+        .cache_capacity(8);
 
     // Requests flow straight from the reader, one chunk at a time: each
     // chunk is read, then its references attach and its requests
@@ -92,10 +84,7 @@ this line is not a request at all
         .serve_pipelined(
             wire.as_bytes(),
             &mut stdout,
-            &PipelineOptions::new()
-                .chunk(2)
-                .record_latency(true)
-                .fairness(FairnessPolicy::Weighted),
+            &PipelineOptions::new().chunk(2).record_latency(true),
         )
         .expect("stdout accepts responses");
     drop(stdout);

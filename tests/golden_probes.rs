@@ -25,14 +25,11 @@
 //! [`CollectionAudit`] counts process-wide, so every test in this binary
 //! serializes on [`GUARD`].
 
-use countertrust::cache::{AdmissionPolicy, CacheQuotas};
 use countertrust::grid::GridRunner;
 use countertrust::methods::MethodOptions;
 use countertrust::serve::net::{exchange, EvalServer, NetOptions};
 use countertrust::serve::proto::exchange_v2;
-use countertrust::serve::{
-    Catalog, CatalogRegistry, EvalRequest, EvalService, FairnessPolicy, PipelineOptions,
-};
+use countertrust::serve::{Catalog, CatalogRegistry, EvalRequest, EvalService, PipelineOptions};
 use countertrust::store::checksum;
 use ct_bench::streams::{request_stream, to_wire, StreamConfig, StreamPattern, MIXED_COLD_CATALOG};
 use ct_bench::workload_specs;
@@ -58,7 +55,7 @@ const GOLDEN: [(&str, u64, u64, u64, u64); 8] = [
     ("serve_pipelined", 0xba1f_20ad_3322_e503, 0x5914_297d_86c1_dbd1, 9, 24),
     ("tcp_loopback", 0x5573_759e_96c8_67ea, 0x5914_297d_86c1_dbd1, 9, 24),
     ("v2_loopback", 0x1d2f_c9f4_8d50_0a23, 0x5914_297d_86c1_dbd1, 9, 24),
-    ("mixed_tenant_zipfian", 0x5ec4_ddd5_c275_9ddf, 0x1904_91cb_9389_33b5, 9, 24),
+    ("mixed_tenant_zipfian", 0x76d8_efd0_6bb2_613c, 0x1904_91cb_9389_33b5, 9, 24),
     ("warm_start", 0x1648_0774_ad09_c9a4, 0x5914_297d_86c1_dbd1, 0, 24),
     ("sim_replay", 0x680c_e14a_1132_2629, 0x74d0_8dec_254f_4431, 0, 24),
 ];
@@ -166,13 +163,7 @@ impl Fixture {
 
     /// A one-thread service over the fixture's catalog, with a second
     /// copy registered as the cold tenant when `pattern` names one.
-    fn service(
-        &self,
-        pattern: StreamPattern,
-        capacity: usize,
-        admission: AdmissionPolicy,
-        quota: usize,
-    ) -> EvalService {
+    fn service(&self, pattern: StreamPattern, capacity: usize) -> EvalService {
         let specs = workload_specs(&self.workloads);
         let catalog = || Catalog::new(&self.machines, &specs).method_options(self.opts);
         let mut registry = CatalogRegistry::new(catalog());
@@ -182,13 +173,11 @@ impl Fixture {
         EvalService::with_registry(registry)
             .threads(1)
             .cache_capacity(capacity)
-            .admission(admission)
-            .cache_quotas(CacheQuotas::per_catalog(quota))
     }
 
-    /// [`Fixture::service`] with an unbounded LRU cache and no quotas.
+    /// [`Fixture::service`] with an unbounded cache.
     fn plain_service(&self, pattern: StreamPattern) -> EvalService {
-        self.service(pattern, 0, AdmissionPolicy::Lru, 0)
+        self.service(pattern, 0)
     }
 }
 
@@ -344,19 +333,14 @@ fn mixed_tenant_probe_is_pinned() {
     let _guard = lock();
     let fx = Fixture::new();
     let mixed = StreamPattern::Mixed;
-    let (capacity, quota) = (16, 6);
+    let capacity = 16;
     let requests = fx.stream(mixed);
-    let service = fx.service(mixed, capacity, AdmissionPolicy::Frequency, quota);
-    let pipeline = PipelineOptions::new()
-        .chunk(BATCH)
-        .fairness(FairnessPolicy::Weighted);
+    let service = fx.service(mixed, capacity);
+    let pipeline = PipelineOptions::new().chunk(BATCH);
     let config = stream_config(
         mixed,
         &[
             ("capacity", capacity.to_string()),
-            ("quota", quota.to_string()),
-            ("admission", "freq".to_string()),
-            ("fairness", "weighted".to_string()),
             ("chunk", BATCH.to_string()),
         ],
     );

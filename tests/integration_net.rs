@@ -488,33 +488,28 @@ fn idle_server_shutdown_is_prompt_because_accept_blocks_on_readiness() {
 }
 
 #[test]
-fn fairness_and_quota_options_thread_through_the_tcp_stack() {
-    use countertrust::cache::CacheQuotas;
-    use countertrust::serve::FairnessPolicy;
+fn a_bounded_cache_shared_by_concurrent_connections_serves_offline_bytes() {
     let program = kernel(8_000);
     let run_config = RunConfig::default();
     let workloads = [WorkloadSpec { name: "k", program: &program, run_config: &run_config }];
     let machines = [MachineModel::ivy_bridge(), MachineModel::westmere()];
     let streams = connection_streams(&machines, 3);
-    let pipeline = PipelineOptions::new()
-        .chunk(2)
-        .fairness(FairnessPolicy::Weighted);
 
     let service = EvalService::new(&machines, &workloads)
         .method_options(MethodOptions::fast())
         .threads(4)
-        .cache_capacity(2)
-        .cache_quotas(CacheQuotas::per_catalog(1));
+        .cache_capacity(2);
     let (outputs, stats) = serve_loopback(
         &service,
-        NetOptions::new().pipeline(pipeline).max_connections(3),
+        NetOptions::new().pipeline(PipelineOptions::new().chunk(2)).max_connections(3),
         |addr, c| exchange(addr, &wire(&streams[c])).expect("loopback exchange"),
         streams.len(),
     );
     assert_eq!(stats.io_errors, 0);
 
-    // Weighted fairness and quotas are scheduling/residency knobs: the
-    // served bytes stay identical to a default offline pipelined run.
+    // Three connections evict each other's references from the one
+    // two-slot cache: the served bytes still equal a default offline
+    // pipelined run of each connection's stream.
     for (c, (sub, got)) in streams.iter().zip(&outputs).enumerate() {
         let offline = EvalService::new(&machines, &workloads)
             .method_options(MethodOptions::fast())

@@ -299,9 +299,7 @@ fn depth_one_pipeline_is_byte_identical_to_batched_chunks() {
 }
 
 #[test]
-fn fairness_and_quotas_never_change_pipelined_bytes() {
-    use countertrust::cache::CacheQuotas;
-    use countertrust::serve::FairnessPolicy;
+fn capacity_never_changes_pipelined_bytes() {
     let program = kernel(10_000);
     let run_config = RunConfig::default();
     let workloads = [WorkloadSpec { name: "k", program: &program, run_config: &run_config }];
@@ -314,31 +312,16 @@ fn fairness_and_quotas_never_change_pipelined_bytes() {
         .serve_pipelined(wire(&requests).as_bytes(), &mut expected, &PipelineOptions::new().chunk(2))
         .unwrap();
 
-    // Every combination of scheduling policy, quota and thrash-prone
-    // capacity must reproduce the default bytes exactly.
-    for (fairness, quota, capacity) in [
-        (FairnessPolicy::Weighted, 0, 0),
-        (FairnessPolicy::Weighted, 1, 1),
-        (FairnessPolicy::Fcfs, 1, 2),
-        (FairnessPolicy::Weighted, 2, 3),
-    ] {
+    // An unbounded cache and every thrash-prone capacity must reproduce
+    // the default bytes exactly.
+    for capacity in 0..=3 {
         let svc = EvalService::new(&machines, &workloads)
             .method_options(MethodOptions::fast())
             .threads(3)
-            .cache_capacity(capacity)
-            .cache_quotas(CacheQuotas::per_catalog(quota));
+            .cache_capacity(capacity);
         let mut out = Vec::new();
-        svc.serve_pipelined(
-            wire(&requests).as_bytes(),
-            &mut out,
-            &PipelineOptions::new().chunk(2).fairness(fairness),
-        )
-        .unwrap();
-        assert_eq!(
-            out,
-            expected,
-            "fairness {} / quota {quota} / capacity {capacity} changed bytes",
-            fairness.name()
-        );
+        svc.serve_pipelined(wire(&requests).as_bytes(), &mut out, &PipelineOptions::new().chunk(2))
+            .unwrap();
+        assert_eq!(out, expected, "capacity {capacity} changed bytes");
     }
 }

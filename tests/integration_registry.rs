@@ -1,9 +1,10 @@
 //! Multi-catalog registry guarantees: requests without a `catalog` field
 //! are served byte-identically to the pre-registry single-catalog
 //! service, tenants behind one shared cache never collide (the cache key
-//! is namespaced by catalog), and an unknown catalog name answers as an
+//! is namespaced by catalog), an unknown catalog name answers as an
 //! in-order error response — in both batched and pipelined modes — with
-//! the stream draining on.
+//! the stream draining on, and a tenant replaced on a serving service is
+//! never answered from its old references.
 //!
 //! The reference-collection counter is process-global, so every test
 //! serializes on [`GUARD`]: a test building references concurrently
@@ -279,13 +280,11 @@ fn unknown_catalog_answers_in_order_pipelined_and_the_stream_drains() {
 }
 
 #[test]
-fn hot_tenant_churn_never_rebuilds_cold_tenant_references_under_quotas() {
-    use countertrust::cache::CacheQuotas;
+fn hot_tenant_churn_evicts_the_cold_tenants_reference_from_a_shared_lru() {
     let _guard = lock();
     // One machine; the hot tenant churns over three workloads while the
-    // cold tenant owns a single pair. Capacity 3 fits everything only if
-    // the hot tenant is capped: quota 2 leaves the cold tenant's slot
-    // untouchable.
+    // cold tenant owns a single pair. Capacity 3 cannot hold all four
+    // pairs, so the hot tenant's third insert evicts the cold reference.
     let run_config = RunConfig::default();
     let k0 = kernel("k0", 4_000);
     let k1 = kernel("k1", 5_000);
@@ -302,61 +301,194 @@ fn hot_tenant_churn_never_rebuilds_cold_tenant_references_under_quotas() {
     let cold_request = EvalRequest::new("Ivy Bridge (Xeon E3-1265L)", "cold", "classic", 1, 3)
         .in_catalog("cold-tenant");
 
-    // The experiment, twice: identical traffic with and without quotas.
+    let registry = CatalogRegistry::new(
+        Catalog::new(&machines, &hot_workloads).method_options(MethodOptions::fast()),
+    )
+    .register(
+        "cold-tenant",
+        Catalog::new(&machines, &cold_workloads).method_options(MethodOptions::fast()),
+    );
     // threads(1) keeps cache access order deterministic.
-    let run = |quotas: CacheQuotas| {
-        let registry = CatalogRegistry::new(
-            Catalog::new(&machines, &hot_workloads).method_options(MethodOptions::fast()),
-        )
-        .register(
-            "cold-tenant",
-            Catalog::new(&machines, &cold_workloads).method_options(MethodOptions::fast()),
-        );
-        let service = EvalService::with_registry(registry)
-            .threads(1)
-            .cache_capacity(3)
-            .cache_quotas(quotas);
-        // Cold tenant settles its reference first.
-        assert!(service.serve_one(&cold_request).is_ok());
-        // Hot tenant churns through its three pairs, twice.
-        for name in ["k0", "k1", "k2", "k0", "k1", "k2"] {
-            let response = service.serve_one(&EvalRequest::new(
+    let service = EvalService::with_registry(registry).threads(1).cache_capacity(3);
+    // Cold tenant settles its reference first.
+    assert!(service.serve_one(&cold_request).is_ok());
+    // Hot tenant churns through its three pairs, twice.
+    for name in ["k0", "k1", "k2", "k0", "k1", "k2"] {
+        let response = service.serve_one(&EvalRequest::new(
+            "Ivy Bridge (Xeon E3-1265L)",
+            name,
+            "classic",
+            1,
+            9,
+        ));
+        assert!(response.is_ok(), "{:?}", response.error);
+    }
+    // The measurement: the cold tenant's replay rebuilds.
+    let audit = CollectionAudit::begin();
+    assert!(service.serve_one(&cold_request).is_ok());
+    assert_eq!(
+        audit.collections(),
+        1,
+        "capacity-3 LRU lets hot churn evict the cold reference"
+    );
+
+    // The per-tenant accounting tells the same story on both sides.
+    let stats = service.stats();
+    assert_eq!(stats.tenants.len(), 2);
+    assert_eq!(stats.tenants[0].catalog, DEFAULT_CATALOG);
+    let cold = stats.tenants.iter().find(|t| t.catalog == "cold-tenant").unwrap();
+    assert_eq!(cold.builds, 2, "the replay rebuilt");
+    assert_eq!(
+        service.cache_stats().tenants[1].evictions,
+        1,
+        "the cache charges the eviction to the cold tenant"
+    );
+}
+
+/// The cold tenant of the two-tenant mix.
+const COLD: &str = "tenant-b";
+
+/// A tiny splitmix-style generator so the two-tenant mix is a pure
+/// function of its seed (this test binary is wired into countertrust,
+/// which cannot depend on ct-bench's stream generators).
+fn next(state: &mut u64) -> u64 {
+    *state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+    let mut z = *state;
+    z = (z ^ (z >> 33)).wrapping_mul(0xFF51_AFD7_ED55_8CCD);
+    z ^ (z >> 33)
+}
+
+/// A 90/10 two-tenant mix over four workloads: both tenants draw pairs
+/// zipfian-style (50/25/15/10), the default tenant owns ~90% of the
+/// stream and [`COLD`] the rest.
+fn mixed_stream(workload_names: &[&str; 4], requests: usize, seed: u64) -> Vec<EvalRequest> {
+    let mut state = seed;
+    (0..requests)
+        .map(|i| {
+            let w = match next(&mut state) % 100 {
+                0..=49 => 0,
+                50..=74 => 1,
+                75..=89 => 2,
+                _ => 3,
+            };
+            let request = EvalRequest::new(
                 "Ivy Bridge (Xeon E3-1265L)",
-                name,
+                workload_names[w],
                 "classic",
                 1,
-                9,
-            ));
-            assert!(response.is_ok(), "{:?}", response.error);
-        }
-        // The measurement: does the cold tenant's replay rebuild?
-        let audit = CollectionAudit::begin();
-        assert!(service.serve_one(&cold_request).is_ok());
-        (audit.collections(), service.stats())
-    };
+                i as u64,
+            );
+            if next(&mut state).is_multiple_of(10) {
+                request.in_catalog(COLD)
+            } else {
+                request
+            }
+        })
+        .collect()
+}
 
-    let (unquoted_rebuilds, unquoted_stats) = run(CacheQuotas::unlimited());
-    assert_eq!(
-        unquoted_rebuilds, 1,
-        "without quotas, capacity-3 LRU lets hot churn evict the cold reference"
+#[test]
+fn a_two_tenant_mix_on_a_bounded_cache_serves_batched_bytes() {
+    let _guard = lock();
+    let run_config = RunConfig::default();
+    let programs: Vec<Program> = [3_000u64, 4_000, 5_000, 6_000]
+        .iter()
+        .enumerate()
+        .map(|(i, &n)| kernel(&format!("w{i}"), n))
+        .collect();
+    let names = ["w0", "w1", "w2", "w3"];
+    let workloads: Vec<WorkloadSpec<'_>> = programs
+        .iter()
+        .zip(names)
+        .map(|(program, name)| WorkloadSpec { name, program, run_config: &run_config })
+        .collect();
+    let machines = [MachineModel::ivy_bridge()];
+    let stream = mixed_stream(&names, 120, 0xFA1E);
+    let cold_requests = stream.iter().filter(|r| r.catalog.is_some()).count();
+    assert!(
+        (8..=24).contains(&cold_requests),
+        "the mix must be roughly 90/10, got {cold_requests}/120 cold"
     );
 
-    let (quoted_rebuilds, quoted_stats) = run(CacheQuotas::per_catalog(2));
-    assert_eq!(
-        quoted_rebuilds, 0,
-        "with quotas, hot churn cycles within its own slots and the cold reference survives"
-    );
-
-    // The per-tenant accounting tells the same story: the cold tenant's
-    // build count is untouched by quotas' effect on the hot tenant.
-    let cold_of = |stats: &countertrust::serve::ServeStats| {
-        stats.tenants.iter().find(|t| t.catalog == "cold-tenant").unwrap().clone()
+    // Capacity 4 holds one tenant's four pairs, never both tenants'
+    // eight, so the tenants keep evicting each other.
+    let service = || {
+        let catalog = || Catalog::new(&machines, &workloads).method_options(MethodOptions::fast());
+        EvalService::with_registry(CatalogRegistry::new(catalog()).register(COLD, catalog()))
+            .threads(1)
+            .cache_capacity(4)
     };
-    assert_eq!(cold_of(&quoted_stats).builds, 1, "one initial cold build, ever");
-    assert_eq!(cold_of(&quoted_stats).cache_hits, 1, "the replay was a hit");
-    assert_eq!(cold_of(&unquoted_stats).builds, 2, "baseline: the replay rebuilt");
-    assert_eq!(quoted_stats.tenants.len(), 2);
-    assert_eq!(quoted_stats.tenants[0].catalog, DEFAULT_CATALOG);
+    let pipelined = service();
+    let mut out = Vec::new();
+    let stats = pipelined
+        .serve_pipelined(wire(&stream).as_bytes(), &mut out, &PipelineOptions::new().chunk(8))
+        .expect("in-memory pipeline never hits I/O errors");
+    assert_eq!(stats.parse_errors, 0);
+    let batched = service();
+    let expected: String = stream.chunks(8).map(|chunk| batched.serve_jsonl(chunk)).collect();
+    assert_eq!(String::from_utf8(out).unwrap(), expected, "pipelined vs batched divergence");
+
+    let cold = pipelined.stats().tenants.iter().find(|t| t.catalog == COLD).cloned();
+    assert_eq!(cold.expect("cold tenant registered").requests, cold_requests as u64);
+    assert_eq!(pipelined.cache_stats().tenants.len(), 2);
+}
+
+#[test]
+fn re_registering_a_served_tenant_never_serves_its_old_references() {
+    let _guard = lock();
+    let root = std::env::temp_dir().join(format!("ct_registry_reregister_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    let dir = root.join("tenantx");
+    let write_tenant = |iterations: u64| {
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(
+            dir.join("00_spin.json"),
+            "{\"name\": \"spin\", \"class\": \"kernel\", \"source\": \"00_spin.ctasm\"}\n",
+        )
+        .unwrap();
+        std::fs::write(
+            dir.join("00_spin.ctasm"),
+            format!(
+                ".func main\n    movi r1, {iterations}\ntop:\n    addi r2, r2, 1\n    \
+                 subi r1, r1, 1\n    brnz r1, top\n    halt\n.endfunc\n"
+            ),
+        )
+        .unwrap();
+    };
+    let program = kernel("k", 4_000);
+    let run_config = RunConfig::default();
+    let workloads = [WorkloadSpec { name: "k", program: &program, run_config: &run_config }];
+    let machines = [MachineModel::ivy_bridge()];
+    let request = EvalRequest::new("Ivy Bridge (Xeon E3-1265L)", "spin", "classic", 1, 5)
+        .in_catalog("tenantx");
+
+    // Once on the cache alone, once through a snapshot store, whose
+    // lookups go through the service's memoized pair fingerprints.
+    for snapshots in [None, Some(root.join("snapshots"))] {
+        let base = || {
+            let service = EvalService::new(&machines, &workloads)
+                .method_options(MethodOptions::fast())
+                .threads(1);
+            match &snapshots {
+                Some(store) => service.snapshot_dir(store),
+                None => service,
+            }
+        };
+        write_tenant(20_000);
+        let served = base().workload_dir(&dir, 1.0).expect("well-formed catalog dir");
+        assert!(served.serve_one(&request).is_ok());
+
+        write_tenant(80_000);
+        let replaced = served.workload_dir(&dir, 1.0).expect("well-formed catalog dir");
+        let fresh = base().workload_dir(&dir, 1.0).expect("well-formed catalog dir");
+        let request = std::slice::from_ref(&request);
+        assert_eq!(
+            replaced.serve_jsonl(request),
+            fresh.serve_jsonl(request),
+            "the replaced tenant answered from its old reference (snapshots: {snapshots:?})"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&root);
 }
 
 #[test]

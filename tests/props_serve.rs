@@ -1,15 +1,14 @@
 //! Property-based tests for the serving layer: for arbitrary request
 //! streams and cache capacities, responses depend only on the requests —
-//! never on worker-thread count, batch decomposition, chunk size, cache
-//! eviction order or admission policy — and a
-//! served batch never performs more reference collections than the
-//! number of distinct `(machine, workload)` pairs it touches.
+//! never on worker-thread count, batch decomposition, chunk size or
+//! cache eviction order — and a served batch never performs more
+//! reference collections than the number of distinct
+//! `(machine, workload)` pairs it touches.
 //!
 //! The reference-collection counter is process-global, so the audited
 //! properties serialize on [`GUARD`] (this file owns its whole test
 //! binary — see `crates/core/Cargo.toml`).
 
-use countertrust::cache::AdmissionPolicy;
 use countertrust::grid::WorkloadSpec;
 use countertrust::methods::{MethodKind, MethodOptions};
 use countertrust::serve::{EvalRequest, EvalService, PipelineOptions, DEFAULT_CATALOG};
@@ -173,30 +172,6 @@ proptest! {
             &String::from_utf8(piped).unwrap(), &outputs[0],
             "pipelining (chunk {}) changed responses", chunk
         );
-
-        // Tenant fairness is scheduling + residency only: per-catalog
-        // quotas on a tiny cache plus weighted round-robin must still
-        // emit the exact same bytes.
-        let fair = EvalService::new(&machines, &workloads)
-            .method_options(opts)
-            .threads(3)
-            .cache_capacity(capacity)
-            .cache_quotas(countertrust::cache::CacheQuotas::per_catalog(1))
-            .admission(AdmissionPolicy::Frequency);
-        let mut fair_out = Vec::new();
-        fair
-            .serve_pipelined(
-                to_wire(&requests).as_bytes(),
-                &mut fair_out,
-                &PipelineOptions::new()
-                    .chunk(chunk)
-                    .fairness(countertrust::serve::FairnessPolicy::Weighted),
-            )
-            .expect("in-memory pipeline never hits I/O errors");
-        prop_assert_eq!(
-            &String::from_utf8(fair_out).unwrap(), &outputs[0],
-            "quotas/fairness (chunk {}) changed responses", chunk
-        );
     }
 }
 
@@ -205,8 +180,8 @@ proptest! {
 
     /// The heavier tier (CI runs it via `--include-ignored`): batch
     /// decomposition — one batch, per-request calls on a thrashing
-    /// capacity-1 cache, chunked batches, or the chunked intake under a
-    /// frequency-admission cache — never changes responses, and every
+    /// capacity-1 cache, chunked batches, or the chunked intake on a
+    /// capacity-1 cache — never changes responses, and every
     /// batched decomposition respects the per-batch collection bound.
     #[test]
     #[ignore = "heavier property tier, exercised by the CI --include-ignored step"]
@@ -254,13 +229,11 @@ proptest! {
             chunked_out.push_str(&chunked.serve_jsonl(batch));
         }
 
-        // A thrashing-prone pipeline: tiny chunks, capacity-1 cache,
-        // frequency-aware admission bouncing one-hit wonders.
+        // A thrashing-prone pipeline: tiny chunks, capacity-1 cache.
         let piped_service = EvalService::new(&machines, &workloads)
             .method_options(opts)
             .threads(4)
-            .cache_capacity(1)
-            .admission(AdmissionPolicy::Frequency);
+            .cache_capacity(1);
         let mut piped = Vec::new();
         piped_service
             .serve_pipelined(
@@ -274,7 +247,7 @@ proptest! {
         prop_assert_eq!(&whole_out, &chunked_out, "batch chunking changed responses");
         prop_assert_eq!(
             &whole_out, &String::from_utf8(piped).unwrap(),
-            "pipelining with frequency admission changed responses"
+            "pipelining on a capacity-1 cache changed responses"
         );
         prop_assert_eq!(whole_out.lines().count(), requests.len());
     }
