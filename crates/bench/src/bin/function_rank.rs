@@ -26,10 +26,7 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let cli = CliOptions::parse(&args);
     let apps = ct_workloads::applications(cli.scale);
-    let fullcms: Vec<_> = apps
-        .into_iter()
-        .filter(|w| w.name == "fullcms")
-        .collect();
+    let fullcms: Vec<_> = apps.into_iter().filter(|w| w.name == "fullcms").collect();
     assert!(!fullcms.is_empty(), "registry has fullcms");
     let specs = workload_specs(&fullcms);
     let machines = MachineModel::paper_machines();

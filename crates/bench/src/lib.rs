@@ -94,7 +94,13 @@ pub fn run_grid(
     repeats: usize,
     base_seed: u64,
 ) -> Vec<Evaluation> {
-    GridRunner::new().run_standard(machines, &workload_specs(workloads), opts, repeats, base_seed)
+    GridRunner::new().run_standard(
+        machines,
+        &workload_specs(workloads),
+        opts,
+        repeats,
+        base_seed,
+    )
 }
 
 /// Command-line conveniences shared by the binaries: `--scale F`,
@@ -282,8 +288,7 @@ mod tests {
     #[test]
     fn cli_rejects_negative_threads_by_clamping_to_one() {
         for raw in ["-1", "-3", "-9999999999999999999"] {
-            let args: Vec<String> =
-                ["--threads", raw].iter().map(ToString::to_string).collect();
+            let args: Vec<String> = ["--threads", raw].iter().map(ToString::to_string).collect();
             assert_eq!(CliOptions::parse(&args).threads, Some(1), "--threads {raw}");
         }
     }

@@ -129,7 +129,10 @@ impl StreamGenerator {
         opts: &MethodOptions,
         config: &StreamConfig,
     ) -> Self {
-        assert!(!machines.is_empty() && !workloads.is_empty(), "empty catalog");
+        assert!(
+            !machines.is_empty() && !workloads.is_empty(),
+            "empty catalog"
+        );
         // Pair table, machine-major, with each machine's supported labels.
         let labels: Vec<Vec<String>> = machines
             .iter()
@@ -154,7 +157,13 @@ impl StreamGenerator {
                     0
                 };
                 (0..pairs.len())
-                    .map(|i| if i == 0 { SCALE * 85 / 100 } else { rest.max(1) })
+                    .map(|i| {
+                        if i == 0 {
+                            SCALE * 85 / 100
+                        } else {
+                            rest.max(1)
+                        }
+                    })
                     .collect()
             }
             StreamPattern::Cold => vec![1; pairs.len()],
@@ -259,7 +268,11 @@ pub fn to_wire(requests: &[EvalRequest]) -> String {
 pub fn distinct_pairs(requests: &[EvalRequest]) -> usize {
     let mut seen: Vec<(Option<&str>, &str, &str)> = Vec::new();
     for r in requests {
-        let key = (r.catalog.as_deref(), r.machine.as_str(), r.workload.as_str());
+        let key = (
+            r.catalog.as_deref(),
+            r.machine.as_str(),
+            r.workload.as_str(),
+        );
         if !seen.contains(&key) {
             seen.push(key);
         }
@@ -285,7 +298,10 @@ mod tests {
     use super::*;
 
     fn catalog() -> (Vec<MachineModel>, Vec<Workload>) {
-        (MachineModel::paper_machines(), ct_workloads::kernel_set(0.01))
+        (
+            MachineModel::paper_machines(),
+            ct_workloads::kernel_set(0.01),
+        )
     }
 
     fn config(pattern: StreamPattern) -> StreamConfig {
@@ -301,7 +317,11 @@ mod tests {
     fn streams_are_seed_deterministic() {
         let (machines, workloads) = catalog();
         let opts = MethodOptions::fast();
-        for pattern in [StreamPattern::Hot, StreamPattern::Cold, StreamPattern::Zipfian] {
+        for pattern in [
+            StreamPattern::Hot,
+            StreamPattern::Cold,
+            StreamPattern::Zipfian,
+        ] {
             let a = request_stream(&machines, &workloads, &opts, &config(pattern));
             let b = request_stream(&machines, &workloads, &opts, &config(pattern));
             assert_eq!(a, b, "{pattern:?} stream must be reproducible");
@@ -311,7 +331,12 @@ mod tests {
         reseeded.seed = 43;
         let (machines, workloads) = catalog();
         let c = request_stream(&machines, &workloads, &opts, &reseeded);
-        let a = request_stream(&machines, &workloads, &opts, &config(StreamPattern::Zipfian));
+        let a = request_stream(
+            &machines,
+            &workloads,
+            &opts,
+            &config(StreamPattern::Zipfian),
+        );
         assert_ne!(a, c, "seed must reach the stream");
     }
 
@@ -424,7 +449,11 @@ mod tests {
             .filter(|r| r.catalog.as_deref() == Some(MIXED_COLD_CATALOG))
             .count();
         let hot = stream.iter().filter(|r| r.catalog.is_none()).count();
-        assert_eq!(cold + hot, stream.len(), "every request belongs to a tenant");
+        assert_eq!(
+            cold + hot,
+            stream.len(),
+            "every request belongs to a tenant"
+        );
         // 10% nominal cold share: allow generous slack, but both tenants
         // must be present and the hot one must dominate.
         assert!(cold > stream.len() / 20, "cold tenant too thin: {cold}");
@@ -434,9 +463,16 @@ mod tests {
         assert_eq!(stream, again);
         // The catalog namespace doubles the distinct-pair count relative
         // to the union of (machine, workload) names each tenant touches.
-        let hot_only: Vec<_> = stream.iter().filter(|r| r.catalog.is_none()).cloned().collect();
-        let cold_only: Vec<_> =
-            stream.iter().filter(|r| r.catalog.is_some()).cloned().collect();
+        let hot_only: Vec<_> = stream
+            .iter()
+            .filter(|r| r.catalog.is_none())
+            .cloned()
+            .collect();
+        let cold_only: Vec<_> = stream
+            .iter()
+            .filter(|r| r.catalog.is_some())
+            .cloned()
+            .collect();
         assert_eq!(
             distinct_pairs(&stream),
             distinct_pairs(&hot_only) + distinct_pairs(&cold_only)

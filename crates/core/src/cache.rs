@@ -87,13 +87,8 @@ impl PairParts {
         run_config: &RunConfig,
         cfg: Arc<Cfg>,
     ) -> Result<Self, CoreError> {
-        let mut session = Session::with_shared_parts(
-            machine,
-            program,
-            run_config.clone(),
-            cfg.clone(),
-            None,
-        );
+        let mut session =
+            Session::with_shared_parts(machine, program, run_config.clone(), cfg.clone(), None);
         let reference = session.shared_reference()?;
         Ok(Self { cfg, reference })
     }
@@ -367,7 +362,9 @@ impl ProfileCache {
     #[must_use]
     pub fn with_capacity(capacity: usize) -> Self {
         let shards = if capacity == 0 {
-            std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get).min(16)
+            std::thread::available_parallelism()
+                .map_or(1, std::num::NonZeroUsize::get)
+                .min(16)
         } else {
             1
         };
@@ -443,7 +440,10 @@ impl ProfileCache {
     }
 
     pub(crate) fn snapshot_backing(&self) -> Option<Arc<SnapshotBacking>> {
-        self.snapshot.lock().expect("snapshot lock never poisoned").clone()
+        self.snapshot
+            .lock()
+            .expect("snapshot lock never poisoned")
+            .clone()
     }
 
     /// Carries an existing backing (with its counters) onto this cache —
@@ -540,10 +540,7 @@ impl ProfileCache {
                 inner.hits += 1;
                 inner.tally(key.catalog).hits += 1;
                 drop(inner);
-                let mut result = flight
-                    .result
-                    .lock()
-                    .expect("in-flight lock never poisoned");
+                let mut result = flight.result.lock().expect("in-flight lock never poisoned");
                 while result.is_none() {
                     result = flight
                         .ready
@@ -590,10 +587,7 @@ impl ProfileCache {
                 inner.evict_over_capacity(self.capacity);
             }
         }
-        let mut result = flight
-            .result
-            .lock()
-            .expect("in-flight lock never poisoned");
+        let mut result = flight.result.lock().expect("in-flight lock never poisoned");
         *result = Some(built.clone());
         flight.ready.notify_all();
         drop(result);
@@ -644,7 +638,10 @@ impl ProfileCache {
     /// Number of resident entries (summed across shards).
     #[must_use]
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| Self::lock_mutex(s).entries.len()).sum()
+        self.shards
+            .iter()
+            .map(|s| Self::lock_mutex(s).entries.len())
+            .sum()
     }
 
     /// Whether the cache is empty.
@@ -789,7 +786,11 @@ mod tests {
                 cache.get_or_build(key, || Ok(parts_for(&program))).unwrap();
             }
         }
-        assert_eq!(tiny.stats().builds, 4, "capacity 1 rebuilds on every alternation");
+        assert_eq!(
+            tiny.stats().builds,
+            4,
+            "capacity 1 rebuilds on every alternation"
+        );
         assert_eq!(big.stats().builds, 2, "unbounded builds once per pair");
         assert_eq!(big.stats().hits, 2);
     }
@@ -856,7 +857,10 @@ mod tests {
         };
         assert_eq!(stats.summary(), "capacity 3 | resident 2 | evictions 4");
         let unbounded = CacheStats::default();
-        assert_eq!(unbounded.summary(), "capacity unbounded | resident 0 | evictions 0");
+        assert_eq!(
+            unbounded.summary(),
+            "capacity unbounded | resident 0 | evictions 0"
+        );
         assert_eq!(format!("{unbounded}"), unbounded.summary());
         let backed = CacheStats {
             snapshot_store: true,
@@ -894,7 +898,10 @@ mod tests {
                 barrier.wait();
                 cache.get_or_build(key(0, 0), || Ok(parts_for(&program)))
             });
-            assert!(a.join().unwrap().is_err(), "the panic propagates to its caller");
+            assert!(
+                a.join().unwrap().is_err(),
+                "the panic propagates to its caller"
+            );
             // The waiter must come back — with the doomed build's error
             // or (if it raced past the cleanup) its own fresh build —
             // never hang on a publication that cannot arrive.
@@ -919,7 +926,11 @@ mod tests {
         cache.get_or_build(PairKey::new(0, 0, 0), build).unwrap();
         cache.get_or_build(PairKey::new(2, 0, 0), build).unwrap();
         let stats = cache.stats();
-        assert_eq!(stats.tenants.len(), 3, "indexed through the highest catalog");
+        assert_eq!(
+            stats.tenants.len(),
+            3,
+            "indexed through the highest catalog"
+        );
         assert_eq!((stats.tenants[0].hits, stats.tenants[0].misses), (1, 1));
         assert_eq!((stats.tenants[1].hits, stats.tenants[1].misses), (0, 0));
         assert_eq!((stats.tenants[2].hits, stats.tenants[2].misses), (0, 1));
@@ -933,8 +944,14 @@ mod tests {
         tiny.get_or_build(PairKey::new(0, 0, 0), build).unwrap();
         let stats = tiny.stats();
         assert_eq!(stats.evictions, 1);
-        assert_eq!((stats.tenants[0].evictions, stats.tenants[0].resident), (0, 1));
-        assert_eq!((stats.tenants[1].evictions, stats.tenants[1].resident), (1, 0));
+        assert_eq!(
+            (stats.tenants[0].evictions, stats.tenants[0].resident),
+            (0, 1)
+        );
+        assert_eq!(
+            (stats.tenants[1].evictions, stats.tenants[1].resident),
+            (1, 0)
+        );
     }
 
     #[test]
@@ -942,9 +959,20 @@ mod tests {
         // Sharding is exact only when eviction is inert, so any bound
         // pins the cache to one shard — whatever the caller asks for.
         assert_eq!(ProfileCache::with_capacity(2).shard_count(), 1);
-        assert_eq!(ProfileCache::with_capacity(2).with_shard_count(8).shard_count(), 1);
-        assert_eq!(ProfileCache::unbounded().with_shard_count(4).shard_count(), 4);
-        assert!(ProfileCache::unbounded().shard_count() >= 1, "auto-sharding picks >= 1");
+        assert_eq!(
+            ProfileCache::with_capacity(2)
+                .with_shard_count(8)
+                .shard_count(),
+            1
+        );
+        assert_eq!(
+            ProfileCache::unbounded().with_shard_count(4).shard_count(),
+            4
+        );
+        assert!(
+            ProfileCache::unbounded().shard_count() >= 1,
+            "auto-sharding picks >= 1"
+        );
         assert_eq!(
             ProfileCache::unbounded().with_shard_count(0).shard_count(),
             1,
@@ -1019,7 +1047,9 @@ mod tests {
                         }
                         for w in 0..3 {
                             let private = PairKey::new(1, t, w);
-                            cache.get_or_build(private, || Ok(parts_for(program))).unwrap();
+                            cache
+                                .get_or_build(private, || Ok(parts_for(program)))
+                                .unwrap();
                         }
                     }
                 });
@@ -1082,8 +1112,7 @@ mod tests {
         let program = kernel();
         let machine = MachineModel::ivy_bridge();
         let cfg = Arc::new(Cfg::build(&program));
-        let parts =
-            PairParts::collect(&machine, &program, &RunConfig::default(), cfg).unwrap();
+        let parts = PairParts::collect(&machine, &program, &RunConfig::default(), cfg).unwrap();
         let mut session = parts.session(&machine, &program, RunConfig::default());
         let total = session.reference().unwrap().total_instructions();
         assert_eq!(total, parts.reference.total_instructions());

@@ -126,7 +126,9 @@ mod tests {
     use ct_sim::{Cpu, MachineModel, RunConfig};
 
     fn diagnose_method(kind: MethodKind) -> Diagnosis {
-        let program = ct_workloads::by_name("latency_biased", 60_000).unwrap().program;
+        let program = ct_workloads::by_name("latency_biased", 60_000)
+            .unwrap()
+            .program;
         let cfg = Cfg::build(&program);
         let machine = MachineModel::ivy_bridge();
         let inst = kind.instantiate(&machine, &MethodOptions::fast()).unwrap();

@@ -359,10 +359,7 @@ impl GridRunner {
             *slots[i].lock().expect("no poisoned slots") = Some(result);
             if self.progress {
                 let d = done.fetch_add(1, Ordering::Relaxed) + 1;
-                eprintln!(
-                    "  [ref {d}/{total}] {} / {}",
-                    machine.name, workload.name
-                );
+                eprintln!("  [ref {d}/{total}] {} / {}", machine.name, workload.name);
             }
         });
         slots
@@ -386,7 +383,13 @@ impl GridRunner {
         repeats: usize,
         base_seed: u64,
     ) -> Vec<Evaluation> {
-        self.run(machines, workloads, |m| GridMethod::standard(m, opts), repeats, base_seed)
+        self.run(
+            machines,
+            workloads,
+            |m| GridMethod::standard(m, opts),
+            repeats,
+            base_seed,
+        )
     }
 
     /// Runs the full grid with custom method columns per machine.
@@ -425,8 +428,7 @@ impl GridRunner {
         }
         let total = tasks.len();
         let done = AtomicUsize::new(0);
-        let slots: Vec<Mutex<Option<ErrorStats>>> =
-            (0..total).map(|_| Mutex::new(None)).collect();
+        let slots: Vec<Mutex<Option<ErrorStats>>> = (0..total).map(|_| Mutex::new(None)).collect();
 
         self.for_each_index(total, |t| {
             let (m, w, k) = tasks[t];
@@ -523,10 +525,7 @@ impl GridRunner {
             }
             if self.progress {
                 let d = done.fetch_add(1, Ordering::Relaxed) + 1;
-                eprintln!(
-                    "  [{d}/{total}] {} / {}",
-                    machine.name, workload.name
-                );
+                eprintln!("  [{d}/{total}] {} / {}", machine.name, workload.name);
             }
         });
         slots
@@ -580,14 +579,12 @@ mod tests {
         let workloads = specs(&program, &run_config);
         let machines = [MachineModel::ivy_bridge(), MachineModel::westmere()];
         let opts = MethodOptions::fast();
-        let serial =
-            GridRunner::new()
-                .threads(1)
-                .run_standard(&machines, &workloads, &opts, 3, 42);
-        let parallel =
-            GridRunner::new()
-                .threads(8)
-                .run_standard(&machines, &workloads, &opts, 3, 42);
+        let serial = GridRunner::new()
+            .threads(1)
+            .run_standard(&machines, &workloads, &opts, 3, 42);
+        let parallel = GridRunner::new()
+            .threads(8)
+            .run_standard(&machines, &workloads, &opts, 3, 42);
         assert_eq!(serial.len(), parallel.len());
         for (a, b) in serial.iter().zip(&parallel) {
             assert_eq!(a.machine, b.machine);
@@ -707,10 +704,9 @@ mod tests {
         let program = kernel();
         let run_config = RunConfig::default();
         let workloads = specs(&program, &run_config);
-        let results =
-            GridRunner::new()
-                .threads(4)
-                .map_pairs(&[], &workloads, |ctx| ctx.machine_index);
+        let results = GridRunner::new()
+            .threads(4)
+            .map_pairs(&[], &workloads, |ctx| ctx.machine_index);
         assert!(results.is_empty());
     }
 
@@ -731,17 +727,15 @@ mod tests {
         let machines = [MachineModel::westmere()];
         // One pair with many threads: the engine must not spawn more
         // workers than tasks, and indices must be (0, 0).
-        let results = GridRunner::new().threads(16).map_pairs(
-            &machines,
-            &workloads,
-            |ctx| {
+        let results = GridRunner::new()
+            .threads(16)
+            .map_pairs(&machines, &workloads, |ctx| {
                 (
                     ctx.machine_index,
                     ctx.workload_index,
                     ctx.reference.total_instructions(),
                 )
-            },
-        );
+            });
         assert_eq!(results.len(), 1);
         let (m, w, total) = results[0].expect("single pair collects");
         assert_eq!((m, w), (0, 0));
@@ -754,16 +748,11 @@ mod tests {
         let run_config = RunConfig::default();
         let workloads = specs(&program, &run_config);
         let machines = [MachineModel::ivy_bridge(), MachineModel::magny_cours()];
-        let results = GridRunner::new().threads(3).map_pairs(
-            &machines,
-            &workloads,
-            |ctx| {
-                (
-                    ctx.machine.name.clone(),
-                    ctx.reference.total_instructions(),
-                )
-            },
-        );
+        let results = GridRunner::new()
+            .threads(3)
+            .map_pairs(&machines, &workloads, |ctx| {
+                (ctx.machine.name.clone(), ctx.reference.total_instructions())
+            });
         assert_eq!(results.len(), 2);
         let (name0, total0) = results[0].as_ref().unwrap();
         assert_eq!(name0, &machines[0].name);

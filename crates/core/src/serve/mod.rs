@@ -1027,7 +1027,9 @@ impl EvalService {
     /// absent means the registry's default.
     #[must_use]
     pub fn with_registry(registry: CatalogRegistry) -> Self {
-        let tenants = (0..registry.len()).map(|_| TenantCounters::default()).collect();
+        let tenants = (0..registry.len())
+            .map(|_| TenantCounters::default())
+            .collect();
         Self {
             registry,
             threads: default_threads(),
@@ -1265,8 +1267,7 @@ impl EvalService {
                 let mut response = match slot.into_inner().expect("no poisoned slots") {
                     Some(body) => body.into_response(request),
                     None => {
-                        let error =
-                            resolution.err().expect("unfilled slots are unresolved");
+                        let error = resolution.err().expect("unfilled slots are unresolved");
                         self.errors.fetch_add(1, Ordering::Relaxed);
                         EvalResponse::err(request, error)
                     }
@@ -1293,7 +1294,10 @@ impl EvalService {
 
         if timing.is_some() {
             let mut window = self.latencies_us.lock().expect("no poisoned stats");
-            for us in responses.iter().filter_map(|r| r.latency.map(|l| l.total_us())) {
+            for us in responses
+                .iter()
+                .filter_map(|r| r.latency.map(|l| l.total_us()))
+            {
                 window.record(us);
             }
         }
@@ -1313,8 +1317,7 @@ impl EvalService {
     pub fn serve_jsonl(&self, requests: &[EvalRequest]) -> String {
         let mut out = String::new();
         for response in self.serve(requests) {
-            serde_json::to_string_into(&response, &mut out)
-                .expect("responses always serialize");
+            serde_json::to_string_into(&response, &mut out).expect("responses always serialize");
             out.push('\n');
         }
         out
@@ -1369,7 +1372,11 @@ impl EvalService {
                 line.clear();
                 // One byte past the cap tells an over-long line from one
                 // that fits.
-                if (&mut reader).take(cap as u64 + 1).read_until(b'\n', &mut line)? == 0 {
+                if (&mut reader)
+                    .take(cap as u64 + 1)
+                    .read_until(b'\n', &mut line)?
+                    == 0
+                {
                     reading = false;
                     break;
                 }
@@ -1506,23 +1513,29 @@ impl EvalService {
             .cache
             .has_snapshot_store()
             .then(|| self.pair_fingerprint(key));
-        let built = self.cache.get_or_build_with_fingerprint(key, fingerprint, || {
-            PairParts::collect(
-                machine,
-                &workload.program,
-                &workload.run_config,
-                catalog.workload_cfg(key.workload),
-            )
-        });
+        let built = self
+            .cache
+            .get_or_build_with_fingerprint(key, fingerprint, || {
+                PairParts::collect(
+                    machine,
+                    &workload.program,
+                    &workload.run_config,
+                    catalog.workload_cfg(key.workload),
+                )
+            });
         let tenant = &self.tenants[key.catalog];
         let (parts, hit) = match built {
             Ok(ok) => ok,
             Err(e) => {
-                self.errors.fetch_add(members.len() as u64, Ordering::Relaxed);
-                tenant.errors.fetch_add(members.len() as u64, Ordering::Relaxed);
+                self.errors
+                    .fetch_add(members.len() as u64, Ordering::Relaxed);
+                tenant
+                    .errors
+                    .fetch_add(members.len() as u64, Ordering::Relaxed);
                 for &i in members {
-                    *slots[i].lock().expect("no poisoned slots") =
-                        Some(ResponseBody::err(format!("reference collection failed: {e}")));
+                    *slots[i].lock().expect("no poisoned slots") = Some(ResponseBody::err(
+                        format!("reference collection failed: {e}"),
+                    ));
                 }
                 return None;
             }
@@ -1579,8 +1592,7 @@ impl EvalService {
         let catalog = self.registry.catalog(key.catalog);
         let machine = &catalog.machines[key.machine];
         let workload = &catalog.workloads[key.workload];
-        let mut session =
-            parts.session(machine, &workload.program, workload.run_config.clone());
+        let mut session = parts.session(machine, &workload.program, workload.run_config.clone());
         let seeds: Vec<u64> = (0..request.effective_runs())
             .map(|r| request_seed(request.seed, r))
             .collect();
@@ -1588,7 +1600,9 @@ impl EvalService {
             Ok(stats) => ResponseBody::ok(stats),
             Err(e) => {
                 self.errors.fetch_add(1, Ordering::Relaxed);
-                self.tenants[key.catalog].errors.fetch_add(1, Ordering::Relaxed);
+                self.tenants[key.catalog]
+                    .errors
+                    .fetch_add(1, Ordering::Relaxed);
                 ResponseBody::err(format!("evaluation failed: {e}"))
             }
         }
@@ -1601,7 +1615,10 @@ impl EvalService {
     /// answers exactly like an unknown machine, in order, never a panic.
     fn resolve(&self, request: &EvalRequest) -> Result<Resolved, String> {
         if request.runs > MAX_RUNS {
-            return Err(format!("runs {} exceeds the limit of {MAX_RUNS}", request.runs));
+            return Err(format!(
+                "runs {} exceeds the limit of {MAX_RUNS}",
+                request.runs
+            ));
         }
         let catalog_index = self.registry.index_of(request.catalog.as_deref())?;
         let catalog = self.registry.catalog(catalog_index);
@@ -1717,9 +1734,21 @@ mod tests {
             EvalRequest::new("Magny-Cours (Opteron 6164 HE)", "k", "classic", 1, 1),
         ];
         let responses = service.serve(&requests);
-        assert!(responses[0].error.as_ref().unwrap().contains("unknown machine"));
-        assert!(responses[1].error.as_ref().unwrap().contains("unknown workload"));
-        assert!(responses[2].error.as_ref().unwrap().contains("unknown method"));
+        assert!(responses[0]
+            .error
+            .as_ref()
+            .unwrap()
+            .contains("unknown machine"));
+        assert!(responses[1]
+            .error
+            .as_ref()
+            .unwrap()
+            .contains("unknown workload"));
+        assert!(responses[2]
+            .error
+            .as_ref()
+            .unwrap()
+            .contains("unknown method"));
         assert!(responses[3].error.as_ref().unwrap().contains("unavailable"));
         assert!(responses[4].is_ok());
         let stats = service.stats();
@@ -1787,7 +1816,10 @@ mod tests {
         assert_eq!(total, 2 * LATENCY_WINDOW as u64);
         assert_eq!(samples.len(), LATENCY_WINDOW);
         assert_eq!(percentile_us(&samples, 1.0), LATENCY_WINDOW as u64 - 1);
-        assert!(percentile_us(&samples, 0.99) < 1_000_000, "old samples rotated out");
+        assert!(
+            percentile_us(&samples, 0.99) < 1_000_000,
+            "old samples rotated out"
+        );
         // A partial wrap keeps the mixed window: the cursor overwrites
         // the oldest slots first.
         let mut partial = LatencyWindow::default();
@@ -1821,10 +1853,14 @@ mod tests {
             run_config: &run_config,
         }];
         let machines = [MachineModel::ivy_bridge()];
-        let service = EvalService::new(&machines, &workloads)
-            .method_options(MethodOptions::fast());
-        let response =
-            service.serve_one(&EvalRequest::new("Ivy Bridge (Xeon E3-1265L)", "k", "classic", 0, 9));
+        let service = EvalService::new(&machines, &workloads).method_options(MethodOptions::fast());
+        let response = service.serve_one(&EvalRequest::new(
+            "Ivy Bridge (Xeon E3-1265L)",
+            "k",
+            "classic",
+            0,
+            9,
+        ));
         assert_eq!(response.stats.unwrap().runs.len(), 1);
     }
 
@@ -1838,13 +1874,18 @@ mod tests {
             run_config: &run_config,
         }];
         let machines = [MachineModel::ivy_bridge()];
-        let service = EvalService::new(&machines, &workloads)
-            .method_options(MethodOptions::fast());
+        let service = EvalService::new(&machines, &workloads).method_options(MethodOptions::fast());
         let at_cap = EvalRequest::new("Ivy Bridge (Xeon E3-1265L)", "k", "classic", MAX_RUNS, 9);
-        let over = EvalRequest { runs: MAX_RUNS + 1, ..at_cap.clone() };
+        let over = EvalRequest {
+            runs: MAX_RUNS + 1,
+            ..at_cap.clone()
+        };
         let response = service.serve_one(&over);
         assert!(response.stats.is_none());
-        assert_eq!(response.error.as_deref(), Some("runs 1001 exceeds the limit of 1000"));
+        assert_eq!(
+            response.error.as_deref(),
+            Some("runs 1001 exceeds the limit of 1000")
+        );
         assert_eq!(service.stats().errors, 1);
         assert_eq!(service.cache_stats().builds, 0, "rejected before attach");
         let response = service.serve_one(&at_cap);
@@ -1914,8 +1955,7 @@ mod tests {
             run_config: &run_config,
         }];
         let machines = [MachineModel::ivy_bridge()];
-        let service = EvalService::new(&machines, &workloads)
-            .method_options(MethodOptions::fast());
+        let service = EvalService::new(&machines, &workloads).method_options(MethodOptions::fast());
         let mut out = Vec::new();
         let stats = service
             .serve_pipelined("".as_bytes(), &mut out, &PipelineOptions::default())
@@ -1940,17 +1980,12 @@ mod tests {
             run_config: &run_config,
         }];
         let machines = [MachineModel::ivy_bridge()];
-        let service = EvalService::new(&machines, &workloads)
-            .method_options(MethodOptions::fast());
+        let service = EvalService::new(&machines, &workloads).method_options(MethodOptions::fast());
         let request = EvalRequest::new("Ivy Bridge (Xeon E3-1265L)", "k", "classic", 1, 3);
         let wire = serde_json::to_string(&request).unwrap() + "\n";
         let mut out = Vec::new();
         let stats = service
-            .serve_pipelined(
-                wire.as_bytes(),
-                &mut out,
-                &PipelineOptions::new().chunk(0),
-            )
+            .serve_pipelined(wire.as_bytes(), &mut out, &PipelineOptions::new().chunk(0))
             .unwrap();
         assert_eq!(stats.requests, 1);
         assert_eq!(stats.chunks, 1);
@@ -1976,12 +2011,15 @@ mod tests {
             run_config: &run_config,
         }];
         let machines = [MachineModel::ivy_bridge()];
-        let service = EvalService::new(&machines, &workloads)
-            .method_options(MethodOptions::fast());
+        let service = EvalService::new(&machines, &workloads).method_options(MethodOptions::fast());
         let request = EvalRequest::new("Ivy Bridge (Xeon E3-1265L)", "k", "classic", 1, 3);
         let wire = serde_json::to_string(&request).unwrap() + "\n";
         let err = service
-            .serve_pipelined(wire.as_bytes(), &mut FailingWriter, &PipelineOptions::default())
+            .serve_pipelined(
+                wire.as_bytes(),
+                &mut FailingWriter,
+                &PipelineOptions::default(),
+            )
             .unwrap_err();
         assert_eq!(err.to_string(), "sink full");
     }

@@ -102,7 +102,9 @@ use super::proto::{self, Negotiated};
 use super::reactor::{run_reactor, AcceptSource, ConnectionRegistry};
 use super::{EvalService, PipelineOptions};
 use std::io::{BufReader, BufWriter, Read, Write};
-use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{
+    IpAddr, Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs,
+};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -357,11 +359,7 @@ impl EvalServer {
     /// # Errors
     ///
     /// Exactly as [`EvalServer::serve`]: only listener-level errors.
-    pub fn serve_with<H>(
-        &self,
-        service: &EvalService,
-        handler: H,
-    ) -> Result<NetStats, AcceptError>
+    pub fn serve_with<H>(&self, service: &EvalService, handler: H) -> Result<NetStats, AcceptError>
     where
         H: Fn(&EvalService, &TcpStream, &PipelineOptions) -> std::io::Result<super::PipelineStats>
             + Sync,
@@ -607,8 +605,11 @@ mod tests {
         )
         .unwrap();
         let run_config = RunConfig::default();
-        let workloads =
-            [WorkloadSpec { name: "k", program: &program, run_config: &run_config }];
+        let workloads = [WorkloadSpec {
+            name: "k",
+            program: &program,
+            run_config: &run_config,
+        }];
         let machines = [MachineModel::ivy_bridge()];
         let service = EvalService::new(&machines, &workloads)
             .method_options(MethodOptions::fast())

@@ -186,7 +186,10 @@ impl std::fmt::Display for FrameError {
             Self::Io(e) => write!(f, "i/o error: {e}"),
             Self::Truncated => write!(f, "truncated frame"),
             Self::Oversized(len) => {
-                write!(f, "oversized frame payload ({len} > {MAX_FRAME_PAYLOAD} bytes)")
+                write!(
+                    f,
+                    "oversized frame payload ({len} > {MAX_FRAME_PAYLOAD} bytes)"
+                )
             }
             Self::BadKind(b) => write!(f, "unknown frame kind {b:#04x}"),
         }
@@ -341,9 +344,7 @@ pub(crate) fn serve_v2(
                         let line_no = line_numbers.entry(frame.stream).or_insert(0);
                         *line_no += 1;
                         chunk.push_line(frame.stream, *line_no, &frame.payload);
-                        if chunk.lines.len() >= options.chunk.max(1)
-                            || reader.buffer().is_empty()
-                        {
+                        if chunk.lines.len() >= options.chunk.max(1) || reader.buffer().is_empty() {
                             // Burst full, or nothing already buffered:
                             // answer what we have before blocking again
                             // (request/response clients wait on it).
@@ -472,9 +473,8 @@ impl V2Client {
             Ok(None) => Ok(None),
             Ok(Some(frame)) => match frame.kind {
                 FrameKind::Resp => {
-                    let text = String::from_utf8(frame.payload).map_err(|e| {
-                        io::Error::new(io::ErrorKind::InvalidData, e.to_string())
-                    })?;
+                    let text = String::from_utf8(frame.payload)
+                        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
                     Ok(Some((frame.stream, text)))
                 }
                 FrameKind::Err => Err(io::Error::new(
@@ -537,11 +537,7 @@ const SEND_COALESCE_BYTES: usize = 16 * 1024;
 /// at round boundaries once it passes `coalesce` bytes (and always at
 /// the end). The byte sequence on the wire is identical for every
 /// `coalesce` value — only the write granularity changes.
-fn send_streams<W: Write>(
-    writer: &mut W,
-    streams: &[String],
-    coalesce: usize,
-) -> io::Result<()> {
+fn send_streams<W: Write>(writer: &mut W, streams: &[String], coalesce: usize) -> io::Result<()> {
     let mut buf: Vec<u8> = Vec::new();
     let mut cursors: Vec<std::str::Lines<'_>> = streams.iter().map(|s| s.lines()).collect();
     // Round-robin across streams: one line from each stream per turn —
@@ -650,9 +646,7 @@ pub fn exchange_v2_with(
                     }
                 },
                 Err(FrameError::Io(e)) => return Err(e),
-                Err(e) => {
-                    return Err(io::Error::new(io::ErrorKind::InvalidData, e.to_string()))
-                }
+                Err(e) => return Err(io::Error::new(io::ErrorKind::InvalidData, e.to_string())),
             }
         }
         sender.join().expect("sender thread never panics")
@@ -667,7 +661,12 @@ mod tests {
 
     #[test]
     fn frame_round_trip_all_kinds() {
-        for kind in [FrameKind::Req, FrameKind::Resp, FrameKind::Err, FrameKind::Bye] {
+        for kind in [
+            FrameKind::Req,
+            FrameKind::Resp,
+            FrameKind::Err,
+            FrameKind::Bye,
+        ] {
             let payload = b"{\"x\":1}".to_vec();
             let mut wire = Vec::new();
             write_frame(&mut wire, kind, 0xDEAD_BEEF, &payload).unwrap();
@@ -687,7 +686,10 @@ mod tests {
         let frame = read_frame(&mut cursor).unwrap().unwrap();
         assert_eq!(frame.kind, FrameKind::Bye);
         assert!(frame.payload.is_empty());
-        assert!(read_frame(&mut cursor).unwrap().is_none(), "EOF at boundary");
+        assert!(
+            read_frame(&mut cursor).unwrap().is_none(),
+            "EOF at boundary"
+        );
     }
 
     #[test]
@@ -696,10 +698,7 @@ mod tests {
         write_frame(&mut wire, FrameKind::Req, 3, b"hello").unwrap();
         for cut in 1..wire.len() {
             let err = read_frame(&mut &wire[..cut]).unwrap_err();
-            assert!(
-                matches!(err, FrameError::Truncated),
-                "cut at {cut}: {err}"
-            );
+            assert!(matches!(err, FrameError::Truncated), "cut at {cut}: {err}");
         }
     }
 
@@ -783,7 +782,11 @@ mod tests {
             "a large exchange must leave in installments, got {} writes",
             recorder.writes.len()
         );
-        assert_eq!(recorder.flushes, recorder.writes.len(), "one flush per installment");
+        assert_eq!(
+            recorder.flushes,
+            recorder.writes.len(),
+            "one flush per installment"
+        );
         // Nothing stranded: every installment except the last already
         // passed the threshold when it shipped.
         for &w in &recorder.writes[..recorder.writes.len() - 1] {
@@ -792,8 +795,15 @@ mod tests {
         // And the wire bytes are identical to a single-shot send.
         let mut single = RecordingWriter::new();
         send_streams(&mut single, &streams, usize::MAX).unwrap();
-        assert_eq!(single.writes.len(), 1, "usize::MAX threshold means one write");
-        assert_eq!(recorder.bytes, single.bytes, "coalescing never changes the bytes");
+        assert_eq!(
+            single.writes.len(),
+            1,
+            "usize::MAX threshold means one write"
+        );
+        assert_eq!(
+            recorder.bytes, single.bytes,
+            "coalescing never changes the bytes"
+        );
     }
 
     #[test]

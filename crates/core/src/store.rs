@@ -147,7 +147,10 @@ impl fmt::Display for StoreError {
         match self {
             Self::BadMagic => write!(f, "not a snapshot (bad magic)"),
             Self::UnsupportedVersion(v) => {
-                write!(f, "unsupported snapshot version {v} (expected {SNAPSHOT_VERSION})")
+                write!(
+                    f,
+                    "unsupported snapshot version {v} (expected {SNAPSHOT_VERSION})"
+                )
             }
             Self::FingerprintMismatch { expected, found } => write!(
                 f,
@@ -155,7 +158,10 @@ impl fmt::Display for StoreError {
                  ({expected:#018x}) — stale snapshot"
             ),
             Self::Truncated { needed, available } => {
-                write!(f, "snapshot truncated (needed {needed} bytes, have {available})")
+                write!(
+                    f,
+                    "snapshot truncated (needed {needed} bytes, have {available})"
+                )
             }
             Self::ChecksumMismatch { stored, computed } => write!(
                 f,
@@ -237,7 +243,8 @@ impl SnapshotWriter {
 
     /// Appends one length-prefixed section.
     pub fn section(&mut self, bytes: &[u8]) {
-        self.buf.extend_from_slice(&(bytes.len() as u64).to_le_bytes());
+        self.buf
+            .extend_from_slice(&(bytes.len() as u64).to_le_bytes());
         self.buf.extend_from_slice(bytes);
     }
 
@@ -254,7 +261,11 @@ impl SnapshotWriter {
     #[must_use]
     pub fn encode(fingerprint: u64, parts: &PairParts) -> Vec<u8> {
         let mut w = Self::new(fingerprint);
-        w.section(serde_json::to_string(&*parts.cfg).expect("CFG serializes").as_bytes());
+        w.section(
+            serde_json::to_string(&*parts.cfg)
+                .expect("CFG serializes")
+                .as_bytes(),
+        );
         w.section(
             serde_json::to_string(&*parts.reference)
                 .expect("reference profile serializes")
@@ -287,13 +298,19 @@ impl<'a> SnapshotReader<'a> {
     /// [`StoreError::ChecksumMismatch`].
     pub fn open(bytes: &'a [u8]) -> Result<Self, StoreError> {
         if bytes.len() < 8 {
-            return Err(StoreError::Truncated { needed: 8, available: bytes.len() });
+            return Err(StoreError::Truncated {
+                needed: 8,
+                available: bytes.len(),
+            });
         }
         if bytes[..8] != SNAPSHOT_MAGIC {
             return Err(StoreError::BadMagic);
         }
         if bytes.len() < 12 {
-            return Err(StoreError::Truncated { needed: 12, available: bytes.len() });
+            return Err(StoreError::Truncated {
+                needed: 12,
+                available: bytes.len(),
+            });
         }
         let version = u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes"));
         if version != SNAPSHOT_VERSION {
@@ -311,8 +328,7 @@ impl<'a> SnapshotReader<'a> {
         if stored != computed {
             return Err(StoreError::ChecksumMismatch { stored, computed });
         }
-        let fingerprint =
-            u64::from_le_bytes(bytes[12..HEADER_LEN].try_into().expect("8 bytes"));
+        let fingerprint = u64::from_le_bytes(bytes[12..HEADER_LEN].try_into().expect("8 bytes"));
         Ok(Self {
             body: &bytes[HEADER_LEN..body_end],
             pos: 0,
@@ -336,7 +352,10 @@ impl<'a> SnapshotReader<'a> {
         if self.fingerprint == expected {
             Ok(())
         } else {
-            Err(StoreError::FingerprintMismatch { expected, found: self.fingerprint })
+            Err(StoreError::FingerprintMismatch {
+                expected,
+                found: self.fingerprint,
+            })
         }
     }
 
@@ -349,17 +368,27 @@ impl<'a> SnapshotReader<'a> {
     pub fn section(&mut self) -> Result<&'a [u8], StoreError> {
         let remaining = self.body.len() - self.pos;
         if remaining < 8 {
-            return Err(StoreError::Truncated { needed: 8, available: remaining });
+            return Err(StoreError::Truncated {
+                needed: 8,
+                available: remaining,
+            });
         }
         let len = u64::from_le_bytes(
-            self.body[self.pos..self.pos + 8].try_into().expect("8 bytes"),
+            self.body[self.pos..self.pos + 8]
+                .try_into()
+                .expect("8 bytes"),
         );
         self.pos += 8;
         let remaining = self.body.len() - self.pos;
-        let len = usize::try_from(len)
-            .map_err(|_| StoreError::Truncated { needed: usize::MAX, available: remaining })?;
+        let len = usize::try_from(len).map_err(|_| StoreError::Truncated {
+            needed: usize::MAX,
+            available: remaining,
+        })?;
         if remaining < len {
-            return Err(StoreError::Truncated { needed: len, available: remaining });
+            return Err(StoreError::Truncated {
+                needed: len,
+                available: remaining,
+            });
         }
         let section = &self.body[self.pos..self.pos + len];
         self.pos += len;
@@ -523,7 +552,10 @@ mod tests {
 
         let mut magic = bytes.clone();
         magic[0] ^= 0x01;
-        assert_eq!(SnapshotReader::open(&magic).err(), Some(StoreError::BadMagic));
+        assert_eq!(
+            SnapshotReader::open(&magic).err(),
+            Some(StoreError::BadMagic)
+        );
 
         let mut version = bytes.clone();
         version[8] = 0xEE;
@@ -546,7 +578,10 @@ mod tests {
 
         assert_eq!(
             SnapshotReader::decode(&bytes, 8).err(),
-            Some(StoreError::FingerprintMismatch { expected: 8, found: 7 })
+            Some(StoreError::FingerprintMismatch {
+                expected: 8,
+                found: 7
+            })
         );
     }
 
@@ -576,7 +611,13 @@ mod tests {
         );
         assert_ne!(
             base,
-            pair_fingerprint("default", &MachineModel::westmere(), &program, &RunConfig::default(), &opts)
+            pair_fingerprint(
+                "default",
+                &MachineModel::westmere(),
+                &program,
+                &RunConfig::default(),
+                &opts
+            )
         );
         assert_ne!(
             base,
@@ -590,7 +631,13 @@ mod tests {
         );
         assert_ne!(
             base,
-            pair_fingerprint("default", &machine, &program, &RunConfig::default(), &MethodOptions::default())
+            pair_fingerprint(
+                "default",
+                &machine,
+                &program,
+                &RunConfig::default(),
+                &MethodOptions::default()
+            )
         );
     }
 
@@ -599,10 +646,16 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("ctstore_unit_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let store = SnapshotStore::new(&dir);
-        assert!(store.load(1).unwrap().is_none(), "cold store is not an error");
+        assert!(
+            store.load(1).unwrap().is_none(),
+            "cold store is not an error"
+        );
         let parts = demo_parts();
         store.save(1, &parts).expect("save succeeds");
-        let back = store.load(1).expect("load succeeds").expect("snapshot present");
+        let back = store
+            .load(1)
+            .expect("load succeeds")
+            .expect("snapshot present");
         assert_eq!(*back.cfg, *parts.cfg);
         // Corrupt the file: load must reject, not panic.
         let path = store.path_for(1);

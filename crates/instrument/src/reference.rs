@@ -334,8 +334,7 @@ mod tests {
     fn audit_observes_collections() {
         let p = assemble("t", ".func main\n halt\n.endfunc\n").unwrap();
         let audit = CollectionAudit::begin();
-        ReferenceProfile::collect(&MachineModel::ivy_bridge(), &p, &RunConfig::default())
-            .unwrap();
+        ReferenceProfile::collect(&MachineModel::ivy_bridge(), &p, &RunConfig::default()).unwrap();
         // `>=`: sibling tests collect concurrently against the same
         // process-global counter.
         assert!(audit.collections() >= 1);

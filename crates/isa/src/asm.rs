@@ -350,25 +350,16 @@ impl<'o> Assembler<'o> {
     fn init_directive(&mut self, rest: &str, ctx: Ctx<'_>) -> Result<(), IsaError> {
         let parts: Vec<&str> = rest.split(',').map(str::trim).collect();
         if parts.len() < 2 || parts[0].is_empty() {
-            return Err(ctx.err(
-                rest,
-                ".init takes `index, value…` or `lo..hi, value`",
-            ));
+            return Err(ctx.err(rest, ".init takes `index, value…` or `lo..hi, value`"));
         }
         if let Some((lo_text, hi_text)) = parts[0].split_once("..") {
             if parts.len() != 2 {
-                return Err(ctx.err(
-                    parts[2],
-                    ".init range fill takes exactly one value",
-                ));
+                return Err(ctx.err(parts[2], ".init range fill takes exactly one value"));
             }
             let lo = self.eval_index(lo_text, ctx, ".init range start")?;
             let hi = self.eval_index(hi_text, ctx, ".init range end")?;
             if hi < lo {
-                return Err(ctx.err(
-                    parts[0],
-                    format!(".init range {lo}..{hi} is reversed"),
-                ));
+                return Err(ctx.err(parts[0], format!(".init range {lo}..{hi} is reversed")));
             }
             // Bound the range BEFORE the fill loop: a huge `hi` must be
             // a diagnostic, not 2^60 pushes.
@@ -429,7 +420,11 @@ impl<'o> Assembler<'o> {
         macro_rules! rri {
             ($variant:ident) => {{
                 expect_ops(&ops, 3, mnemonic, ctx)?;
-                Opcode::$variant(reg(ops[0], ctx)?, reg(ops[1], ctx)?, self.eval(ops[2], ctx)?)
+                Opcode::$variant(
+                    reg(ops[0], ctx)?,
+                    reg(ops[1], ctx)?,
+                    self.eval(ops[2], ctx)?,
+                )
             }};
         }
         macro_rules! fff {
@@ -617,9 +612,10 @@ impl ExprParser<'_, '_> {
         let v = self.expr()?;
         self.skip_ws();
         if !self.rest.is_empty() {
-            return Err(self
-                .ctx
-                .err(self.rest, format!("trailing `{}` after expression", self.rest)));
+            return Err(self.ctx.err(
+                self.rest,
+                format!("trailing `{}` after expression", self.rest),
+            ));
         }
         Ok(v)
     }
@@ -732,13 +728,15 @@ impl ExprParser<'_, '_> {
                 .unwrap_or(start.len());
             let (tok, rest) = start.split_at(len);
             self.rest = rest;
-            return self.consts.get(tok).copied().ok_or_else(|| {
-                IsaError::UndefinedConst {
+            return self
+                .consts
+                .get(tok)
+                .copied()
+                .ok_or_else(|| IsaError::UndefinedConst {
                     line: self.ctx.line,
                     col: self.ctx.col_of(tok),
                     name: tok.to_string(),
-                }
-            });
+                });
         }
         Err(self
             .ctx
@@ -877,7 +875,14 @@ mod tests {
     #[test]
     fn unknown_mnemonic_errors() {
         let e = assemble("t", ".func main\n frobnicate r1\n.endfunc\n").unwrap_err();
-        assert!(matches!(e, IsaError::Parse { line: 2, col: 2, .. }));
+        assert!(matches!(
+            e,
+            IsaError::Parse {
+                line: 2,
+                col: 2,
+                ..
+            }
+        ));
     }
 
     #[test]
@@ -994,8 +999,11 @@ mod tests {
 
     #[test]
     fn duplicate_const_is_typed_error() {
-        let e = assemble("t", ".const A = 1\n.const A = 2\n.func main\n halt\n.endfunc\n")
-            .unwrap_err();
+        let e = assemble(
+            "t",
+            ".const A = 1\n.const A = 2\n.func main\n halt\n.endfunc\n",
+        )
+        .unwrap_err();
         assert_eq!(
             e,
             IsaError::DuplicateConst {
@@ -1211,8 +1219,7 @@ mod tests {
 
     #[test]
     fn malformed_nested_func_names_the_open_function() {
-        let (line, _, detail) =
-            parse_err(".func main\n.func inner\n halt\n.endfunc\n.endfunc\n");
+        let (line, _, detail) = parse_err(".func main\n.func inner\n halt\n.endfunc\n.endfunc\n");
         assert_eq!(line, 2);
         assert!(detail.contains("`main`"));
     }

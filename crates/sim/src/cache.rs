@@ -83,7 +83,10 @@ impl Level {
                 victim = w;
             }
         }
-        set[victim] = Way { tag: line, stamp: now };
+        set[victim] = Way {
+            tag: line,
+            stamp: now,
+        };
         false
     }
 }

@@ -1160,7 +1160,10 @@ mod tests {
         let mut m = MachineModel::ivy_bridge();
         m.cache.l1_ways = m.cache.l1_words; // ways > lines
         let err = run_with(&m, &p, &RunConfig::default(), &mut NullObserver).unwrap_err();
-        assert!(matches!(err, SimError::BadCacheGeometry { level: "L1", .. }));
+        assert!(matches!(
+            err,
+            SimError::BadCacheGeometry { level: "L1", .. }
+        ));
     }
 
     #[test]

@@ -330,7 +330,11 @@ mod tests {
             .collect();
         assert_eq!(intel.len(), 2);
         for m in &intel {
-            assert!(paper.contains(&m.name), "{} not in the paper matrix", m.name);
+            assert!(
+                paper.contains(&m.name),
+                "{} not in the paper matrix",
+                m.name
+            );
             assert!(m.pmu.lbr_depth > 0, "{} must support LBR", m.name);
         }
     }

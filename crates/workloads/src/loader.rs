@@ -224,8 +224,9 @@ fn parse_manifest(path: &Path, text: &str, limits: &LoaderLimits) -> Result<Mani
                 .map_err(|_| bad(path, format!("scaled `{cname}`: `base` must be an integer")))?;
             let min = match spec.get("min") {
                 None => 0,
-                Some(m) => as_u64(m)
-                    .ok_or_else(|| bad(path, format!("scaled `{cname}`: bad `min`")))?,
+                Some(m) => {
+                    as_u64(m).ok_or_else(|| bad(path, format!("scaled `{cname}`: bad `min`")))?
+                }
             };
             scaled.push((cname.clone(), base, min));
         }
@@ -236,8 +237,8 @@ fn parse_manifest(path: &Path, text: &str, limits: &LoaderLimits) -> Result<Mani
             return Err(bad(path, "`run_config` must be a map"));
         }
         if let Some(mi) = rc.get("max_insns") {
-            run_config.max_insns = as_u64(mi)
-                .ok_or_else(|| bad(path, "`run_config.max_insns` must be an integer"))?;
+            run_config.max_insns =
+                as_u64(mi).ok_or_else(|| bad(path, "`run_config.max_insns` must be an integer"))?;
         }
         if let Some(args) = rc.get("args") {
             let seq = args
@@ -246,7 +247,8 @@ fn parse_manifest(path: &Path, text: &str, limits: &LoaderLimits) -> Result<Mani
             run_config.args = seq
                 .iter()
                 .map(|a| {
-                    as_i64(a).ok_or_else(|| bad(path, "`run_config.args` must be a list of integers"))
+                    as_i64(a)
+                        .ok_or_else(|| bad(path, "`run_config.args` must be a list of integers"))
                 })
                 .collect::<Result<_, _>>()?;
         }
@@ -316,14 +318,18 @@ pub fn load_pair(
 /// Assembles and limit-checks an already-parsed manifest against its
 /// source — the single back half shared by [`load_pair`], [`load_dir`]
 /// and [`load_named`], so each manifest is parsed exactly once.
-fn compile(path: &Path, m: Manifest, source_text: &str, scale: f64) -> Result<Workload, LoaderError> {
+fn compile(
+    path: &Path,
+    m: Manifest,
+    source_text: &str,
+    scale: f64,
+) -> Result<Workload, LoaderError> {
     let overrides: Vec<(String, i64)> = m
         .scaled
         .iter()
         .map(|(name, base, min)| (name.clone(), scaled_value(*base, *min, scale)))
         .collect();
-    let override_refs: Vec<(&str, i64)> =
-        overrides.iter().map(|(n, v)| (n.as_str(), *v)).collect();
+    let override_refs: Vec<(&str, i64)> = overrides.iter().map(|(n, v)| (n.as_str(), *v)).collect();
     let program =
         asm::assemble_with(&m.program_name, source_text, &override_refs).map_err(|error| {
             LoaderError::Assemble {

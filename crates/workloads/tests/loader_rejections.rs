@@ -65,14 +65,21 @@ impl Drop for Scratch {
 fn well_formed_pair_loads() {
     let w = load(&manifest(""), OK_SOURCE).unwrap();
     assert_eq!(w.name, "demo");
-    assert_eq!(w.program.insns[0].op, ct_isa::Opcode::MovI(ct_isa::Reg::new(1), 1000));
+    assert_eq!(
+        w.program.insns[0].op,
+        ct_isa::Opcode::MovI(ct_isa::Reg::new(1), 1000)
+    );
 }
 
 #[test]
 fn oversized_data_segment_is_rejected() {
     let m = manifest(",\n  \"limits\": { \"max_data_words\": 4 }");
     match load(&m, OK_SOURCE).unwrap_err() {
-        LoaderError::DataSegmentTooLarge { workload, words, limit } => {
+        LoaderError::DataSegmentTooLarge {
+            workload,
+            words,
+            limit,
+        } => {
             assert_eq!(workload, "demo");
             assert_eq!(words, 8);
             assert_eq!(limit, 4);
@@ -85,8 +92,14 @@ fn oversized_data_segment_is_rejected() {
 fn enforced_data_cap_applies_even_without_declared_limits() {
     let mut limits = LoaderLimits::default();
     limits.max_data_words = 4;
-    let e = loader::load_pair(Path::new("test.json"), &manifest(""), OK_SOURCE, 1.0, &limits)
-        .unwrap_err();
+    let e = loader::load_pair(
+        Path::new("test.json"),
+        &manifest(""),
+        OK_SOURCE,
+        1.0,
+        &limits,
+    )
+    .unwrap_err();
     assert!(matches!(e, LoaderError::DataSegmentTooLarge { .. }));
 }
 
@@ -97,7 +110,10 @@ fn declared_limits_cannot_widen_enforced_caps() {
     // The manifest declares a generous limit; the enforced cap still wins.
     let m = manifest(",\n  \"limits\": { \"max_data_words\": 1000000 }");
     let e = loader::load_pair(Path::new("test.json"), &m, OK_SOURCE, 1.0, &limits).unwrap_err();
-    assert!(matches!(e, LoaderError::DataSegmentTooLarge { limit: 4, .. }));
+    assert!(matches!(
+        e,
+        LoaderError::DataSegmentTooLarge { limit: 4, .. }
+    ));
 }
 
 #[test]
@@ -118,7 +134,9 @@ fn step_limit_overflow_is_rejected() {
         ",\n  \"run_config\": { \"max_insns\": 5000 },\n  \"limits\": { \"max_step_limit\": 4999 }",
     );
     match load(&m, OK_SOURCE).unwrap_err() {
-        LoaderError::StepLimitTooLarge { max_insns, limit, .. } => {
+        LoaderError::StepLimitTooLarge {
+            max_insns, limit, ..
+        } => {
             assert_eq!(max_insns, 5000);
             assert_eq!(limit, 4999);
         }
@@ -219,8 +237,8 @@ fn missing_source_file_is_io_error() {
 
 #[test]
 fn missing_directory_is_io_error() {
-    let e = loader::load_dir("/nonexistent/catalog/dir", 1.0, &LoaderLimits::default())
-        .unwrap_err();
+    let e =
+        loader::load_dir("/nonexistent/catalog/dir", 1.0, &LoaderLimits::default()).unwrap_err();
     assert!(matches!(e, LoaderError::Io { .. }));
 }
 

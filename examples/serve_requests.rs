@@ -45,11 +45,10 @@ fn main() {
     let apps = ct_workloads::applications(0.01);
     let app_specs = workload_specs(&apps);
 
-    let registry = CatalogRegistry::new(Catalog::new(&machines, &kernel_specs))
-        .register(
-            "apps",
-            Catalog::new(&intel, &app_specs).method_options(MethodOptions::fast()),
-        );
+    let registry = CatalogRegistry::new(Catalog::new(&machines, &kernel_specs)).register(
+        "apps",
+        Catalog::new(&intel, &app_specs).method_options(MethodOptions::fast()),
+    );
 
     // What clients send over the wire: one JSON request per line. Lines
     // 1–2 hit the default catalog (no `catalog` field — the pre-registry
@@ -134,8 +133,8 @@ this line is not a request at all
     use countertrust::serve::net::{EvalServer, NetOptions};
     use countertrust::serve::proto::exchange_v2;
 
-    let server = EvalServer::listen("127.0.0.1:0", NetOptions::default())
-        .expect("loopback listener binds");
+    let server =
+        EvalServer::listen("127.0.0.1:0", NetOptions::default()).expect("loopback listener binds");
     let addr = server.local_addr();
     let handle = server.handle();
     let streams = [
@@ -206,8 +205,8 @@ this line is not a request at all
     let service = service
         .workload_dir(&dir, 0.5)
         .expect("catalog directory is well-formed");
-    let server = EvalServer::listen("127.0.0.1:0", NetOptions::default())
-        .expect("loopback listener binds");
+    let server =
+        EvalServer::listen("127.0.0.1:0", NetOptions::default()).expect("loopback listener binds");
     let addr = server.local_addr();
     let handle = server.handle();
     let wire = format!(

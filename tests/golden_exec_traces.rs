@@ -125,13 +125,8 @@ fn trace(machine: &MachineModel, workload: &ct_workloads::Workload) -> Trace {
         fnv: Fnv::new(),
         events: 0,
     };
-    let summary: RunSummary = run_with(
-        machine,
-        &workload.program,
-        &workload.run_config,
-        &mut obs,
-    )
-    .expect("registry workloads run to completion");
+    let summary: RunSummary = run_with(machine, &workload.program, &workload.run_config, &mut obs)
+        .expect("registry workloads run to completion");
     assert_eq!(
         obs.events, summary.instructions,
         "observer must see every retired instruction"
@@ -167,33 +162,276 @@ type GoldenRow = (
 const GOLDEN: &[GoldenRow] = &[
     // (machine, workload, digest, instructions, cycles, result,
     //  (bp_lookups, mispredicts), (l1_hits, l2_hits, mem_accesses))
-    ("Magny-Cours (Opteron 6164 HE)", "latency_biased", 0x1c4916f68012996f, 152005, 769540, 1, (38000, 19002), (0, 0, 0)),
-    ("Magny-Cours (Opteron 6164 HE)", "callchain", 0x56a3ae52a0b86b86, 162802, 54307, 0, (1850, 2), (0, 0, 0)),
-    ("Magny-Cours (Opteron 6164 HE)", "g4box", 0xc9ca65f18a32a49d, 100323, 137286, 13607, (28281, 5356), (0, 0, 0)),
-    ("Magny-Cours (Opteron 6164 HE)", "test40", 0xd81acac1ffff8c1f, 99688, 154024, 27, (12684, 3753), (0, 0, 0)),
-    ("Magny-Cours (Opteron 6164 HE)", "mcf", 0xa0733e81d218fc11, 473566, 313377, 12877, (71268, 3907), (77610, 8534, 8192)),
-    ("Magny-Cours (Opteron 6164 HE)", "povray", 0xca83a51610be1f0c, 207204, 579514, 2720, (16900, 7031), (0, 0, 0)),
-    ("Magny-Cours (Opteron 6164 HE)", "omnetpp", 0x45d02a5f9fab75e2, 300723, 317400, 13393, (64058, 9582), (100731, 0, 89)),
-    ("Magny-Cours (Opteron 6164 HE)", "xalancbmk", 0xb5812cc99abd5aed, 3237845, 7867204, 1318517, (920170, 329725), (851918, 399, 1025)),
-    ("Magny-Cours (Opteron 6164 HE)", "fullcms", 0xc295f22039c2e7a3, 99032, 227685, 1, (17332, 3763), (0, 0, 0)),
-    ("Westmere (Xeon X5650)", "latency_biased", 0x54c1ba8482c87fbb, 152005, 551036, 1, (38000, 19002), (0, 0, 0)),
-    ("Westmere (Xeon X5650)", "callchain", 0xdae2fb099c1d818f, 162802, 40734, 0, (1850, 2), (0, 0, 0)),
-    ("Westmere (Xeon X5650)", "g4box", 0xfb10f851e299e142, 100323, 113093, 13607, (28281, 5356), (0, 0, 0)),
-    ("Westmere (Xeon X5650)", "test40", 0xcf39c463b1bb5127, 99688, 130194, 27, (12684, 3753), (0, 0, 0)),
-    ("Westmere (Xeon X5650)", "mcf", 0x95a21dba613331d5, 473566, 981433, 12877, (71268, 3907), (77135, 3819, 13382)),
-    ("Westmere (Xeon X5650)", "povray", 0x8562394fba3c3021, 207204, 511383, 2720, (16900, 7031), (0, 0, 0)),
-    ("Westmere (Xeon X5650)", "omnetpp", 0x4de8422dea1af65e, 300723, 268686, 13393, (64058, 9582), (100731, 0, 89)),
-    ("Westmere (Xeon X5650)", "xalancbmk", 0xede33cd303c17913, 3237845, 7118246, 1318517, (920170, 329725), (801117, 51200, 1025)),
-    ("Westmere (Xeon X5650)", "fullcms", 0xbec496c7086a5871, 99032, 197307, 1, (17332, 3763), (0, 0, 0)),
-    ("Ivy Bridge (Xeon E3-1265L)", "latency_biased", 0x5980c5d141983c18, 152005, 465530, 1, (38000, 19002), (0, 0, 0)),
-    ("Ivy Bridge (Xeon E3-1265L)", "callchain", 0x6c5e88a712686067, 162802, 40728, 0, (1850, 2), (0, 0, 0)),
-    ("Ivy Bridge (Xeon E3-1265L)", "g4box", 0xcd5319af439eeb24, 100323, 97025, 13607, (28281, 5356), (0, 0, 0)),
-    ("Ivy Bridge (Xeon E3-1265L)", "test40", 0x993efff8035a3473, 99688, 109785, 27, (12684, 3753), (0, 0, 0)),
-    ("Ivy Bridge (Xeon E3-1265L)", "mcf", 0x9b0fa494ee74de34, 473566, 969712, 12877, (71268, 3907), (77135, 3819, 13382)),
-    ("Ivy Bridge (Xeon E3-1265L)", "povray", 0xdceaad6dd09bb236, 207204, 426450, 2720, (16900, 7031), (0, 0, 0)),
-    ("Ivy Bridge (Xeon E3-1265L)", "omnetpp", 0xa7b9defae8b84d23, 300723, 239940, 13393, (64058, 9582), (100731, 0, 89)),
-    ("Ivy Bridge (Xeon E3-1265L)", "xalancbmk", 0x64dff5e37767113c, 3237845, 6129071, 1318517, (920170, 329725), (801117, 51200, 1025)),
-    ("Ivy Bridge (Xeon E3-1265L)", "fullcms", 0x75c1078350221786, 99032, 162918, 1, (17332, 3763), (0, 0, 0)),
+    (
+        "Magny-Cours (Opteron 6164 HE)",
+        "latency_biased",
+        0x1c4916f68012996f,
+        152005,
+        769540,
+        1,
+        (38000, 19002),
+        (0, 0, 0),
+    ),
+    (
+        "Magny-Cours (Opteron 6164 HE)",
+        "callchain",
+        0x56a3ae52a0b86b86,
+        162802,
+        54307,
+        0,
+        (1850, 2),
+        (0, 0, 0),
+    ),
+    (
+        "Magny-Cours (Opteron 6164 HE)",
+        "g4box",
+        0xc9ca65f18a32a49d,
+        100323,
+        137286,
+        13607,
+        (28281, 5356),
+        (0, 0, 0),
+    ),
+    (
+        "Magny-Cours (Opteron 6164 HE)",
+        "test40",
+        0xd81acac1ffff8c1f,
+        99688,
+        154024,
+        27,
+        (12684, 3753),
+        (0, 0, 0),
+    ),
+    (
+        "Magny-Cours (Opteron 6164 HE)",
+        "mcf",
+        0xa0733e81d218fc11,
+        473566,
+        313377,
+        12877,
+        (71268, 3907),
+        (77610, 8534, 8192),
+    ),
+    (
+        "Magny-Cours (Opteron 6164 HE)",
+        "povray",
+        0xca83a51610be1f0c,
+        207204,
+        579514,
+        2720,
+        (16900, 7031),
+        (0, 0, 0),
+    ),
+    (
+        "Magny-Cours (Opteron 6164 HE)",
+        "omnetpp",
+        0x45d02a5f9fab75e2,
+        300723,
+        317400,
+        13393,
+        (64058, 9582),
+        (100731, 0, 89),
+    ),
+    (
+        "Magny-Cours (Opteron 6164 HE)",
+        "xalancbmk",
+        0xb5812cc99abd5aed,
+        3237845,
+        7867204,
+        1318517,
+        (920170, 329725),
+        (851918, 399, 1025),
+    ),
+    (
+        "Magny-Cours (Opteron 6164 HE)",
+        "fullcms",
+        0xc295f22039c2e7a3,
+        99032,
+        227685,
+        1,
+        (17332, 3763),
+        (0, 0, 0),
+    ),
+    (
+        "Westmere (Xeon X5650)",
+        "latency_biased",
+        0x54c1ba8482c87fbb,
+        152005,
+        551036,
+        1,
+        (38000, 19002),
+        (0, 0, 0),
+    ),
+    (
+        "Westmere (Xeon X5650)",
+        "callchain",
+        0xdae2fb099c1d818f,
+        162802,
+        40734,
+        0,
+        (1850, 2),
+        (0, 0, 0),
+    ),
+    (
+        "Westmere (Xeon X5650)",
+        "g4box",
+        0xfb10f851e299e142,
+        100323,
+        113093,
+        13607,
+        (28281, 5356),
+        (0, 0, 0),
+    ),
+    (
+        "Westmere (Xeon X5650)",
+        "test40",
+        0xcf39c463b1bb5127,
+        99688,
+        130194,
+        27,
+        (12684, 3753),
+        (0, 0, 0),
+    ),
+    (
+        "Westmere (Xeon X5650)",
+        "mcf",
+        0x95a21dba613331d5,
+        473566,
+        981433,
+        12877,
+        (71268, 3907),
+        (77135, 3819, 13382),
+    ),
+    (
+        "Westmere (Xeon X5650)",
+        "povray",
+        0x8562394fba3c3021,
+        207204,
+        511383,
+        2720,
+        (16900, 7031),
+        (0, 0, 0),
+    ),
+    (
+        "Westmere (Xeon X5650)",
+        "omnetpp",
+        0x4de8422dea1af65e,
+        300723,
+        268686,
+        13393,
+        (64058, 9582),
+        (100731, 0, 89),
+    ),
+    (
+        "Westmere (Xeon X5650)",
+        "xalancbmk",
+        0xede33cd303c17913,
+        3237845,
+        7118246,
+        1318517,
+        (920170, 329725),
+        (801117, 51200, 1025),
+    ),
+    (
+        "Westmere (Xeon X5650)",
+        "fullcms",
+        0xbec496c7086a5871,
+        99032,
+        197307,
+        1,
+        (17332, 3763),
+        (0, 0, 0),
+    ),
+    (
+        "Ivy Bridge (Xeon E3-1265L)",
+        "latency_biased",
+        0x5980c5d141983c18,
+        152005,
+        465530,
+        1,
+        (38000, 19002),
+        (0, 0, 0),
+    ),
+    (
+        "Ivy Bridge (Xeon E3-1265L)",
+        "callchain",
+        0x6c5e88a712686067,
+        162802,
+        40728,
+        0,
+        (1850, 2),
+        (0, 0, 0),
+    ),
+    (
+        "Ivy Bridge (Xeon E3-1265L)",
+        "g4box",
+        0xcd5319af439eeb24,
+        100323,
+        97025,
+        13607,
+        (28281, 5356),
+        (0, 0, 0),
+    ),
+    (
+        "Ivy Bridge (Xeon E3-1265L)",
+        "test40",
+        0x993efff8035a3473,
+        99688,
+        109785,
+        27,
+        (12684, 3753),
+        (0, 0, 0),
+    ),
+    (
+        "Ivy Bridge (Xeon E3-1265L)",
+        "mcf",
+        0x9b0fa494ee74de34,
+        473566,
+        969712,
+        12877,
+        (71268, 3907),
+        (77135, 3819, 13382),
+    ),
+    (
+        "Ivy Bridge (Xeon E3-1265L)",
+        "povray",
+        0xdceaad6dd09bb236,
+        207204,
+        426450,
+        2720,
+        (16900, 7031),
+        (0, 0, 0),
+    ),
+    (
+        "Ivy Bridge (Xeon E3-1265L)",
+        "omnetpp",
+        0xa7b9defae8b84d23,
+        300723,
+        239940,
+        13393,
+        (64058, 9582),
+        (100731, 0, 89),
+    ),
+    (
+        "Ivy Bridge (Xeon E3-1265L)",
+        "xalancbmk",
+        0x64dff5e37767113c,
+        3237845,
+        6129071,
+        1318517,
+        (920170, 329725),
+        (801117, 51200, 1025),
+    ),
+    (
+        "Ivy Bridge (Xeon E3-1265L)",
+        "fullcms",
+        0x75c1078350221786,
+        99032,
+        162918,
+        1,
+        (17332, 3763),
+        (0, 0, 0),
+    ),
 ];
 
 #[test]
@@ -233,7 +471,11 @@ fn event_traces_match_the_golden_digests() {
     for m in &machines {
         for w in &workloads {
             let (gm, gw, digest, instructions, cycles, result, bpred, cache) = GOLDEN[idx];
-            assert_eq!((gm, gw), (m.name.as_str(), w.name.as_str()), "row order drifted");
+            assert_eq!(
+                (gm, gw),
+                (m.name.as_str(), w.name.as_str()),
+                "row order drifted"
+            );
             let t = trace(m, w);
             assert_eq!(
                 t.digest, digest,
@@ -283,11 +525,24 @@ fn digest_is_sensitive_to_every_event_field() {
         RetireEvent { seq: 4, ..base },
         RetireEvent { cycle: 12, ..base },
         RetireEvent { uops: 3, ..base },
-        RetireEvent { class: InsnClass::Mul, ..base },
-        RetireEvent { taken_target: Some(9), ..base },
-        RetireEvent { mispredicted: true, ..base },
+        RetireEvent {
+            class: InsnClass::Mul,
+            ..base
+        },
+        RetireEvent {
+            taken_target: Some(9),
+            ..base
+        },
+        RetireEvent {
+            mispredicted: true,
+            ..base
+        },
     ];
     for (i, v) in variants.iter().enumerate() {
-        assert_ne!(digest_of(v), reference, "variant {i} must perturb the digest");
+        assert_ne!(
+            digest_of(v),
+            reference,
+            "variant {i} must perturb the digest"
+        );
     }
 }

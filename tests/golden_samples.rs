@@ -33,7 +33,9 @@
 use countertrust::methods::{MethodKind, MethodOptions};
 use ct_instrument::ReferenceProfile;
 use ct_isa::Cfg;
-use ct_pmu::{LbrEntry, LbrFilter, LbrMode, Sample, SampleBatch, Sampler, SamplerConfig, SamplerStats};
+use ct_pmu::{
+    LbrEntry, LbrFilter, LbrMode, Sample, SampleBatch, Sampler, SamplerConfig, SamplerStats,
+};
 use ct_sim::{Cpu, MachineModel, RunConfig, StopReason};
 use ct_workloads::{Workload, WorkloadClass};
 
@@ -140,7 +142,11 @@ fn sample_run(fnv: &mut Fnv, cpu: &mut Cpu<'_>, workload: &Workload, config: &Sa
     digest_batch(fnv, &sampler.into_batch(), &stats);
 }
 
-fn method_config(machine: &MachineModel, kind: MethodKind, opts: &MethodOptions) -> Option<SamplerConfig> {
+fn method_config(
+    machine: &MachineModel,
+    kind: MethodKind,
+    opts: &MethodOptions,
+) -> Option<SamplerConfig> {
     kind.instantiate(machine, opts).map(|inst| SamplerConfig {
         seed: SEED,
         ..inst.config
@@ -170,7 +176,11 @@ fn reference_digest(machine: &MachineModel, workload: &Workload, run_config: &Ru
 /// The off-default configurations, each applied to `MethodOptions::fast()`
 /// instances. Returns `None` when the variant does not change `config`
 /// (LBR settings on a method that collects no LBR).
-fn variant(name: &str, machine: &MachineModel, mut config: SamplerConfig) -> Option<(MachineModel, SamplerConfig)> {
+fn variant(
+    name: &str,
+    machine: &MachineModel,
+    mut config: SamplerConfig,
+) -> Option<(MachineModel, SamplerConfig)> {
     let mut machine = machine.clone();
     match name {
         "lbr_calls_only" => config.lbr_filter = LbrFilter::CallsOnly,
@@ -199,7 +209,10 @@ const VARIANTS: [&str; 7] = [
 /// `MethodOptions::fast()` and under `MethodOptions::default()`.
 type SampleRow = (&'static str, &'static str, &'static str, u64, u64);
 
-fn sample_rows(machines: &[MachineModel], workloads: &[Workload]) -> Vec<(String, String, &'static str, u64, u64)> {
+fn sample_rows(
+    machines: &[MachineModel],
+    workloads: &[Workload],
+) -> Vec<(String, String, &'static str, u64, u64)> {
     let mut rows = Vec::new();
     for m in machines {
         let mut cpu = Cpu::new(m);
@@ -208,11 +221,18 @@ fn sample_rows(machines: &[MachineModel], workloads: &[Workload]) -> Vec<(String
                 let Some(fast) = method_config(m, kind, &MethodOptions::fast()) else {
                     continue;
                 };
-                let default = method_config(m, kind, &MethodOptions::default()).expect("same support");
+                let default =
+                    method_config(m, kind, &MethodOptions::default()).expect("same support");
                 let mut digests = [Fnv::new(), Fnv::new()];
                 sample_run(&mut digests[0], &mut cpu, w, &fast);
                 sample_run(&mut digests[1], &mut cpu, w, &default);
-                rows.push((m.name.clone(), w.name.clone(), kind.label(), digests[0].0, digests[1].0));
+                rows.push((
+                    m.name.clone(),
+                    w.name.clone(),
+                    kind.label(),
+                    digests[0].0,
+                    digests[1].0,
+                ));
             }
         }
     }
@@ -223,7 +243,10 @@ fn sample_rows(machines: &[MachineModel], workloads: &[Workload]) -> Vec<(String
 /// method the variant changes.
 type VariantRow = (&'static str, &'static str, u64);
 
-fn variant_rows(machines: &[MachineModel], workloads: &[Workload]) -> Vec<(String, &'static str, u64)> {
+fn variant_rows(
+    machines: &[MachineModel],
+    workloads: &[Workload],
+) -> Vec<(String, &'static str, u64)> {
     let mut rows = Vec::new();
     for m in machines {
         for name in VARIANTS {
@@ -259,16 +282,30 @@ fn reference_rows(machines: &[MachineModel], workloads: &[Workload]) -> Vec<(Str
     let mut rows = Vec::new();
     for m in machines {
         for w in workloads {
-            rows.push((m.name.clone(), w.name.clone(), reference_digest(m, w, &w.run_config)));
+            rows.push((
+                m.name.clone(),
+                w.name.clone(),
+                reference_digest(m, w, &w.run_config),
+            ));
         }
     }
-    let m = machines.iter().find(|m| m.name == FUEL_PAIR.0).expect("fuel machine");
-    let w = workloads.iter().find(|w| w.name == FUEL_PAIR.1).expect("fuel workload");
+    let m = machines
+        .iter()
+        .find(|m| m.name == FUEL_PAIR.0)
+        .expect("fuel machine");
+    let w = workloads
+        .iter()
+        .find(|w| w.name == FUEL_PAIR.1)
+        .expect("fuel workload");
     let capped = RunConfig {
         max_insns: FUEL,
         ..w.run_config.clone()
     };
-    rows.push((m.name.clone(), format!("{}@fuel", w.name), reference_digest(m, w, &capped)));
+    rows.push((
+        m.name.clone(),
+        format!("{}@fuel", w.name),
+        reference_digest(m, w, &capped),
+    ));
     rows
 }
 
@@ -524,12 +561,26 @@ fn sample_streams_match_the_golden_digests() {
         println!("];");
         return;
     }
-    assert_eq!(rows.len(), GOLDEN_SAMPLES.len(), "golden table must cover every supported method of the 27 pairs");
+    assert_eq!(
+        rows.len(),
+        GOLDEN_SAMPLES.len(),
+        "golden table must cover every supported method of the 27 pairs"
+    );
     for (got, want) in rows.iter().zip(GOLDEN_SAMPLES) {
         let (m, w, k, fast, default) = *want;
-        assert_eq!((got.0.as_str(), got.1.as_str(), got.2), (m, w, k), "row order drifted");
-        assert_eq!(got.3, fast, "{m}/{w}/{k}: fast-options sample stream diverged");
-        assert_eq!(got.4, default, "{m}/{w}/{k}: default-options sample stream diverged");
+        assert_eq!(
+            (got.0.as_str(), got.1.as_str(), got.2),
+            (m, w, k),
+            "row order drifted"
+        );
+        assert_eq!(
+            got.3, fast,
+            "{m}/{w}/{k}: fast-options sample stream diverged"
+        );
+        assert_eq!(
+            got.4, default,
+            "{m}/{w}/{k}: default-options sample stream diverged"
+        );
     }
 }
 
@@ -549,7 +600,11 @@ fn off_default_sampler_configurations_match_the_golden_digests() {
         println!("];");
         return;
     }
-    assert_eq!(rows.len(), GOLDEN_VARIANTS.len(), "golden table must cover every variant");
+    assert_eq!(
+        rows.len(),
+        GOLDEN_VARIANTS.len(),
+        "golden table must cover every variant"
+    );
     for (got, want) in rows.iter().zip(GOLDEN_VARIANTS) {
         let (m, v, digest) = *want;
         assert_eq!((got.0.as_str(), got.1), (m, v), "row order drifted");
@@ -570,10 +625,18 @@ fn reference_profiles_match_the_golden_digests() {
         println!("];");
         return;
     }
-    assert_eq!(rows.len(), GOLDEN_REFERENCES.len(), "golden table must cover the 27 pairs and the capped run");
+    assert_eq!(
+        rows.len(),
+        GOLDEN_REFERENCES.len(),
+        "golden table must cover the 27 pairs and the capped run"
+    );
     for (got, want) in rows.iter().zip(GOLDEN_REFERENCES) {
         let (m, w, digest) = *want;
-        assert_eq!((got.0.as_str(), got.1.as_str()), (m, w), "row order drifted");
+        assert_eq!(
+            (got.0.as_str(), got.1.as_str()),
+            (m, w),
+            "row order drifted"
+        );
         assert_eq!(got.2, digest, "{m}/{w}: reference profile diverged");
     }
 }
@@ -596,13 +659,15 @@ fn the_fuel_capped_reference_stops_mid_block() {
         max_insns: FUEL,
         ..w.run_config.clone()
     };
-    let (r, summary) = ReferenceProfile::collect_with_cfg(&machine, &w.program, &cfg, &capped).unwrap();
+    let (r, summary) =
+        ReferenceProfile::collect_with_cfg(&machine, &w.program, &cfg, &capped).unwrap();
     assert_eq!(summary.stop, StopReason::FuelExhausted);
     assert_eq!(r.total_instructions, FUEL);
     assert!(
         cfg.blocks()
             .iter()
-            .any(|b| r.bb_instructions[b.id as usize] != r.bb_entries[b.id as usize] * b.len() as u64),
+            .any(|b| r.bb_instructions[b.id as usize]
+                != r.bb_entries[b.id as usize] * b.len() as u64),
         "the capped run must stop inside a block"
     );
 }
@@ -642,28 +707,81 @@ fn digest_is_sensitive_to_every_batch_field() {
         ..batch.clone()
     };
     let batches = [
-        with_sample(Sample { reported_ip: 4, ..sample.clone() }),
-        with_sample(Sample { trigger_ip: 3, ..sample.clone() }),
-        with_sample(Sample { trigger_seq: 9, ..sample.clone() }),
-        with_sample(Sample { reported_seq: 12, ..sample.clone() }),
-        with_sample(Sample { cycle: 41, ..sample.clone() }),
-        with_sample(Sample { lbr: None, ..sample.clone() }),
-        with_sample(Sample { lbr: Some(vec![LbrEntry { from: 1, to: 3 }]), ..sample.clone() }),
-        SampleBatch { dropped_collisions: 2, ..batch.clone() },
-        SampleBatch { dropped_injected: 3, ..batch.clone() },
-        SampleBatch { total_events: 101, ..batch.clone() },
-        SampleBatch { samples: Vec::new(), ..batch.clone() },
+        with_sample(Sample {
+            reported_ip: 4,
+            ..sample.clone()
+        }),
+        with_sample(Sample {
+            trigger_ip: 3,
+            ..sample.clone()
+        }),
+        with_sample(Sample {
+            trigger_seq: 9,
+            ..sample.clone()
+        }),
+        with_sample(Sample {
+            reported_seq: 12,
+            ..sample.clone()
+        }),
+        with_sample(Sample {
+            cycle: 41,
+            ..sample.clone()
+        }),
+        with_sample(Sample {
+            lbr: None,
+            ..sample.clone()
+        }),
+        with_sample(Sample {
+            lbr: Some(vec![LbrEntry { from: 1, to: 3 }]),
+            ..sample.clone()
+        }),
+        SampleBatch {
+            dropped_collisions: 2,
+            ..batch.clone()
+        },
+        SampleBatch {
+            dropped_injected: 3,
+            ..batch.clone()
+        },
+        SampleBatch {
+            total_events: 101,
+            ..batch.clone()
+        },
+        SampleBatch {
+            samples: Vec::new(),
+            ..batch.clone()
+        },
     ];
     for (i, b) in batches.iter().enumerate() {
-        assert_ne!(digest(b, &stats), reference, "batch variant {i} must perturb the digest");
+        assert_ne!(
+            digest(b, &stats),
+            reference,
+            "batch variant {i} must perturb the digest"
+        );
     }
     let stat_variants = [
-        SamplerStats { overflows: 5, ..stats },
-        SamplerStats { samples: 2, ..stats },
-        SamplerStats { dropped_collisions: 2, ..stats },
-        SamplerStats { dropped_injected: 3, ..stats },
+        SamplerStats {
+            overflows: 5,
+            ..stats
+        },
+        SamplerStats {
+            samples: 2,
+            ..stats
+        },
+        SamplerStats {
+            dropped_collisions: 2,
+            ..stats
+        },
+        SamplerStats {
+            dropped_injected: 3,
+            ..stats
+        },
     ];
     for (i, s) in stat_variants.iter().enumerate() {
-        assert_ne!(digest(&batch, s), reference, "stats variant {i} must perturb the digest");
+        assert_ne!(
+            digest(&batch, s),
+            reference,
+            "stats variant {i} must perturb the digest"
+        );
     }
 }

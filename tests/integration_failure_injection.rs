@@ -3,8 +3,8 @@
 
 use countertrust::methods::{MethodKind, MethodOptions};
 use countertrust::{CoreError, Session};
-use ct_pmu::{LbrMode, PeriodSpec, PmuError, PmuEvent, Precision, Sampler, SamplerConfig};
 use ct_instrument::ReferenceProfile;
+use ct_pmu::{LbrMode, PeriodSpec, PmuError, PmuEvent, Precision, Sampler, SamplerConfig};
 use ct_sim::{Cpu, MachineModel, RunConfig, StopReason};
 
 #[test]
@@ -120,7 +120,9 @@ fn fuel_exhaustion_keeps_counts_consistent() {
 fn saturating_sampler_with_tiny_period_stays_sane() {
     // Periods far below the PMI latency force constant collisions; the
     // sampler must count drops and still deliver valid samples.
-    let program = ct_workloads::by_name("latency_biased", 20_000).unwrap().program;
+    let program = ct_workloads::by_name("latency_biased", 20_000)
+        .unwrap()
+        .program;
     let machine = MachineModel::magny_cours();
     let cfg = SamplerConfig::new(
         PmuEvent::AmdRetiredInstructions,

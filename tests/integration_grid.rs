@@ -31,9 +31,10 @@ fn grid_is_thread_count_invariant_and_shares_references() {
     let pairs = (machines.len() * workloads.len()) as u64;
 
     let before_serial = ct_instrument::collection_count();
-    let serial = GridRunner::new()
-        .threads(1)
-        .run_standard(&machines, &specs(workloads), &opts, 3, 1_000);
+    let serial =
+        GridRunner::new()
+            .threads(1)
+            .run_standard(&machines, &specs(workloads), &opts, 3, 1_000);
     let after_serial = ct_instrument::collection_count();
     assert_eq!(
         after_serial - before_serial,
@@ -41,9 +42,10 @@ fn grid_is_thread_count_invariant_and_shares_references() {
         "serial grid must collect one reference per (machine, workload) pair"
     );
 
-    let parallel = GridRunner::new()
-        .threads(8)
-        .run_standard(&machines, &specs(workloads), &opts, 3, 1_000);
+    let parallel =
+        GridRunner::new()
+            .threads(8)
+            .run_standard(&machines, &specs(workloads), &opts, 3, 1_000);
     let after_parallel = ct_instrument::collection_count();
     assert_eq!(
         after_parallel - after_serial,
@@ -61,9 +63,10 @@ fn grid_is_thread_count_invariant_and_shares_references() {
 
     // Different base seeds must still change randomized methods (the
     // derived cell seeds are not constants).
-    let reseeded = GridRunner::new()
-        .threads(8)
-        .run_standard(&machines, &specs(workloads), &opts, 3, 2_000);
+    let reseeded =
+        GridRunner::new()
+            .threads(8)
+            .run_standard(&machines, &specs(workloads), &opts, 3, 2_000);
     assert_ne!(
         report::to_json(&serial),
         report::to_json(&reseeded),

@@ -95,7 +95,11 @@ fn serve_loopback<R: Send>(
 fn concurrent_connections_match_offline_pipelined_runs() {
     let program = kernel(10_000);
     let run_config = RunConfig::default();
-    let workloads = [WorkloadSpec { name: "k", program: &program, run_config: &run_config }];
+    let workloads = [WorkloadSpec {
+        name: "k",
+        program: &program,
+        run_config: &run_config,
+    }];
     let machines = [MachineModel::ivy_bridge(), MachineModel::westmere()];
     let streams = connection_streams(&machines, 5);
     let pipeline = PipelineOptions::new().chunk(2);
@@ -110,7 +114,10 @@ fn concurrent_connections_match_offline_pipelined_runs() {
         streams.len(),
     );
 
-    assert_eq!(stats.connections, 5, "all five concurrent connections served");
+    assert_eq!(
+        stats.connections, 5,
+        "all five concurrent connections served"
+    );
     assert_eq!(stats.io_errors, 0);
     assert_eq!(stats.requests, 15);
     assert_eq!(stats.responses, 15);
@@ -138,7 +145,11 @@ fn concurrent_connections_match_offline_pipelined_runs() {
 fn connection_cap_one_still_serves_every_connection() {
     let program = kernel(5_000);
     let run_config = RunConfig::default();
-    let workloads = [WorkloadSpec { name: "k", program: &program, run_config: &run_config }];
+    let workloads = [WorkloadSpec {
+        name: "k",
+        program: &program,
+        run_config: &run_config,
+    }];
     let machines = [MachineModel::ivy_bridge()];
     let request = EvalRequest::new("Ivy Bridge (Xeon E3-1265L)", "k", "classic", 1, 5);
     let service = EvalService::new(&machines, &workloads)
@@ -155,14 +166,21 @@ fn connection_cap_one_still_serves_every_connection() {
     );
     assert_eq!(stats.connections, 4);
     assert_eq!(stats.responses, 4);
-    assert!(outputs.iter().all(|o| o == &outputs[0]), "identical requests, identical bytes");
+    assert!(
+        outputs.iter().all(|o| o == &outputs[0]),
+        "identical requests, identical bytes"
+    );
 }
 
 #[test]
 fn malformed_and_aborted_connections_never_poison_their_siblings() {
     let program = kernel(8_000);
     let run_config = RunConfig::default();
-    let workloads = [WorkloadSpec { name: "k", program: &program, run_config: &run_config }];
+    let workloads = [WorkloadSpec {
+        name: "k",
+        program: &program,
+        run_config: &run_config,
+    }];
     let machines = [MachineModel::ivy_bridge()];
     let good = EvalRequest::new("Ivy Bridge (Xeon E3-1265L)", "k", "lbr", 2, 9);
     let good_wire = wire(std::slice::from_ref(&good));
@@ -201,7 +219,11 @@ fn malformed_and_aborted_connections_never_poison_their_siblings() {
         .map(|l| serde_json::from_str(l).unwrap())
         .collect();
     assert_eq!(garbage.len(), 2);
-    assert!(garbage[0].error.as_ref().unwrap().contains("parse error on line 1"));
+    assert!(garbage[0]
+        .error
+        .as_ref()
+        .unwrap()
+        .contains("parse error on line 1"));
 
     // The well-behaved connections got exactly the offline bytes even
     // with the rogue siblings in flight.
@@ -210,7 +232,11 @@ fn malformed_and_aborted_connections_never_poison_their_siblings() {
         .threads(1);
     let mut expected = Vec::new();
     offline
-        .serve_pipelined(good_wire.as_bytes(), &mut expected, &PipelineOptions::default())
+        .serve_pipelined(
+            good_wire.as_bytes(),
+            &mut expected,
+            &PipelineOptions::default(),
+        )
         .unwrap();
     for c in [2, 3] {
         assert_eq!(outputs[c].as_bytes(), expected.as_slice(), "connection {c}");
@@ -222,13 +248,20 @@ fn over_long_v1_line_closes_its_connection_and_spares_its_siblings() {
     use countertrust::serve::proto::MAX_FRAME_PAYLOAD;
     let program = kernel(8_000);
     let run_config = RunConfig::default();
-    let workloads = [WorkloadSpec { name: "k", program: &program, run_config: &run_config }];
+    let workloads = [WorkloadSpec {
+        name: "k",
+        program: &program,
+        run_config: &run_config,
+    }];
     let machines = [MachineModel::ivy_bridge()];
     let good = EvalRequest::new("Ivy Bridge (Xeon E3-1265L)", "k", "classic", 1, 3);
     let good_wire = wire(std::slice::from_ref(&good));
     // A good line, a line twice the cap, and a good line the server
     // must never read.
-    let hostile = format!("{good_wire}{}\n{good_wire}", "x".repeat(2 * MAX_FRAME_PAYLOAD as usize));
+    let hostile = format!(
+        "{good_wire}{}\n{good_wire}",
+        "x".repeat(2 * MAX_FRAME_PAYLOAD as usize)
+    );
     let service = EvalService::new(&machines, &workloads)
         .method_options(MethodOptions::fast())
         .threads(2);
@@ -242,8 +275,12 @@ fn over_long_v1_line_closes_its_connection_and_spares_its_siblings() {
             // a reset, which this client shrugs off.
             0 => {
                 let stream = TcpStream::connect(addr).expect("connect");
-                stream.set_read_timeout(Some(std::time::Duration::from_secs(30))).unwrap();
-                stream.set_write_timeout(Some(std::time::Duration::from_secs(30))).unwrap();
+                stream
+                    .set_read_timeout(Some(std::time::Duration::from_secs(30)))
+                    .unwrap();
+                stream
+                    .set_write_timeout(Some(std::time::Duration::from_secs(30)))
+                    .unwrap();
                 std::thread::scope(|scope| {
                     scope.spawn(|| {
                         let mut writer = &stream;
@@ -262,7 +299,10 @@ fn over_long_v1_line_closes_its_connection_and_spares_its_siblings() {
     );
 
     assert_eq!(stats.connections, 2);
-    assert_eq!(stats.io_errors, 0, "an over-long line is answered, not a failed connection");
+    assert_eq!(
+        stats.io_errors, 0,
+        "an over-long line is answered, not a failed connection"
+    );
     assert_eq!(stats.parse_errors, 1, "{stats:?}");
     assert_eq!(
         stats.responses, 3,
@@ -274,9 +314,17 @@ fn over_long_v1_line_closes_its_connection_and_spares_its_siblings() {
         .threads(1);
     let mut expected = Vec::new();
     offline
-        .serve_pipelined(good_wire.as_bytes(), &mut expected, &PipelineOptions::default())
+        .serve_pipelined(
+            good_wire.as_bytes(),
+            &mut expected,
+            &PipelineOptions::default(),
+        )
         .unwrap();
-    assert_eq!(outputs[1].as_bytes(), expected.as_slice(), "the well-behaved sibling");
+    assert_eq!(
+        outputs[1].as_bytes(),
+        expected.as_slice(),
+        "the well-behaved sibling"
+    );
 }
 
 #[test]
@@ -284,15 +332,25 @@ fn over_cap_runs_get_an_in_order_error_and_spare_their_siblings() {
     use countertrust::serve::MAX_RUNS;
     let program = kernel(8_000);
     let run_config = RunConfig::default();
-    let workloads = [WorkloadSpec { name: "k", program: &program, run_config: &run_config }];
+    let workloads = [WorkloadSpec {
+        name: "k",
+        program: &program,
+        run_config: &run_config,
+    }];
     let machines = [MachineModel::ivy_bridge(), MachineModel::westmere()];
     let good = EvalRequest::new("Ivy Bridge (Xeon E3-1265L)", "k", "classic", 1, 3);
     // Before the cap, this line made the server try to allocate 32 GB of
     // seeds and abort the whole process.
     let hostile = [
         good.clone(),
-        EvalRequest { runs: 4_000_000_000, ..good.clone() },
-        EvalRequest { seed: 4, ..good.clone() },
+        EvalRequest {
+            runs: 4_000_000_000,
+            ..good.clone()
+        },
+        EvalRequest {
+            seed: 4,
+            ..good.clone()
+        },
     ];
     let sibling = connection_streams(&machines, 1).remove(0);
     let service = EvalService::new(&machines, &workloads)
@@ -314,7 +372,10 @@ fn over_cap_runs_get_an_in_order_error_and_spare_their_siblings() {
         2,
     );
     assert_eq!(stats.connections, 3);
-    assert_eq!((stats.io_errors, stats.worker_panics, stats.parse_errors), (0, 0, 0));
+    assert_eq!(
+        (stats.io_errors, stats.worker_panics, stats.parse_errors),
+        (0, 0, 0)
+    );
     assert_eq!(stats.responses, 3 + 1 + 3);
 
     let offline = |requests: &[EvalRequest]| {
@@ -323,7 +384,11 @@ fn over_cap_runs_get_an_in_order_error_and_spare_their_siblings() {
             .threads(1);
         let mut out = Vec::new();
         service
-            .serve_pipelined(wire(requests).as_bytes(), &mut out, &PipelineOptions::default())
+            .serve_pipelined(
+                wire(requests).as_bytes(),
+                &mut out,
+                &PipelineOptions::default(),
+            )
             .unwrap();
         String::from_utf8(out).unwrap()
     };
@@ -336,7 +401,11 @@ fn over_cap_runs_get_an_in_order_error_and_spare_their_siblings() {
     assert_eq!(rejected.error.as_deref(), Some(expected.as_str()));
     assert_eq!(format!("{}\n", lines[0]), offline(&hostile[..1]));
     assert_eq!(format!("{}\n", lines[2]), offline(&hostile[2..]));
-    assert_eq!(outputs[0][1], offline(&hostile[..1]), "the follow-up connection");
+    assert_eq!(
+        outputs[0][1],
+        offline(&hostile[..1]),
+        "the follow-up connection"
+    );
     assert_eq!(outputs[1][0], offline(&sibling), "the well-behaved sibling");
 }
 
@@ -344,7 +413,11 @@ fn over_cap_runs_get_an_in_order_error_and_spare_their_siblings() {
 fn shutdown_drains_in_flight_connections() {
     let program = kernel(20_000);
     let run_config = RunConfig::default();
-    let workloads = [WorkloadSpec { name: "k", program: &program, run_config: &run_config }];
+    let workloads = [WorkloadSpec {
+        name: "k",
+        program: &program,
+        run_config: &run_config,
+    }];
     let machines = [MachineModel::ivy_bridge()];
     let request = EvalRequest::new("Ivy Bridge (Xeon E3-1265L)", "k", "precise", 3, 2);
     let service = EvalService::new(&machines, &workloads)
@@ -357,7 +430,9 @@ fn shutdown_drains_in_flight_connections() {
     let response = std::thread::scope(|scope| {
         let serving = scope.spawn(|| server.serve(&service));
         let mut stream = TcpStream::connect(addr).unwrap();
-        stream.write_all(wire(std::slice::from_ref(&request)).as_bytes()).unwrap();
+        stream
+            .write_all(wire(std::slice::from_ref(&request)).as_bytes())
+            .unwrap();
         stream.shutdown(Shutdown::Write).unwrap();
         // Wait until the server demonstrably took the connection in,
         // then shut down while the request is (at most) mid-flight: the
@@ -383,7 +458,11 @@ fn shutdown_drains_in_flight_connections() {
 fn panicking_connection_worker_leaves_the_server_serving() {
     let program = kernel(5_000);
     let run_config = RunConfig::default();
-    let workloads = [WorkloadSpec { name: "k", program: &program, run_config: &run_config }];
+    let workloads = [WorkloadSpec {
+        name: "k",
+        program: &program,
+        run_config: &run_config,
+    }];
     let machines = [MachineModel::ivy_bridge()];
     let request = EvalRequest::new("Ivy Bridge (Xeon E3-1265L)", "k", "classic", 1, 7);
     let good_wire = wire(std::slice::from_ref(&request));
@@ -396,8 +475,7 @@ fn panicking_connection_worker_leaves_the_server_serving() {
     // connection would never be accepted — this test would hang, loudly)
     // and the panic propagated out of the thread scope, tearing down
     // `serve` itself (so the join below would panic).
-    let server =
-        EvalServer::listen("127.0.0.1:0", NetOptions::new().max_connections(1)).unwrap();
+    let server = EvalServer::listen("127.0.0.1:0", NetOptions::new().max_connections(1)).unwrap();
     let addr = server.local_addr();
     let handle = server.handle();
     let accepted = std::sync::atomic::AtomicUsize::new(0);
@@ -434,9 +512,18 @@ fn panicking_connection_worker_leaves_the_server_serving() {
     });
 
     assert_eq!(stats.connections, 2);
-    assert_eq!(stats.worker_panics, 1, "the panic is counted as a worker panic");
-    assert_eq!(stats.io_errors, 0, "a crashed handler is not blamed on the client");
-    assert_eq!(stats.responses, 1, "only the clean connection contributes responses");
+    assert_eq!(
+        stats.worker_panics, 1,
+        "the panic is counted as a worker panic"
+    );
+    assert_eq!(
+        stats.io_errors, 0,
+        "a crashed handler is not blamed on the client"
+    );
+    assert_eq!(
+        stats.responses, 1,
+        "only the clean connection contributes responses"
+    );
     if let Ok(first) = first {
         assert!(first.is_empty(), "the panicked connection never got bytes");
     }
@@ -447,7 +534,11 @@ fn panicking_connection_worker_leaves_the_server_serving() {
         .threads(1);
     let mut expected = Vec::new();
     offline
-        .serve_pipelined(good_wire.as_bytes(), &mut expected, &PipelineOptions::default())
+        .serve_pipelined(
+            good_wire.as_bytes(),
+            &mut expected,
+            &PipelineOptions::default(),
+        )
         .unwrap();
     assert_eq!(second.as_bytes(), expected.as_slice());
 }
@@ -462,7 +553,11 @@ fn idle_server_shutdown_is_prompt_because_accept_blocks_on_readiness() {
     // forever.)
     let program = kernel(1_000);
     let run_config = RunConfig::default();
-    let workloads = [WorkloadSpec { name: "k", program: &program, run_config: &run_config }];
+    let workloads = [WorkloadSpec {
+        name: "k",
+        program: &program,
+        run_config: &run_config,
+    }];
     let machines = [MachineModel::ivy_bridge()];
     let service = EvalService::new(&machines, &workloads)
         .method_options(MethodOptions::fast())
@@ -483,7 +578,10 @@ fn idle_server_shutdown_is_prompt_because_accept_blocks_on_readiness() {
         elapsed < std::time::Duration::from_millis(500),
         "idle shutdown took {elapsed:?}"
     );
-    assert_eq!(stats.connections, 0, "the wake-up connection is not traffic");
+    assert_eq!(
+        stats.connections, 0,
+        "the wake-up connection is not traffic"
+    );
     assert_eq!(server.active_connections(), 0);
 }
 
@@ -491,7 +589,11 @@ fn idle_server_shutdown_is_prompt_because_accept_blocks_on_readiness() {
 fn a_bounded_cache_shared_by_concurrent_connections_serves_offline_bytes() {
     let program = kernel(8_000);
     let run_config = RunConfig::default();
-    let workloads = [WorkloadSpec { name: "k", program: &program, run_config: &run_config }];
+    let workloads = [WorkloadSpec {
+        name: "k",
+        program: &program,
+        run_config: &run_config,
+    }];
     let machines = [MachineModel::ivy_bridge(), MachineModel::westmere()];
     let streams = connection_streams(&machines, 3);
 
@@ -501,7 +603,9 @@ fn a_bounded_cache_shared_by_concurrent_connections_serves_offline_bytes() {
         .cache_capacity(2);
     let (outputs, stats) = serve_loopback(
         &service,
-        NetOptions::new().pipeline(PipelineOptions::new().chunk(2)).max_connections(3),
+        NetOptions::new()
+            .pipeline(PipelineOptions::new().chunk(2))
+            .max_connections(3),
         |addr, c| exchange(addr, &wire(&streams[c])).expect("loopback exchange"),
         streams.len(),
     );
@@ -516,7 +620,11 @@ fn a_bounded_cache_shared_by_concurrent_connections_serves_offline_bytes() {
             .threads(4);
         let mut expected = Vec::new();
         offline
-            .serve_pipelined(wire(sub).as_bytes(), &mut expected, &PipelineOptions::default())
+            .serve_pipelined(
+                wire(sub).as_bytes(),
+                &mut expected,
+                &PipelineOptions::default(),
+            )
             .unwrap();
         assert_eq!(got.as_bytes(), expected.as_slice(), "connection {c}");
     }
@@ -526,7 +634,11 @@ fn a_bounded_cache_shared_by_concurrent_connections_serves_offline_bytes() {
 fn record_latency_stamps_networked_responses() {
     let program = kernel(8_000);
     let run_config = RunConfig::default();
-    let workloads = [WorkloadSpec { name: "k", program: &program, run_config: &run_config }];
+    let workloads = [WorkloadSpec {
+        name: "k",
+        program: &program,
+        run_config: &run_config,
+    }];
     let machines = [MachineModel::ivy_bridge()];
     let requests = vec![
         EvalRequest::new("Ivy Bridge (Xeon E3-1265L)", "k", "classic", 1, 1),
@@ -538,8 +650,7 @@ fn record_latency_stamps_networked_responses() {
 
     let (outputs, _) = serve_loopback(
         &service,
-        NetOptions::new()
-            .pipeline(PipelineOptions::new().chunk(1).record_latency(true)),
+        NetOptions::new().pipeline(PipelineOptions::new().chunk(1).record_latency(true)),
         |addr, _| exchange(addr, &wire(&requests)).expect("exchange"),
         1,
     );
@@ -551,7 +662,10 @@ fn record_latency_stamps_networked_responses() {
     for response in &parsed {
         let latency = response.latency.expect("timed responses carry latency");
         assert!(latency.eval_us > 0, "evaluation takes measurable time");
-        assert_eq!(latency.total_us(), latency.queue_us + latency.build_us + latency.eval_us);
+        assert_eq!(
+            latency.total_us(),
+            latency.queue_us + latency.build_us + latency.eval_us
+        );
     }
     let stats = service.stats();
     assert_eq!(stats.timed_requests, 2);
@@ -583,7 +697,11 @@ fn workload_dir_option_serves_a_directory_as_a_tenant_catalog() {
 
     let program = kernel(8_000);
     let run_config = RunConfig::default();
-    let workloads = [WorkloadSpec { name: "k", program: &program, run_config: &run_config }];
+    let workloads = [WorkloadSpec {
+        name: "k",
+        program: &program,
+        run_config: &run_config,
+    }];
     let machines = [MachineModel::ivy_bridge()];
     let base = || {
         EvalService::new(&machines, &workloads)
@@ -594,12 +712,13 @@ fn workload_dir_option_serves_a_directory_as_a_tenant_catalog() {
     // machines come from the paper catalog, not the default's).
     let requests = vec![
         EvalRequest::new("Ivy Bridge (Xeon E3-1265L)", "k", "classic", 1, 1),
-        EvalRequest::new("Ivy Bridge (Xeon E3-1265L)", "spin", "classic", 1, 2)
-            .in_catalog(&tenant),
+        EvalRequest::new("Ivy Bridge (Xeon E3-1265L)", "spin", "classic", 1, 2).in_catalog(&tenant),
         EvalRequest::new("Westmere (Xeon X5650)", "spin", "lbr", 1, 3).in_catalog(&tenant),
     ];
 
-    let served = base().workload_dir(&dir, 0.5).expect("well-formed catalog dir");
+    let served = base()
+        .workload_dir(&dir, 0.5)
+        .expect("well-formed catalog dir");
     let server = EvalServer::listen("127.0.0.1:0", NetOptions::new()).expect("loopback bind");
     let addr = server.local_addr();
     let handle = server.handle();
@@ -607,7 +726,10 @@ fn workload_dir_option_serves_a_directory_as_a_tenant_catalog() {
         let serving = scope.spawn(|| server.serve(&served));
         let output = exchange(addr, &wire(&requests)).expect("loopback exchange");
         handle.shutdown();
-        (output, serving.join().expect("server thread").expect("accept loop"))
+        (
+            output,
+            serving.join().expect("server thread").expect("accept loop"),
+        )
     });
     assert_eq!(stats.responses, 3);
     assert_eq!(stats.io_errors, 0);
@@ -616,7 +738,11 @@ fn workload_dir_option_serves_a_directory_as_a_tenant_catalog() {
     let offline = base().workload_dir(&dir, 0.5).unwrap();
     let mut expected = Vec::new();
     offline
-        .serve_pipelined(wire(&requests).as_bytes(), &mut expected, &PipelineOptions::default())
+        .serve_pipelined(
+            wire(&requests).as_bytes(),
+            &mut expected,
+            &PipelineOptions::default(),
+        )
         .unwrap();
     assert_eq!(output.as_bytes(), expected.as_slice());
     // And every response is a real evaluation, not an error object.

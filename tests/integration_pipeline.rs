@@ -73,7 +73,11 @@ fn sample_requests(machines: &[MachineModel]) -> Vec<EvalRequest> {
 fn empty_stream_produces_no_output_and_no_work() {
     let program = kernel(5_000);
     let run_config = RunConfig::default();
-    let workloads = [WorkloadSpec { name: "k", program: &program, run_config: &run_config }];
+    let workloads = [WorkloadSpec {
+        name: "k",
+        program: &program,
+        run_config: &run_config,
+    }];
     let machines = [MachineModel::ivy_bridge()];
     let svc = service(&machines, &workloads, 4);
     let mut out = Vec::new();
@@ -90,14 +94,22 @@ fn empty_stream_produces_no_output_and_no_work() {
 fn single_request_round_trips() {
     let program = kernel(10_000);
     let run_config = RunConfig::default();
-    let workloads = [WorkloadSpec { name: "k", program: &program, run_config: &run_config }];
+    let workloads = [WorkloadSpec {
+        name: "k",
+        program: &program,
+        run_config: &run_config,
+    }];
     let machines = [MachineModel::ivy_bridge()];
     let request = EvalRequest::new("Ivy Bridge (Xeon E3-1265L)", "k", "lbr", 2, 9);
 
     let svc = service(&machines, &workloads, 4);
     let mut out = Vec::new();
     let stats = svc
-        .serve_pipelined(wire(&[request.clone()]).as_bytes(), &mut out, &PipelineOptions::default())
+        .serve_pipelined(
+            wire(&[request.clone()]).as_bytes(),
+            &mut out,
+            &PipelineOptions::default(),
+        )
         .unwrap();
     assert_eq!((stats.lines, stats.requests, stats.responses), (1, 1, 1));
 
@@ -117,7 +129,11 @@ fn single_request_round_trips() {
 fn malformed_lines_answer_in_order_and_the_pipeline_keeps_draining() {
     let program = kernel(10_000);
     let run_config = RunConfig::default();
-    let workloads = [WorkloadSpec { name: "k", program: &program, run_config: &run_config }];
+    let workloads = [WorkloadSpec {
+        name: "k",
+        program: &program,
+        run_config: &run_config,
+    }];
     let machines = [MachineModel::ivy_bridge()];
     let good = sample_requests(&machines);
     let input = format!(
@@ -148,9 +164,17 @@ fn malformed_lines_answer_in_order_and_the_pipeline_keeps_draining() {
     // Responses come back at the stream positions of their lines: good,
     // bad, good, bad, good — the pipeline drains everything after errors.
     assert!(parsed[0].is_ok());
-    assert!(parsed[1].error.as_ref().unwrap().contains("parse error on line 2"));
+    assert!(parsed[1]
+        .error
+        .as_ref()
+        .unwrap()
+        .contains("parse error on line 2"));
     assert!(parsed[2].is_ok());
-    assert!(parsed[3].error.as_ref().unwrap().contains("parse error on line 4"));
+    assert!(parsed[3]
+        .error
+        .as_ref()
+        .unwrap()
+        .contains("parse error on line 4"));
     assert!(parsed[4].is_ok());
     assert_eq!(parsed[0].request, good[0]);
     assert_eq!(parsed[2].request, good[2]);
@@ -163,7 +187,11 @@ fn over_long_line_is_answered_in_order_then_reading_stops() {
     use countertrust::serve::proto::MAX_FRAME_PAYLOAD;
     let program = kernel(5_000);
     let run_config = RunConfig::default();
-    let workloads = [WorkloadSpec { name: "k", program: &program, run_config: &run_config }];
+    let workloads = [WorkloadSpec {
+        name: "k",
+        program: &program,
+        run_config: &run_config,
+    }];
     let machines = [MachineModel::ivy_bridge()];
     let request = sample_requests(&machines).remove(0);
     let good = wire(std::slice::from_ref(&request));
@@ -175,13 +203,21 @@ fn over_long_line_is_answered_in_order_then_reading_stops() {
         .serve_pipelined(input.as_bytes(), &mut out, &PipelineOptions::default())
         .expect("an over-long line is answered, not an I/O error");
     assert_eq!((stats.lines, stats.requests, stats.parse_errors), (2, 1, 1));
-    assert_eq!(stats.responses, 2, "nothing after the over-long line is read");
+    assert_eq!(
+        stats.responses, 2,
+        "nothing after the over-long line is read"
+    );
 
     let text = String::from_utf8(out).unwrap();
-    let parsed: Vec<EvalResponse> =
-        text.lines().map(|l| serde_json::from_str(l).unwrap()).collect();
+    let parsed: Vec<EvalResponse> = text
+        .lines()
+        .map(|l| serde_json::from_str(l).unwrap())
+        .collect();
     assert_eq!(parsed.len(), 2);
-    assert_eq!(parsed[0].request, request, "the good line is answered first");
+    assert_eq!(
+        parsed[0].request, request,
+        "the good line is answered first"
+    );
     assert!(parsed[0].is_ok(), "{:?}", parsed[0].error);
     let error = parsed[1].error.as_deref().unwrap();
     assert!(error.contains("parse error on line 2"), "{error}");
@@ -194,27 +230,33 @@ fn over_long_line_is_answered_in_order_then_reading_stops() {
         .serve_pipelined(at_cap.as_bytes(), &mut out, &PipelineOptions::default())
         .unwrap();
     assert_eq!((stats.parse_errors, stats.responses), (1, 1));
-    assert!(!String::from_utf8(out).unwrap().contains(&MAX_FRAME_PAYLOAD.to_string()));
+    assert!(!String::from_utf8(out)
+        .unwrap()
+        .contains(&MAX_FRAME_PAYLOAD.to_string()));
 }
 
 #[test]
 fn record_latency_stamps_responses_and_changes_nothing_else() {
     let program = kernel(10_000);
     let run_config = RunConfig::default();
-    let workloads = [WorkloadSpec { name: "k", program: &program, run_config: &run_config }];
+    let workloads = [WorkloadSpec {
+        name: "k",
+        program: &program,
+        run_config: &run_config,
+    }];
     let machines = [MachineModel::ivy_bridge()];
     let good = sample_requests(&machines);
-    let input = format!(
-        "{}not json at all\n{}",
-        wire(&good[..2]),
-        wire(&good[2..])
-    );
+    let input = format!("{}not json at all\n{}", wire(&good[..2]), wire(&good[2..]));
 
     // Reference run: latency recording off (the default).
     let untimed = service(&machines, &workloads, 4);
     let mut plain = Vec::new();
     untimed
-        .serve_pipelined(input.as_bytes(), &mut plain, &PipelineOptions::new().chunk(2))
+        .serve_pipelined(
+            input.as_bytes(),
+            &mut plain,
+            &PipelineOptions::new().chunk(2),
+        )
         .unwrap();
     let plain = String::from_utf8(plain).unwrap();
     assert!(
@@ -240,11 +282,17 @@ fn record_latency_stamps_responses_and_changes_nothing_else() {
     assert_eq!(timed_lines.len(), plain.lines().count());
     for (timed_line, plain_line) in timed_lines.iter().zip(plain.lines()) {
         let mut response: EvalResponse = serde_json::from_str(timed_line).unwrap();
-        if response.error.as_deref().is_some_and(|e| e.contains("parse error")) {
+        if response
+            .error
+            .as_deref()
+            .is_some_and(|e| e.contains("parse error"))
+        {
             // Parse errors never reach the evaluator; they carry no stamp.
             assert!(response.latency.is_none());
         } else {
-            let latency = response.latency.expect("timed request-responses are stamped");
+            let latency = response
+                .latency
+                .expect("timed request-responses are stamped");
             assert_eq!(
                 latency.total_us(),
                 latency.queue_us + latency.build_us + latency.eval_us
@@ -259,7 +307,10 @@ fn record_latency_stamps_responses_and_changes_nothing_else() {
     }
 
     let serve_stats = timed.stats();
-    assert_eq!(serve_stats.timed_requests, 4, "one stamp per parsed request");
+    assert_eq!(
+        serve_stats.timed_requests, 4,
+        "one stamp per parsed request"
+    );
     assert!(serve_stats.latency_p99_us >= serve_stats.latency_p50_us);
 }
 
@@ -270,7 +321,11 @@ fn record_latency_stamps_responses_and_changes_nothing_else() {
 fn depth_one_pipeline_is_byte_identical_to_batched_chunks() {
     let program = kernel(10_000);
     let run_config = RunConfig::default();
-    let workloads = [WorkloadSpec { name: "k", program: &program, run_config: &run_config }];
+    let workloads = [WorkloadSpec {
+        name: "k",
+        program: &program,
+        run_config: &run_config,
+    }];
     let machines = [MachineModel::ivy_bridge(), MachineModel::westmere()];
     let requests = sample_requests(&machines);
 
@@ -302,14 +357,22 @@ fn depth_one_pipeline_is_byte_identical_to_batched_chunks() {
 fn capacity_never_changes_pipelined_bytes() {
     let program = kernel(10_000);
     let run_config = RunConfig::default();
-    let workloads = [WorkloadSpec { name: "k", program: &program, run_config: &run_config }];
+    let workloads = [WorkloadSpec {
+        name: "k",
+        program: &program,
+        run_config: &run_config,
+    }];
     let machines = [MachineModel::ivy_bridge(), MachineModel::westmere()];
     let requests = sample_requests(&machines);
 
     let reference = service(&machines, &workloads, 4);
     let mut expected = Vec::new();
     reference
-        .serve_pipelined(wire(&requests).as_bytes(), &mut expected, &PipelineOptions::new().chunk(2))
+        .serve_pipelined(
+            wire(&requests).as_bytes(),
+            &mut expected,
+            &PipelineOptions::new().chunk(2),
+        )
         .unwrap();
 
     // An unbounded cache and every thrash-prone capacity must reproduce
@@ -320,8 +383,12 @@ fn capacity_never_changes_pipelined_bytes() {
             .threads(3)
             .cache_capacity(capacity);
         let mut out = Vec::new();
-        svc.serve_pipelined(wire(&requests).as_bytes(), &mut out, &PipelineOptions::new().chunk(2))
-            .unwrap();
+        svc.serve_pipelined(
+            wire(&requests).as_bytes(),
+            &mut out,
+            &PipelineOptions::new().chunk(2),
+        )
+        .unwrap();
         assert_eq!(out, expected, "capacity {capacity} changed bytes");
     }
 }

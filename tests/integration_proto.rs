@@ -119,7 +119,11 @@ fn exchange_frames(addr: SocketAddr, payloads: &[&[u8]]) -> Vec<u8> {
 fn multiplexed_streams_match_separate_v1_connections_and_offline() {
     let program = kernel(8_000);
     let run_config = RunConfig::default();
-    let workloads = [WorkloadSpec { name: "k", program: &program, run_config: &run_config }];
+    let workloads = [WorkloadSpec {
+        name: "k",
+        program: &program,
+        run_config: &run_config,
+    }];
     let machines = [MachineModel::ivy_bridge(), MachineModel::westmere()];
     let streams = streams_for(&machines, 4);
     let wires: Vec<String> = streams.iter().map(|s| wire(s)).collect();
@@ -155,9 +159,17 @@ fn multiplexed_streams_match_separate_v1_connections_and_offline() {
             .threads(4);
         let mut expected = Vec::new();
         offline
-            .serve_pipelined(wire(sub).as_bytes(), &mut expected, &PipelineOptions::default())
+            .serve_pipelined(
+                wire(sub).as_bytes(),
+                &mut expected,
+                &PipelineOptions::default(),
+            )
             .unwrap();
-        assert_eq!(v2_replies[s].as_bytes(), expected.as_slice(), "stream {s} vs offline");
+        assert_eq!(
+            v2_replies[s].as_bytes(),
+            expected.as_slice(),
+            "stream {s} vs offline"
+        );
     }
 }
 
@@ -165,7 +177,11 @@ fn multiplexed_streams_match_separate_v1_connections_and_offline() {
 fn v2_session_is_keep_alive_across_request_rounds() {
     let program = kernel(5_000);
     let run_config = RunConfig::default();
-    let workloads = [WorkloadSpec { name: "k", program: &program, run_config: &run_config }];
+    let workloads = [WorkloadSpec {
+        name: "k",
+        program: &program,
+        run_config: &run_config,
+    }];
     let machines = [MachineModel::ivy_bridge()];
     let requests = streams_for(&machines, 1).remove(0);
     let service = EvalService::new(&machines, &workloads)
@@ -197,7 +213,10 @@ fn v2_session_is_keep_alive_across_request_rounds() {
             (rounds, stats.connections)
         })
     };
-    assert_eq!(connections, 1, "three rounds, one connection: keep-alive works");
+    assert_eq!(
+        connections, 1,
+        "three rounds, one connection: keep-alive works"
+    );
 
     // Each round's response line matches the offline bytes for that
     // request alone (each stream had exactly one line).
@@ -214,7 +233,11 @@ fn v2_session_is_keep_alive_across_request_rounds() {
 fn v1_clients_and_nul_prefixed_garbage_negotiate_to_v1() {
     let program = kernel(4_000);
     let run_config = RunConfig::default();
-    let workloads = [WorkloadSpec { name: "k", program: &program, run_config: &run_config }];
+    let workloads = [WorkloadSpec {
+        name: "k",
+        program: &program,
+        run_config: &run_config,
+    }];
     let machines = [MachineModel::ivy_bridge()];
     let request = EvalRequest::new("Ivy Bridge (Xeon E3-1265L)", "k", "classic", 1, 11);
     let good_wire = wire(std::slice::from_ref(&request));
@@ -242,7 +265,11 @@ fn v1_clients_and_nul_prefixed_garbage_negotiate_to_v1() {
         .threads(2);
     let mut expected = Vec::new();
     offline
-        .serve_pipelined(good_wire.as_bytes(), &mut expected, &PipelineOptions::default())
+        .serve_pipelined(
+            good_wire.as_bytes(),
+            &mut expected,
+            &PipelineOptions::default(),
+        )
         .unwrap();
     assert_eq!(plain.as_bytes(), expected.as_slice());
 
@@ -250,14 +277,21 @@ fn v1_clients_and_nul_prefixed_garbage_negotiate_to_v1() {
         nul_led.contains("parse error on line 1"),
         "diverging preamble bytes must be replayed into the v1 stream: {nul_led}"
     );
-    assert!(empty.is_empty(), "an empty v1 stream gets an empty response stream");
+    assert!(
+        empty.is_empty(),
+        "an empty v1 stream gets an empty response stream"
+    );
 }
 
 #[test]
 fn v2_handshake_acks_and_full_preamble_is_never_served_as_v1() {
     let program = kernel(4_000);
     let run_config = RunConfig::default();
-    let workloads = [WorkloadSpec { name: "k", program: &program, run_config: &run_config }];
+    let workloads = [WorkloadSpec {
+        name: "k",
+        program: &program,
+        run_config: &run_config,
+    }];
     let machines = [MachineModel::ivy_bridge()];
     let service = EvalService::new(&machines, &workloads)
         .method_options(MethodOptions::fast())
@@ -273,7 +307,11 @@ fn v2_handshake_acks_and_full_preamble_is_never_served_as_v1() {
         write_frame(&mut stream, FrameKind::Bye, 0, &[]).unwrap();
         let mut rest = Vec::new();
         stream.read_to_end(&mut rest).unwrap();
-        assert!(rest.is_empty(), "no frames after BYE, got {} bytes", rest.len());
+        assert!(
+            rest.is_empty(),
+            "no frames after BYE, got {} bytes",
+            rest.len()
+        );
     });
 }
 
@@ -281,7 +319,11 @@ fn v2_handshake_acks_and_full_preamble_is_never_served_as_v1() {
 fn malformed_frames_get_in_order_error_frames_after_prior_responses() {
     let program = kernel(4_000);
     let run_config = RunConfig::default();
-    let workloads = [WorkloadSpec { name: "k", program: &program, run_config: &run_config }];
+    let workloads = [WorkloadSpec {
+        name: "k",
+        program: &program,
+        run_config: &run_config,
+    }];
     let machines = [MachineModel::ivy_bridge()];
     let request = EvalRequest::new("Ivy Bridge (Xeon E3-1265L)", "k", "classic", 1, 23);
     let line = serde_json::to_string(&request).unwrap();
@@ -331,7 +373,11 @@ fn malformed_frames_get_in_order_error_frames_after_prior_responses() {
             let first: Frame = read_frame(&mut reader)
                 .expect("first frame decodes")
                 .expect("response before the error");
-            assert_eq!(first.kind, FrameKind::Resp, "{label}: response precedes ERR");
+            assert_eq!(
+                first.kind,
+                FrameKind::Resp,
+                "{label}: response precedes ERR"
+            );
             assert_eq!(first.stream, 9, "{label}");
             let second: Frame = read_frame(&mut reader)
                 .expect("second frame decodes")
@@ -352,13 +398,23 @@ fn over_cap_runs_on_a_v2_stream_get_an_in_order_error_and_spare_its_siblings() {
     use countertrust::serve::MAX_RUNS;
     let program = kernel(8_000);
     let run_config = RunConfig::default();
-    let workloads = [WorkloadSpec { name: "k", program: &program, run_config: &run_config }];
+    let workloads = [WorkloadSpec {
+        name: "k",
+        program: &program,
+        run_config: &run_config,
+    }];
     let machines = [MachineModel::ivy_bridge(), MachineModel::westmere()];
     let good = EvalRequest::new("Ivy Bridge (Xeon E3-1265L)", "k", "lbr", 1, 5);
     let hostile = [
         good.clone(),
-        EvalRequest { runs: 4_000_000_000, ..good.clone() },
-        EvalRequest { seed: 6, ..good.clone() },
+        EvalRequest {
+            runs: 4_000_000_000,
+            ..good.clone()
+        },
+        EvalRequest {
+            seed: 6,
+            ..good.clone()
+        },
     ];
     let streams = streams_for(&machines, 2);
     let service = EvalService::new(&machines, &workloads)
@@ -381,7 +437,10 @@ fn over_cap_runs_on_a_v2_stream_get_an_in_order_error_and_spare_its_siblings() {
             })
         });
     assert_eq!(stats.connections, 3);
-    assert_eq!((stats.io_errors, stats.worker_panics, stats.parse_errors), (0, 0, 0));
+    assert_eq!(
+        (stats.io_errors, stats.worker_panics, stats.parse_errors),
+        (0, 0, 0)
+    );
 
     let offline = |requests: &[EvalRequest]| {
         let service = EvalService::new(&machines, &workloads)
@@ -389,7 +448,11 @@ fn over_cap_runs_on_a_v2_stream_get_an_in_order_error_and_spare_its_siblings() {
             .threads(1);
         let mut out = Vec::new();
         service
-            .serve_pipelined(wire(requests).as_bytes(), &mut out, &PipelineOptions::default())
+            .serve_pipelined(
+                wire(requests).as_bytes(),
+                &mut out,
+                &PipelineOptions::default(),
+            )
             .unwrap();
         String::from_utf8(out).unwrap()
     };
@@ -404,14 +467,22 @@ fn over_cap_runs_on_a_v2_stream_get_an_in_order_error_and_spare_its_siblings() {
     assert_eq!(format!("{}\n", lines[2]), offline(&hostile[2..]));
     assert_eq!(session[1], offline(&streams[0]), "the sibling stream");
     assert_eq!(concurrent[0], offline(&streams[1]), "the concurrent client");
-    assert_eq!(follow_up[0], offline(&hostile[..1]), "the follow-up session");
+    assert_eq!(
+        follow_up[0],
+        offline(&hostile[..1]),
+        "the follow-up session"
+    );
 }
 
 #[test]
 fn malformed_json_inside_v2_matches_v1_parse_errors() {
     let program = kernel(4_000);
     let run_config = RunConfig::default();
-    let workloads = [WorkloadSpec { name: "k", program: &program, run_config: &run_config }];
+    let workloads = [WorkloadSpec {
+        name: "k",
+        program: &program,
+        run_config: &run_config,
+    }];
     let machines = [MachineModel::ivy_bridge()];
     let request = serde_json::to_string(&EvalRequest::new(
         "Ivy Bridge (Xeon E3-1265L)",
@@ -431,7 +502,11 @@ fn malformed_json_inside_v2_matches_v1_parse_errors() {
         b"\xff\xfe not utf-8",
         request.as_bytes(),
     ];
-    let v1_wire: Vec<u8> = lines.iter().flat_map(|l| l.iter().chain(b"\n")).copied().collect();
+    let v1_wire: Vec<u8> = lines
+        .iter()
+        .flat_map(|l| l.iter().chain(b"\n"))
+        .copied()
+        .collect();
     let service = EvalService::new(&machines, &workloads)
         .method_options(MethodOptions::fast())
         .threads(2);
@@ -448,13 +523,18 @@ fn malformed_json_inside_v2_matches_v1_parse_errors() {
         v2, v1,
         "parse errors (and their line numbers, counting blanks) must match v1"
     );
-    let responses: Vec<EvalResponse> =
-        v1.lines().map(|l| serde_json::from_str(l).unwrap()).collect();
+    let responses: Vec<EvalResponse> = v1
+        .lines()
+        .map(|l| serde_json::from_str(l).unwrap())
+        .collect();
     assert_eq!(responses.len(), 5, "one response per non-blank line");
     let error = |i: usize| responses[i].error.clone().unwrap_or_default();
     assert!(error(0).contains("parse error on line 1"));
     assert!(responses[1].is_ok());
-    assert!(error(2).contains("parse error on line 4"), "blank line 3 still counts");
+    assert!(
+        error(2).contains("parse error on line 4"),
+        "blank line 3 still counts"
+    );
     assert!(
         error(3).contains("parse error on line 5: invalid UTF-8"),
         "a non-UTF-8 v1 line is answered in order: {}",
@@ -465,7 +545,11 @@ fn malformed_json_inside_v2_matches_v1_parse_errors() {
     // Blank lines are skipped by both protocols, so neither counts them.
     for (proto, stats) in [("v1", v1_stats), ("v2", v2_stats)] {
         assert_eq!(stats.lines, 5, "{proto}: {stats:?}");
-        assert_eq!((stats.requests, stats.parse_errors), (2, 3), "{proto}: {stats:?}");
+        assert_eq!(
+            (stats.requests, stats.parse_errors),
+            (2, 3),
+            "{proto}: {stats:?}"
+        );
         assert_eq!(stats.io_errors, 0, "{proto}: {stats:?}");
     }
 }
@@ -474,7 +558,11 @@ fn malformed_json_inside_v2_matches_v1_parse_errors() {
 fn v2_latency_stamps_carry_queue_and_build_time() {
     let program = kernel(20_000);
     let run_config = RunConfig::default();
-    let workloads = [WorkloadSpec { name: "k", program: &program, run_config: &run_config }];
+    let workloads = [WorkloadSpec {
+        name: "k",
+        program: &program,
+        run_config: &run_config,
+    }];
     let machines = [MachineModel::ivy_bridge()];
     let request = EvalRequest::new("Ivy Bridge (Xeon E3-1265L)", "k", "classic", 1, 5);
     let line = serde_json::to_string(&request).unwrap();
@@ -491,8 +579,13 @@ fn v2_latency_stamps_carry_queue_and_build_time() {
     let reply = String::from_utf8(reply).expect("responses are UTF-8");
     let response: EvalResponse = serde_json::from_str(reply.trim_end()).expect("one response line");
     assert!(response.is_ok(), "{:?}", response.error);
-    let latency = response.latency.expect("v2 responses are stamped under record_latency");
-    assert!(latency.build_us > 0, "a cold pair builds a reference: {latency:?}");
+    let latency = response
+        .latency
+        .expect("v2 responses are stamped under record_latency");
+    assert!(
+        latency.build_us > 0,
+        "a cold pair builds a reference: {latency:?}"
+    );
     assert!(latency.eval_us > 0, "{latency:?}");
     assert_eq!(service.stats().builds, 1);
 }

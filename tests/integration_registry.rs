@@ -26,7 +26,9 @@ use std::sync::Mutex;
 static GUARD: Mutex<()> = Mutex::new(());
 
 fn lock() -> std::sync::MutexGuard<'static, ()> {
-    GUARD.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+    GUARD
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 fn kernel(name: &str, n: u64) -> Program {
@@ -92,7 +94,11 @@ fn default_catalog_requests_are_byte_identical_to_single_catalog_serving() {
     let _guard = lock();
     let program = kernel("k", 10_000);
     let run_config = RunConfig::default();
-    let workloads = [WorkloadSpec { name: "k", program: &program, run_config: &run_config }];
+    let workloads = [WorkloadSpec {
+        name: "k",
+        program: &program,
+        run_config: &run_config,
+    }];
     let other_program = kernel("other", 4_000);
     let other = [WorkloadSpec {
         name: "other",
@@ -155,10 +161,16 @@ fn tenants_sharing_one_cache_never_collide_on_equal_names() {
     let run_config = RunConfig::default();
     let program_a = kernel("k", 10_000);
     let program_b = call_kernel("k", 3_000);
-    let workloads_a =
-        [WorkloadSpec { name: "k", program: &program_a, run_config: &run_config }];
-    let workloads_b =
-        [WorkloadSpec { name: "k", program: &program_b, run_config: &run_config }];
+    let workloads_a = [WorkloadSpec {
+        name: "k",
+        program: &program_a,
+        run_config: &run_config,
+    }];
+    let workloads_b = [WorkloadSpec {
+        name: "k",
+        program: &program_b,
+        run_config: &run_config,
+    }];
     let machines = [MachineModel::ivy_bridge()];
     let request = EvalRequest::new("Ivy Bridge (Xeon E3-1265L)", "k", "classic", 2, 11);
 
@@ -189,9 +201,7 @@ fn tenants_sharing_one_cache_never_collide_on_equal_names() {
 
     // Each tenant's payload matches a dedicated single-catalog service
     // over its own program.
-    for (workloads, response) in
-        [(&workloads_a, &response_a), (&workloads_b, &response_b)]
-    {
+    for (workloads, response) in [(&workloads_a, &response_a), (&workloads_b, &response_b)] {
         let dedicated = EvalService::new(&machines, workloads)
             .method_options(MethodOptions::fast())
             .threads(1);
@@ -214,7 +224,11 @@ fn unknown_catalog_answers_in_order_batched() {
     let _guard = lock();
     let program = kernel("k", 5_000);
     let run_config = RunConfig::default();
-    let workloads = [WorkloadSpec { name: "k", program: &program, run_config: &run_config }];
+    let workloads = [WorkloadSpec {
+        name: "k",
+        program: &program,
+        run_config: &run_config,
+    }];
     let machines = [MachineModel::ivy_bridge()];
     let service = EvalService::new(&machines, &workloads)
         .method_options(MethodOptions::fast())
@@ -233,7 +247,10 @@ fn unknown_catalog_answers_in_order_batched() {
         Some("unknown catalog `acme-prod`"),
         "unknown catalog must answer like unknown machine/workload: an error response"
     );
-    assert!(responses[2].is_ok(), "requests after the bad one still serve");
+    assert!(
+        responses[2].is_ok(),
+        "requests after the bad one still serve"
+    );
     assert_eq!(service.stats().errors, 1);
 }
 
@@ -242,7 +259,11 @@ fn unknown_catalog_answers_in_order_pipelined_and_the_stream_drains() {
     let _guard = lock();
     let program = kernel("k", 5_000);
     let run_config = RunConfig::default();
-    let workloads = [WorkloadSpec { name: "k", program: &program, run_config: &run_config }];
+    let workloads = [WorkloadSpec {
+        name: "k",
+        program: &program,
+        run_config: &run_config,
+    }];
     let machines = [MachineModel::ivy_bridge()];
     let service = EvalService::new(&machines, &workloads)
         .method_options(MethodOptions::fast())
@@ -263,7 +284,10 @@ fn unknown_catalog_answers_in_order_pipelined_and_the_stream_drains() {
             &PipelineOptions::new().chunk(2),
         )
         .unwrap();
-    assert_eq!((stats.requests, stats.parse_errors, stats.responses), (4, 0, 4));
+    assert_eq!(
+        (stats.requests, stats.parse_errors, stats.responses),
+        (4, 0, 4)
+    );
 
     let text = String::from_utf8(out).unwrap();
     let parsed: Vec<EvalResponse> = text
@@ -271,9 +295,15 @@ fn unknown_catalog_answers_in_order_pipelined_and_the_stream_drains() {
         .map(|l| serde_json::from_str(l).unwrap())
         .collect();
     assert!(parsed[0].is_ok());
-    assert_eq!(parsed[1].error.as_deref(), Some("unknown catalog `acme-prod`"));
+    assert_eq!(
+        parsed[1].error.as_deref(),
+        Some("unknown catalog `acme-prod`")
+    );
     assert!(parsed[2].is_ok());
-    assert_eq!(parsed[3].error.as_deref(), Some("unknown catalog `acme-staging`"));
+    assert_eq!(
+        parsed[3].error.as_deref(),
+        Some("unknown catalog `acme-staging`")
+    );
     // Responses echo their requests at their stream positions.
     assert_eq!(parsed[1].request.catalog.as_deref(), Some("acme-prod"));
     assert_eq!(service.stats().errors, 2);
@@ -291,12 +321,27 @@ fn hot_tenant_churn_evicts_the_cold_tenants_reference_from_a_shared_lru() {
     let k2 = kernel("k2", 6_000);
     let cold_program = call_kernel("cold", 2_000);
     let hot_workloads = [
-        WorkloadSpec { name: "k0", program: &k0, run_config: &run_config },
-        WorkloadSpec { name: "k1", program: &k1, run_config: &run_config },
-        WorkloadSpec { name: "k2", program: &k2, run_config: &run_config },
+        WorkloadSpec {
+            name: "k0",
+            program: &k0,
+            run_config: &run_config,
+        },
+        WorkloadSpec {
+            name: "k1",
+            program: &k1,
+            run_config: &run_config,
+        },
+        WorkloadSpec {
+            name: "k2",
+            program: &k2,
+            run_config: &run_config,
+        },
     ];
-    let cold_workloads =
-        [WorkloadSpec { name: "cold", program: &cold_program, run_config: &run_config }];
+    let cold_workloads = [WorkloadSpec {
+        name: "cold",
+        program: &cold_program,
+        run_config: &run_config,
+    }];
     let machines = [MachineModel::ivy_bridge()];
     let cold_request = EvalRequest::new("Ivy Bridge (Xeon E3-1265L)", "cold", "classic", 1, 3)
         .in_catalog("cold-tenant");
@@ -309,7 +354,9 @@ fn hot_tenant_churn_evicts_the_cold_tenants_reference_from_a_shared_lru() {
         Catalog::new(&machines, &cold_workloads).method_options(MethodOptions::fast()),
     );
     // threads(1) keeps cache access order deterministic.
-    let service = EvalService::with_registry(registry).threads(1).cache_capacity(3);
+    let service = EvalService::with_registry(registry)
+        .threads(1)
+        .cache_capacity(3);
     // Cold tenant settles its reference first.
     assert!(service.serve_one(&cold_request).is_ok());
     // Hot tenant churns through its three pairs, twice.
@@ -336,7 +383,11 @@ fn hot_tenant_churn_evicts_the_cold_tenants_reference_from_a_shared_lru() {
     let stats = service.stats();
     assert_eq!(stats.tenants.len(), 2);
     assert_eq!(stats.tenants[0].catalog, DEFAULT_CATALOG);
-    let cold = stats.tenants.iter().find(|t| t.catalog == "cold-tenant").unwrap();
+    let cold = stats
+        .tenants
+        .iter()
+        .find(|t| t.catalog == "cold-tenant")
+        .unwrap();
     assert_eq!(cold.builds, 2, "the replay rebuilt");
     assert_eq!(
         service.cache_stats().tenants[1].evictions,
@@ -352,7 +403,9 @@ const COLD: &str = "tenant-b";
 /// function of its seed (this test binary is wired into countertrust,
 /// which cannot depend on ct-bench's stream generators).
 fn next(state: &mut u64) -> u64 {
-    *state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+    *state = state
+        .wrapping_mul(6364136223846793005)
+        .wrapping_add(1442695040888963407);
     let mut z = *state;
     z = (z ^ (z >> 33)).wrapping_mul(0xFF51_AFD7_ED55_8CCD);
     z ^ (z >> 33)
@@ -400,7 +453,11 @@ fn a_two_tenant_mix_on_a_bounded_cache_serves_batched_bytes() {
     let workloads: Vec<WorkloadSpec<'_>> = programs
         .iter()
         .zip(names)
-        .map(|(program, name)| WorkloadSpec { name, program, run_config: &run_config })
+        .map(|(program, name)| WorkloadSpec {
+            name,
+            program,
+            run_config: &run_config,
+        })
         .collect();
     let machines = [MachineModel::ivy_bridge()];
     let stream = mixed_stream(&names, 120, 0xFA1E);
@@ -421,15 +478,34 @@ fn a_two_tenant_mix_on_a_bounded_cache_serves_batched_bytes() {
     let pipelined = service();
     let mut out = Vec::new();
     let stats = pipelined
-        .serve_pipelined(wire(&stream).as_bytes(), &mut out, &PipelineOptions::new().chunk(8))
+        .serve_pipelined(
+            wire(&stream).as_bytes(),
+            &mut out,
+            &PipelineOptions::new().chunk(8),
+        )
         .expect("in-memory pipeline never hits I/O errors");
     assert_eq!(stats.parse_errors, 0);
     let batched = service();
-    let expected: String = stream.chunks(8).map(|chunk| batched.serve_jsonl(chunk)).collect();
-    assert_eq!(String::from_utf8(out).unwrap(), expected, "pipelined vs batched divergence");
+    let expected: String = stream
+        .chunks(8)
+        .map(|chunk| batched.serve_jsonl(chunk))
+        .collect();
+    assert_eq!(
+        String::from_utf8(out).unwrap(),
+        expected,
+        "pipelined vs batched divergence"
+    );
 
-    let cold = pipelined.stats().tenants.iter().find(|t| t.catalog == COLD).cloned();
-    assert_eq!(cold.expect("cold tenant registered").requests, cold_requests as u64);
+    let cold = pipelined
+        .stats()
+        .tenants
+        .iter()
+        .find(|t| t.catalog == COLD)
+        .cloned();
+    assert_eq!(
+        cold.expect("cold tenant registered").requests,
+        cold_requests as u64
+    );
     assert_eq!(pipelined.cache_stats().tenants.len(), 2);
 }
 
@@ -457,7 +533,11 @@ fn re_registering_a_served_tenant_never_serves_its_old_references() {
     };
     let program = kernel("k", 4_000);
     let run_config = RunConfig::default();
-    let workloads = [WorkloadSpec { name: "k", program: &program, run_config: &run_config }];
+    let workloads = [WorkloadSpec {
+        name: "k",
+        program: &program,
+        run_config: &run_config,
+    }];
     let machines = [MachineModel::ivy_bridge()];
     let request = EvalRequest::new("Ivy Bridge (Xeon E3-1265L)", "spin", "classic", 1, 5)
         .in_catalog("tenantx");
@@ -475,12 +555,18 @@ fn re_registering_a_served_tenant_never_serves_its_old_references() {
             }
         };
         write_tenant(20_000);
-        let served = base().workload_dir(&dir, 1.0).expect("well-formed catalog dir");
+        let served = base()
+            .workload_dir(&dir, 1.0)
+            .expect("well-formed catalog dir");
         assert!(served.serve_one(&request).is_ok());
 
         write_tenant(80_000);
-        let replaced = served.workload_dir(&dir, 1.0).expect("well-formed catalog dir");
-        let fresh = base().workload_dir(&dir, 1.0).expect("well-formed catalog dir");
+        let replaced = served
+            .workload_dir(&dir, 1.0)
+            .expect("well-formed catalog dir");
+        let fresh = base()
+            .workload_dir(&dir, 1.0)
+            .expect("well-formed catalog dir");
         let request = std::slice::from_ref(&request);
         assert_eq!(
             replaced.serve_jsonl(request),
@@ -496,7 +582,11 @@ fn registry_registration_order_and_replacement() {
     let _guard = lock();
     let program = kernel("k", 4_000);
     let run_config = RunConfig::default();
-    let workloads = [WorkloadSpec { name: "k", program: &program, run_config: &run_config }];
+    let workloads = [WorkloadSpec {
+        name: "k",
+        program: &program,
+        run_config: &run_config,
+    }];
     let other_program = kernel("o", 4_000);
     let other = [WorkloadSpec {
         name: "o",

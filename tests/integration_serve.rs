@@ -29,7 +29,9 @@ use std::time::{Duration, Instant};
 static GUARD: Mutex<()> = Mutex::new(());
 
 fn lock() -> std::sync::MutexGuard<'static, ()> {
-    GUARD.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+    GUARD
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 #[test]
@@ -104,9 +106,15 @@ fn cache_contract_capacity_one_unbounded_and_replay() {
     for request in &stream {
         second_pass.push_str(&unbounded.serve_jsonl(std::slice::from_ref(request)));
     }
-    assert_eq!(first_pass, second_pass, "replayed stream must be byte-identical");
+    assert_eq!(
+        first_pass, second_pass,
+        "replayed stream must be byte-identical"
+    );
     assert_eq!(replay_audit.collections(), 0, "replay must be fully cached");
-    assert_eq!(tiny_out, first_pass, "cache capacity must not change responses");
+    assert_eq!(
+        tiny_out, first_pass,
+        "cache capacity must not change responses"
+    );
 }
 
 /// The acceptance run: a zipfian 500-request stream over the full
@@ -194,7 +202,10 @@ fn zipfian_500_stream_hits_cache_and_is_thread_invariant() {
             "{label}: zipfian hit rate {:.3} must exceed 0.8",
             stats.hit_rate()
         );
-        assert_eq!(stats.errors, 0, "{label}: stream names only supported methods");
+        assert_eq!(
+            stats.errors, 0,
+            "{label}: stream names only supported methods"
+        );
         assert!(
             builds <= pairs,
             "{label}: {builds} reference builds exceed {pairs} distinct pairs"
@@ -228,7 +239,9 @@ impl ServeProcess {
     /// <addr>`.
     fn listening_addr(&mut self) -> SocketAddr {
         let mut line = String::new();
-        self.stderr.read_line(&mut line).expect("read serve's stderr");
+        self.stderr
+            .read_line(&mut line)
+            .expect("read serve's stderr");
         line.trim_end()
             .strip_prefix("serve: listening on ")
             .unwrap_or_else(|| panic!("unexpected first stderr line {line:?}"))
@@ -248,7 +261,9 @@ impl ServeProcess {
             std::thread::sleep(Duration::from_millis(20));
         };
         let mut stderr = String::new();
-        self.stderr.read_to_string(&mut stderr).expect("read serve's stderr");
+        self.stderr
+            .read_to_string(&mut stderr)
+            .expect("read serve's stderr");
         (status.code(), stderr)
     }
 }
@@ -315,8 +330,14 @@ fn serve_binary_matches_an_offline_service_over_v1_and_v2_and_warm_restarts() {
     let snapshots = root.0.join("snapshots");
     let snapshots = snapshots.to_str().expect("temp paths are UTF-8");
     let args = [
-        "--listen", "127.0.0.1:0", "--scale", "0.01", "--workload-dir", tenant_dir,
-        "--snapshot-dir", snapshots,
+        "--listen",
+        "127.0.0.1:0",
+        "--scale",
+        "0.01",
+        "--workload-dir",
+        tenant_dir,
+        "--snapshot-dir",
+        snapshots,
     ];
 
     // Default-catalog and tenant requests in one stream.
@@ -333,7 +354,14 @@ fn serve_binary_matches_an_offline_service_over_v1_and_v2_and_warm_restarts() {
     let wire = to_wire(&requests);
     let halves = [
         to_wire(&requests.iter().step_by(2).cloned().collect::<Vec<_>>()),
-        to_wire(&requests.iter().skip(1).step_by(2).cloned().collect::<Vec<_>>()),
+        to_wire(
+            &requests
+                .iter()
+                .skip(1)
+                .step_by(2)
+                .cloned()
+                .collect::<Vec<_>>(),
+        ),
     ];
 
     // The offline service `serve` builds from the same flags.
@@ -357,16 +385,24 @@ fn serve_binary_matches_an_offline_service_over_v1_and_v2_and_warm_restarts() {
     let mut cold = ServeProcess::spawn(&args);
     let addr = cold.listening_addr();
     assert_eq!(exchange(addr, &wire).expect("v1 exchange"), expected_v1);
-    assert_eq!(exchange_v2(addr, &halves).expect("v2 exchange"), expected_v2);
+    assert_eq!(
+        exchange_v2(addr, &halves).expect("v2 exchange"),
+        expected_v2
+    );
     drop(cold);
 
-    let written = std::fs::read_dir(snapshots).expect("the snapshot directory exists").count();
+    let written = std::fs::read_dir(snapshots)
+        .expect("the snapshot directory exists")
+        .count();
     assert!(written > 0, "cold builds write snapshots behind");
 
     let mut warm = ServeProcess::spawn(&args);
     let addr = warm.listening_addr();
     assert_eq!(exchange(addr, &wire).expect("v1 exchange"), expected_v1);
-    assert_eq!(exchange_v2(addr, &halves).expect("v2 exchange"), expected_v2);
+    assert_eq!(
+        exchange_v2(addr, &halves).expect("v2 exchange"),
+        expected_v2
+    );
 }
 
 #[test]
@@ -377,7 +413,14 @@ fn serve_binary_rejects_a_bad_command_line_with_status_2() {
         &["--listen", "127.0.0.1:0", "--snapshot-dri", "snaps"][..],
         &["--scale", "0.01"],
         &["--listen", "127.0.0.1:0", "--scale", "0"],
-        &["--listen", "127.0.0.1:0", "--scale", "0.01", "--workload-dir", root.path()],
+        &[
+            "--listen",
+            "127.0.0.1:0",
+            "--scale",
+            "0.01",
+            "--workload-dir",
+            root.path(),
+        ],
     ] {
         let (code, stderr) = ServeProcess::spawn(args).exit();
         assert_eq!(code, Some(2), "serve {args:?}: {stderr}");

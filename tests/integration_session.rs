@@ -6,7 +6,9 @@ use countertrust::Session;
 use ct_sim::MachineModel;
 
 fn kernel() -> ct_isa::Program {
-    ct_workloads::by_name("latency_biased", 60_000).unwrap().program
+    ct_workloads::by_name("latency_biased", 60_000)
+        .unwrap()
+        .program
 }
 
 #[test]

@@ -92,10 +92,13 @@ impl Drop for TempDir {
 #[test]
 fn every_single_byte_truncation_prefix_is_rejected_with_the_right_error() {
     let bytes = valid_snapshot();
-    assert!(SnapshotReader::decode(&bytes, FP).is_ok(), "baseline must be valid");
+    assert!(
+        SnapshotReader::decode(&bytes, FP).is_ok(),
+        "baseline must be valid"
+    );
     for cut in 0..bytes.len() {
-        let err = SnapshotReader::decode(&bytes[..cut], FP)
-            .expect_err("every truncation must reject");
+        let err =
+            SnapshotReader::decode(&bytes[..cut], FP).expect_err("every truncation must reject");
         if cut < HEADER_LEN + TRAILER_LEN {
             assert!(
                 matches!(err, StoreError::Truncated { .. }),
@@ -118,8 +121,7 @@ fn a_bit_flip_in_every_region_yields_its_documented_rejection() {
     for pos in 0..bytes.len() {
         let mut flipped = bytes.clone();
         flipped[pos] ^= 0x01;
-        let err = SnapshotReader::decode(&flipped, FP)
-            .expect_err("every bit flip must reject");
+        let err = SnapshotReader::decode(&flipped, FP).expect_err("every bit flip must reject");
         let expected = if pos < 8 {
             "BadMagic"
         } else if pos < 12 {
@@ -149,7 +151,10 @@ fn wrong_magic_bumped_version_and_stale_fingerprint_reject_even_when_resigned() 
     let mut wrong_magic = bytes.clone();
     wrong_magic[..8].copy_from_slice(b"NOTSNAP\n");
     resign(&mut wrong_magic);
-    assert_eq!(SnapshotReader::decode(&wrong_magic, FP).err(), Some(StoreError::BadMagic));
+    assert_eq!(
+        SnapshotReader::decode(&wrong_magic, FP).err(),
+        Some(StoreError::BadMagic)
+    );
 
     // A bumped format version, checksum made consistent: version skew is
     // its own rejection, not a checksum artifact.
@@ -169,7 +174,10 @@ fn wrong_magic_bumped_version_and_stale_fingerprint_reject_even_when_resigned() 
     resign(&mut stale);
     assert_eq!(
         SnapshotReader::decode(&stale, FP).err(),
-        Some(StoreError::FingerprintMismatch { expected: FP, found: FP + 1 })
+        Some(StoreError::FingerprintMismatch {
+            expected: FP,
+            found: FP + 1
+        })
     );
 
     // And the same file read back *expecting* the patched generation is
@@ -202,7 +210,9 @@ fn profile_cache_falls_back_cold_on_corrupt_snapshot_then_repairs_it() {
 
     let cache = ProfileCache::unbounded();
     cache.attach_snapshot_store(&tmp.0);
-    let (parts, hit) = cache.get_or_build_with_fingerprint(key, Some(FP), build).unwrap();
+    let (parts, hit) = cache
+        .get_or_build_with_fingerprint(key, Some(FP), build)
+        .unwrap();
     assert!(!hit, "corrupt snapshot must not count as a cache hit");
     let stats = cache.stats();
     assert!(stats.snapshot_store);
@@ -232,7 +242,10 @@ fn profile_cache_falls_back_cold_on_corrupt_snapshot_then_repairs_it() {
         .unwrap();
     assert_eq!(*warm_parts.cfg, *parts.cfg);
     let warm_stats = warm.stats();
-    assert_eq!((warm_stats.snapshot_hits, warm_stats.snapshot_rejects), (1, 0));
+    assert_eq!(
+        (warm_stats.snapshot_hits, warm_stats.snapshot_rejects),
+        (1, 0)
+    );
 }
 
 /// The same fallback, observed from the serving tier: a service whose
@@ -244,8 +257,11 @@ fn service_responses_are_byte_identical_with_a_corrupt_store() {
     let program = kernel();
     let run_config = RunConfig::default();
     let machines = [MachineModel::ivy_bridge()];
-    let workloads =
-        [WorkloadSpec { name: "k", program: &program, run_config: &run_config }];
+    let workloads = [WorkloadSpec {
+        name: "k",
+        program: &program,
+        run_config: &run_config,
+    }];
 
     let requests: Vec<EvalRequest> = ["lbr", "classic", "lbr"]
         .iter()
@@ -281,7 +297,10 @@ fn service_responses_are_byte_identical_with_a_corrupt_store() {
         std::fs::write(&path, &bytes).unwrap();
         corrupted += 1;
     }
-    assert!(corrupted > 0, "the seeding pass must have written snapshots");
+    assert!(
+        corrupted > 0,
+        "the seeding pass must have written snapshots"
+    );
 
     let service = EvalService::new(&machines, &workloads)
         .method_options(MethodOptions::fast())

@@ -20,15 +20,16 @@ use std::sync::Mutex;
 static GUARD: Mutex<()> = Mutex::new(());
 
 fn lock() -> std::sync::MutexGuard<'static, ()> {
-    GUARD.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+    GUARD
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 struct TempDir(PathBuf);
 
 impl TempDir {
     fn new(tag: &str) -> Self {
-        let dir =
-            std::env::temp_dir().join(format!("ctstore_warm_{}_{tag}", std::process::id()));
+        let dir = std::env::temp_dir().join(format!("ctstore_warm_{}_{tag}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         Self(dir)
@@ -54,7 +55,12 @@ fn zipfian_stream(
         machines,
         workloads,
         opts,
-        &StreamConfig { pattern: StreamPattern::Zipfian, requests: 30, seed: 11, runs: 1 },
+        &StreamConfig {
+            pattern: StreamPattern::Zipfian,
+            requests: 30,
+            seed: 11,
+            runs: 1,
+        },
     )
 }
 
@@ -106,7 +112,10 @@ fn warm_restart_is_byte_identical_with_zero_rebuilds_batched_and_pipelined() {
         0,
         "warm restart must not re-run a single reference collection"
     );
-    assert_eq!(warm_out, control, "warm batched replay diverged from cold bytes");
+    assert_eq!(
+        warm_out, control,
+        "warm batched replay diverged from cold bytes"
+    );
     let warm_stats = warm.cache_stats();
     assert_eq!(warm_stats.snapshot_hits, cold_builds);
     assert_eq!(warm_stats.snapshot_rejects, 0);
@@ -127,7 +136,11 @@ fn warm_restart_is_byte_identical_with_zero_rebuilds_batched_and_pipelined() {
             &PipelineOptions::new().chunk(4),
         )
         .expect("in-memory pipeline never hits I/O errors");
-    assert_eq!(audit.collections(), 0, "warm pipelined replay must be build-free");
+    assert_eq!(
+        audit.collections(),
+        0,
+        "warm pipelined replay must be build-free"
+    );
     assert_eq!(
         String::from_utf8(out).unwrap(),
         control,
@@ -177,7 +190,10 @@ fn warm_restart_over_tcp_is_byte_identical_and_build_free() {
     // Restarted server, fresh service, same directory: byte-identical
     // response stream, zero audited collections.
     let (warm_response, warm_builds) = serve_once(true);
-    assert_eq!(warm_builds, 0, "warm TCP restart must be reference-build-free");
+    assert_eq!(
+        warm_builds, 0,
+        "warm TCP restart must be reference-build-free"
+    );
     assert_eq!(
         warm_response, cold_response,
         "warm TCP replay diverged from the cold server's bytes"

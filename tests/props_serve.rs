@@ -23,7 +23,9 @@ use std::sync::Mutex;
 static GUARD: Mutex<()> = Mutex::new(());
 
 fn lock() -> std::sync::MutexGuard<'static, ()> {
-    GUARD.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+    GUARD
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 fn loop_kernel(iters: u64) -> Program {
@@ -73,7 +75,11 @@ fn call_kernel(iters: u64) -> Program {
 /// into names against the fixed two-machine, two-workload catalog.
 type RawRequest = (usize, usize, usize, usize, u64);
 
-fn materialize(raw: &[RawRequest], machines: &[MachineModel], names: [&str; 2]) -> Vec<EvalRequest> {
+fn materialize(
+    raw: &[RawRequest],
+    machines: &[MachineModel],
+    names: [&str; 2],
+) -> Vec<EvalRequest> {
     raw.iter()
         .map(|&(m, w, k, runs, seed)| EvalRequest {
             machine: machines[m].name.clone(),
