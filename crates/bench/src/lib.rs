@@ -47,8 +47,6 @@ pub mod streams;
 
 use countertrust::evaluate::Evaluation;
 use countertrust::grid::{GridRunner, WorkloadSpec};
-use countertrust::methods::MethodOptions;
-use ct_sim::MachineModel;
 use ct_workloads::Workload;
 use std::io::IsTerminal;
 
@@ -77,30 +75,6 @@ pub fn grid_runner(cli: &CliOptions) -> GridRunner {
     GridRunner::new()
         .threads(cli.threads.unwrap_or(0))
         .progress(std::io::stderr().is_terminal())
-}
-
-/// Runs the full machine × method grid for one set of workloads,
-/// producing one [`Evaluation`] per (machine, workload) pair.
-///
-/// Methods a machine cannot run are skipped (the paper's tables have the
-/// same holes). This is a convenience wrapper over
-/// [`GridRunner::run_standard`] with the default thread count; the
-/// binaries configure threads/progress via [`grid_runner`].
-#[must_use]
-pub fn run_grid(
-    workloads: &[Workload],
-    machines: &[MachineModel],
-    opts: &MethodOptions,
-    repeats: usize,
-    base_seed: u64,
-) -> Vec<Evaluation> {
-    GridRunner::new().run_standard(
-        machines,
-        &workload_specs(workloads),
-        opts,
-        repeats,
-        base_seed,
-    )
 }
 
 /// Command-line conveniences shared by the binaries: `--scale F`,
@@ -228,7 +202,8 @@ pub fn maybe_write_json(opts: &CliOptions, evals: &[Evaluation]) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use countertrust::methods::MethodKind;
+    use countertrust::methods::{MethodKind, MethodOptions};
+    use ct_sim::MachineModel;
 
     #[test]
     fn cli_parses_flags() {
@@ -327,7 +302,8 @@ mod tests {
     fn grid_produces_cells_for_all_machines() {
         let workloads = ct_workloads::kernel_set(0.01);
         let machines = MachineModel::paper_machines();
-        let evals = run_grid(&workloads[..1], &machines, &MethodOptions::fast(), 1, 1);
+        let specs = workload_specs(&workloads[..1]);
+        let evals = GridRunner::new().run_standard(&machines, &specs, &MethodOptions::fast(), 1, 1);
         assert_eq!(evals.len(), 3);
         // AMD runs fewer methods (no LBR/fix) than the Intel parts.
         let amd = evals.iter().find(|e| e.machine.contains("Magny")).unwrap();

@@ -305,28 +305,6 @@ impl GridRunner {
         self
     }
 
-    /// The configured worker-thread count.
-    #[must_use]
-    pub fn thread_count(&self) -> usize {
-        self.threads
-    }
-
-    /// Phase 1: collects every `(machine, workload)` pair's reference
-    /// profile in parallel, machine-major (`pair = machine * W + workload`).
-    ///
-    /// Failures are reported once here, on stderr; downstream consumers
-    /// skip failed pairs silently.
-    pub fn collect_references(
-        &self,
-        machines: &[MachineModel],
-        workloads: &[WorkloadSpec<'_>],
-    ) -> Vec<Result<Arc<ReferenceProfile>, CoreError>> {
-        self.collect_pair_parts(machines, workloads, &workload_cfgs(workloads))
-            .into_iter()
-            .map(|r| r.map(|parts| parts.reference))
-            .collect()
-    }
-
     /// Phase 1 internals: one [`PairParts`] per pair, machine-major. The
     /// serving layer amortizes the same construction through its cache
     /// instead of a one-shot vector.
@@ -419,9 +397,9 @@ impl GridRunner {
 
         // One task per (machine, workload, method) cell, in output order.
         let mut tasks = Vec::new();
-        for m in 0..machines.len() {
+        for (m, machine_methods) in methods.iter().enumerate() {
             for w in 0..workloads.len() {
-                for k in 0..methods[m].len() {
+                for k in 0..machine_methods.len() {
                     tasks.push((m, w, k));
                 }
             }

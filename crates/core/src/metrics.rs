@@ -47,23 +47,6 @@ pub fn accuracy_error(estimated: &[f64], reference: &[u64]) -> f64 {
     abs_dev / ref_total
 }
 
-/// Unscaled variant: compares raw estimated mass against the reference
-/// (includes sampling-rate error; used by diagnostics and ablations).
-#[must_use]
-pub fn raw_accuracy_error(estimated: &[f64], reference: &[u64]) -> f64 {
-    assert_eq!(estimated.len(), reference.len());
-    let ref_total: f64 = reference.iter().map(|&x| x as f64).sum();
-    if ref_total == 0.0 {
-        return 0.0;
-    }
-    let abs_dev: f64 = estimated
-        .iter()
-        .zip(reference.iter())
-        .map(|(&e, &r)| (e - r as f64).abs())
-        .sum();
-    abs_dev / ref_total
-}
-
 /// True when the top-`n` entries of both rankings name the same items in
 /// the same order (the paper's FullCMS "top 10 functions in the right
 /// order" check, §5.2).
@@ -165,8 +148,6 @@ mod tests {
         // Same distribution at 3x the mass: still perfect.
         let est = vec![300.0, 150.0, 75.0];
         assert!(accuracy_error(&est, &reference) < 1e-12);
-        // But the raw metric sees the mass mismatch.
-        assert!(raw_accuracy_error(&est, &reference) > 1.9);
     }
 
     #[test]

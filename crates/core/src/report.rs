@@ -72,13 +72,6 @@ impl Table {
     }
 }
 
-/// Formats an accuracy error for table cells (percent of net instruction
-/// count, the unit the paper reports).
-#[must_use]
-pub fn fmt_error(err: f64) -> String {
-    format!("{:.1}%", err * 100.0)
-}
-
 /// Formats an error with its spread over repeats.
 #[must_use]
 pub fn fmt_error_pm(mean: f64, std_dev: f64) -> String {
@@ -150,7 +143,6 @@ mod tests {
 
     #[test]
     fn error_formatting() {
-        assert_eq!(fmt_error(0.123), "12.3%");
         assert_eq!(fmt_error_pm(0.5, 0.01), "50.0%±1.0");
     }
 

@@ -1133,12 +1133,6 @@ impl EvalService {
         self
     }
 
-    /// The configured worker-thread count.
-    #[must_use]
-    pub fn thread_count(&self) -> usize {
-        self.threads
-    }
-
     /// Serves one batch of requests, returning one response per request
     /// **in request order**.
     ///
@@ -1902,7 +1896,7 @@ mod tests {
             run_config: &run_config,
         }];
         let machines = [MachineModel::ivy_bridge(), MachineModel::westmere()];
-        let requests = vec![
+        let requests = [
             EvalRequest::new("Westmere (Xeon X5650)", "k", "classic", 1, 1),
             EvalRequest::new("Ivy Bridge (Xeon E3-1265L)", "k", "lbr", 1, 2),
             EvalRequest::new("Ivy Bridge (Xeon E3-1265L)", "k", "precise", 1, 3),
@@ -1997,7 +1991,7 @@ mod tests {
         struct FailingWriter;
         impl std::io::Write for FailingWriter {
             fn write(&mut self, _: &[u8]) -> std::io::Result<usize> {
-                Err(std::io::Error::new(std::io::ErrorKind::Other, "sink full"))
+                Err(std::io::Error::other("sink full"))
             }
             fn flush(&mut self) -> std::io::Result<()> {
                 Ok(())

@@ -266,7 +266,7 @@ pub struct EvalServer {
     /// only available once it returns) — e.g. to shut down only after
     /// known traffic was taken in.
     accepted: AtomicU64,
-    /// Live in-flight connection count/peak, observable while serving.
+    /// Live in-flight connection count, observable while serving.
     registry: ConnectionRegistry,
 }
 
@@ -304,13 +304,6 @@ impl EvalServer {
     #[must_use]
     pub fn active_connections(&self) -> usize {
         self.registry.active()
-    }
-
-    /// Most connections ever served at once (live) — never exceeds the
-    /// [`NetOptions::max_connections`] worker-pool size.
-    #[must_use]
-    pub fn peak_connections(&self) -> usize {
-        self.registry.peak()
     }
 
     /// The address the server actually bound (resolves port `0`).
@@ -590,10 +583,7 @@ mod tests {
         impl AcceptSource for FailingSource {
             fn accept_stream(&self) -> std::io::Result<TcpStream> {
                 if self.taken.fetch_add(1, Ordering::SeqCst) >= self.good {
-                    return Err(std::io::Error::new(
-                        std::io::ErrorKind::Other,
-                        "injected listener failure",
-                    ));
+                    return Err(std::io::Error::other("injected listener failure"));
                 }
                 self.listener.accept().map(|(s, _)| s)
             }
@@ -651,7 +641,7 @@ mod tests {
     #[test]
     fn accept_error_display_names_the_drained_work() {
         let err = AcceptError {
-            error: std::io::Error::new(std::io::ErrorKind::Other, "boom"),
+            error: std::io::Error::other("boom"),
             stats: NetStats {
                 connections: 3,
                 responses: 7,

@@ -53,9 +53,10 @@
 //! burst is answered before the next blocking read, so a
 //! request/response client that sends one frame and waits never
 //! deadlocks. A burst is one chunk of the same loop v1 runs
-//! ([`super::EvalService::serve_pipelined`]): blank payloads are skipped
-//! and never counted, and latency stamps carry queue, build and
-//! evaluation time alike.
+//! ([`super::EvalService::serve_pipelined`]): a blank payload is never
+//! answered and is not counted in [`super::PipelineStats::lines`], but
+//! it does count toward the line numbers that errors name, and latency
+//! stamps carry queue, build and evaluation time alike.
 //!
 //! # Examples
 //!

@@ -46,26 +46,19 @@ impl AcceptSource for TcpListener {
 #[derive(Debug, Default)]
 pub(crate) struct ConnectionRegistry {
     active: AtomicUsize,
-    peak: AtomicUsize,
 }
 
 impl ConnectionRegistry {
     /// Registers one connection; the returned guard deregisters it on
     /// drop (also on panic — that is the point of a guard).
     pub(crate) fn register(&self) -> ConnectionGuard<'_> {
-        let now = self.active.fetch_add(1, Ordering::AcqRel) + 1;
-        self.peak.fetch_max(now, Ordering::AcqRel);
+        self.active.fetch_add(1, Ordering::AcqRel);
         ConnectionGuard(self)
     }
 
     /// Connections currently being served.
     pub(crate) fn active(&self) -> usize {
         self.active.load(Ordering::Acquire)
-    }
-
-    /// Most connections ever served at once.
-    pub(crate) fn peak(&self) -> usize {
-        self.peak.load(Ordering::Acquire)
     }
 }
 
@@ -168,10 +161,7 @@ mod tests {
     impl AcceptSource for FailingSource {
         fn accept_stream(&self) -> io::Result<TcpStream> {
             if self.taken.fetch_add(1, Ordering::SeqCst) >= self.good {
-                return Err(io::Error::new(
-                    io::ErrorKind::Other,
-                    "injected listener failure",
-                ));
+                return Err(io::Error::other("injected listener failure"));
             }
             self.listener.accept_stream()
         }
@@ -216,17 +206,17 @@ mod tests {
     #[test]
     fn registry_tracks_active_and_peak() {
         let registry = ConnectionRegistry::default();
-        assert_eq!((registry.active(), registry.peak()), (0, 0));
+        assert_eq!(registry.active(), 0);
         let a = registry.register();
         let b = registry.register();
-        assert_eq!((registry.active(), registry.peak()), (2, 2));
+        assert_eq!(registry.active(), 2);
         drop(a);
-        assert_eq!((registry.active(), registry.peak()), (1, 2));
+        assert_eq!(registry.active(), 1);
         let c = registry.register();
-        assert_eq!((registry.active(), registry.peak()), (2, 2));
+        assert_eq!(registry.active(), 2);
         drop(b);
         drop(c);
-        assert_eq!((registry.active(), registry.peak()), (0, 2));
+        assert_eq!(registry.active(), 0);
     }
 
     #[test]

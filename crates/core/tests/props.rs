@@ -5,37 +5,38 @@
 use countertrust::methods::{MethodKind, MethodOptions};
 use countertrust::metrics::{accuracy_error, kendall_tau};
 use countertrust::Session;
-use ct_isa::reg::names::*;
-use ct_isa::ProgramBuilder;
+use ct_isa::asm;
 use ct_sim::MachineModel;
 use proptest::prelude::*;
+use std::fmt::Write as _;
 
 /// A branchy, always-terminating program: a counted loop over a chain of
 /// conditional skips (so LBR stacks contain varied segments).
 fn branchy_program(iters: u32, arms: u8) -> ct_isa::Program {
-    let mut b = ProgramBuilder::new("prop");
-    b.begin_func("main");
-    b.movi(R1, i64::from(iters));
-    b.movi(R10, 0x9E37_79B9);
-    let top = b.here_label();
-    // Cheap LCG for branch variety.
-    b.muli(R10, R10, 6_364_136_223_846_793_005);
-    b.addi(R10, R10, 1_442_695_040_888_963_407);
+    let mut arms_src = String::new();
     for k in 0..arms {
-        let skip = b.new_label();
-        b.movi(R3, 40 + i64::from(k));
-        b.shr(R4, R10, R3);
-        b.andi(R4, R4, 1);
-        b.brz(R4, skip);
-        b.addi(R5, R5, 1);
-        b.addi(R6, R6, 1);
-        b.bind(skip).unwrap();
+        let _ = write!(
+            arms_src,
+            "    movi r3, {}\n    shr r4, r10, r3\n    andi r4, r4, 1\n    brz r4, skip{k}\n    addi r5, r5, 1\n    addi r6, r6, 1\nskip{k}:\n",
+            40 + k
+        );
     }
-    b.subi(R1, R1, 1);
-    b.brnz(R1, top);
-    b.halt();
-    b.end_func();
-    b.build().expect("valid")
+    let source = format!(
+        r"
+.func main
+    movi r1, {iters}
+    movi r10, 0x9E3779B9
+top:
+    ; Cheap LCG for branch variety.
+    muli r10, r10, 6364136223846793005
+    addi r10, r10, 1442695040888963407
+{arms_src}    subi r1, r1, 1
+    brnz r1, top
+    halt
+.endfunc
+"
+    );
+    asm::assemble("prop", &source).expect("valid")
 }
 
 proptest! {

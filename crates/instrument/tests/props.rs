@@ -2,38 +2,42 @@
 //! reference profile must satisfy on arbitrary structured programs.
 
 use ct_instrument::ReferenceProfile;
-use ct_isa::reg::names::*;
-use ct_isa::{Cfg, ProgramBuilder};
+use ct_isa::{asm, Cfg};
 use ct_sim::{MachineModel, RunConfig};
 use proptest::prelude::*;
+use std::fmt::Write as _;
 
 /// Nested counted loops with conditional arms and a leaf call.
 fn structured_program(outer: u16, inner: u16, arms: u8) -> ct_isa::Program {
-    let mut b = ProgramBuilder::new("prop");
-    b.begin_func("main");
-    b.movi(R1, i64::from(outer));
-    let otop = b.here_label();
-    b.movi(R2, i64::from(inner));
-    let itop = b.here_label();
+    let mut arms_src = String::new();
     for k in 0..arms {
-        let skip = b.new_label();
-        b.andi(R4, R2, 1 << (k % 3));
-        b.brz(R4, skip);
-        b.addi(R5, R5, 1);
-        b.bind(skip).unwrap();
+        let _ = write!(
+            arms_src,
+            "    andi r4, r2, {}\n    brz r4, skip{k}\n    addi r5, r5, 1\nskip{k}:\n",
+            1 << (k % 3)
+        );
     }
-    b.call("leaf");
-    b.subi(R2, R2, 1);
-    b.brnz(R2, itop);
-    b.subi(R1, R1, 1);
-    b.brnz(R1, otop);
-    b.halt();
-    b.end_func();
-    b.begin_func("leaf");
-    b.addi(R6, R6, 1);
-    b.ret();
-    b.end_func();
-    b.build().expect("valid")
+    let source = format!(
+        r"
+.func main
+    movi r1, {outer}
+otop:
+    movi r2, {inner}
+itop:
+{arms_src}    call leaf
+    subi r2, r2, 1
+    brnz r2, itop
+    subi r1, r1, 1
+    brnz r1, otop
+    halt
+.endfunc
+.func leaf
+    addi r6, r6, 1
+    ret
+.endfunc
+"
+    );
+    asm::assemble("prop", &source).expect("valid")
 }
 
 proptest! {

@@ -22,7 +22,9 @@
 //!
 //! Integer operands are constant expressions over `+ - * / %`, unary
 //! `+`/`-`, parentheses, decimal and `0x` hex literals, and `.const`
-//! names (defined before use). Comments start with `;` or `#`. Branch
+//! names (defined before use). Parentheses and unary signs nest at
+//! most [`MAX_EXPR_DEPTH`] deep, so a hostile operand is a syntax error
+//! rather than a stack overflow. Comments start with `;` or `#`. Branch
 //! targets may also be written as `@N` absolute addresses (as produced
 //! by the disassembler for round-trip tests).
 //!
@@ -32,7 +34,8 @@
 //!
 //! The data segment is hard-bounded at [`MAX_DATA_WORDS`]: `.data`
 //! sizes and `.init` indices past the bound (notably huge `.init
-//! LO..HI` range fills) are rejected before any memory is laid out, so
+//! LO..HI` range fills), and `.init` lines that together set more words
+//! than the bound, are rejected before any memory is laid out, so
 //! assembling a hostile file never allocates unboundedly.
 //!
 //! [`assemble_with`] additionally takes **constant overrides**: the
@@ -50,7 +53,8 @@ use std::collections::{HashMap, HashSet};
 
 /// Hard upper bound on the data segment the assembler will lay out: no
 /// `.data` size and no `.init` index (including every index implied by
-/// a `.init LO..HI` range fill) may reach past this many words.
+/// a `.init LO..HI` range fill) may reach past this many words, and all
+/// `.init` lines together may set at most this many words.
 ///
 /// This is a structural bound of the front-end, enforced *before* any
 /// fill loop runs, so a hostile source line like
@@ -59,6 +63,11 @@ use std::collections::{HashMap, HashSet};
 /// Catalog loaders layer their own tighter, configurable caps on top
 /// after assembly (see `workloads::loader::LoaderLimits`).
 pub const MAX_DATA_WORDS: usize = 1 << 24;
+
+/// How deep parentheses and unary `+`/`-` may nest in one constant
+/// expression. The evaluator recurses once per level, so the bound keeps
+/// a hostile operand such as 100,000 `(` from overflowing the stack.
+pub const MAX_EXPR_DEPTH: usize = 64;
 
 /// Assembles `source` into a validated [`Program`] named `name`.
 pub fn assemble(name: &str, source: &str) -> Result<Program, IsaError> {
@@ -226,6 +235,7 @@ impl<'o> Assembler<'o> {
             consts: &self.consts,
             rest: text.trim(),
             whole: text.trim(),
+            depth: 0,
         }
         .parse()
     }
@@ -361,12 +371,15 @@ impl<'o> Assembler<'o> {
             if hi < lo {
                 return Err(ctx.err(parts[0], format!(".init range {lo}..{hi} is reversed")));
             }
-            // Bound the range BEFORE the fill loop: a huge `hi` must be
-            // a diagnostic, not 2^60 pushes.
+            // Bound the range BEFORE the fill: a huge `hi` must be a
+            // diagnostic, not 2^60 pushes, and so must a fill that takes
+            // the words set by all `.init` lines past the bound.
             self.check_data_bound(hi, ctx.line)?;
+            self.check_data_bound(self.init_data.len() + (hi - lo), ctx.line)?;
             let value = self.eval(parts[1], ctx)?;
-            for idx in lo..hi {
-                self.push_init(idx, value, ctx)?;
+            self.init_data.extend((lo..hi).map(|idx| (idx, value)));
+            if hi > lo {
+                self.data_words = self.data_words.max(hi);
             }
             return Ok(());
         }
@@ -378,7 +391,8 @@ impl<'o> Assembler<'o> {
         Ok(())
     }
 
-    /// Errors when a data index/size reaches past [`MAX_DATA_WORDS`].
+    /// Errors when a data index, size or `.init` word count reaches past
+    /// [`MAX_DATA_WORDS`].
     fn check_data_bound(&self, words: usize, line: usize) -> Result<(), IsaError> {
         if words > MAX_DATA_WORDS {
             return Err(IsaError::DataTooLarge {
@@ -392,6 +406,7 @@ impl<'o> Assembler<'o> {
 
     fn push_init(&mut self, idx: usize, value: i64, ctx: Ctx<'_>) -> Result<(), IsaError> {
         self.check_data_bound(idx.saturating_add(1), ctx.line)?;
+        self.check_data_bound(self.init_data.len() + 1, ctx.line)?;
         self.init_data.push((idx, value));
         if idx >= self.data_words {
             self.data_words = idx + 1;
@@ -602,6 +617,8 @@ struct ExprParser<'a, 's> {
     consts: &'a HashMap<String, i64>,
     rest: &'s str,
     whole: &'s str,
+    /// Signs and open parentheses enclosing the current position.
+    depth: usize,
 }
 
 impl ExprParser<'_, '_> {
@@ -681,26 +698,31 @@ impl ExprParser<'_, '_> {
     }
 
     fn unary(&mut self) -> Result<i64, IsaError> {
-        match self.peek() {
-            Some('-') => {
-                self.bump();
-                Ok(self.unary()?.wrapping_neg())
-            }
-            Some('+') => {
-                self.bump();
-                self.unary()
-            }
-            Some('(') => {
-                self.bump();
+        let Some(op @ ('-' | '+' | '(')) = self.peek() else {
+            return self.atom();
+        };
+        if self.depth == MAX_EXPR_DEPTH {
+            return Err(self.ctx.err(
+                self.rest,
+                format!("expression nests deeper than {MAX_EXPR_DEPTH} levels"),
+            ));
+        }
+        self.depth += 1;
+        self.bump();
+        let v = match op {
+            '-' => self.unary()?.wrapping_neg(),
+            '+' => self.unary()?,
+            _ => {
                 let v = self.expr()?;
                 if self.peek() != Some(')') {
                     return Err(self.ctx.err(self.rest, "expected `)`"));
                 }
                 self.bump();
-                Ok(v)
+                v
             }
-            _ => self.atom(),
-        }
+        };
+        self.depth -= 1;
+        Ok(v)
     }
 
     fn atom(&mut self) -> Result<i64, IsaError> {
@@ -1062,6 +1084,23 @@ mod tests {
         assert!(matches!(e, IsaError::DataTooLarge { line: 1, .. }), "{e}");
         // The bound itself is fine for `.data` (no per-word allocation).
         assemble("t", ".data 0x1000000\n.func main\n halt\n.endfunc\n").unwrap();
+    }
+
+    #[test]
+    fn deeply_nested_expressions_are_parse_errors() {
+        let source =
+            |operand: String| format!(".func main\n movi r1, {operand}\n halt\n.endfunc\n");
+        for (open, close) in [("(", ")"), ("-", "")] {
+            let operand = open.repeat(100_000) + "1" + &close.repeat(100_000);
+            let (line, col, detail) = parse_err(&source(operand));
+            // The operand starts at column 11; the error names the first
+            // level past the bound.
+            assert_eq!((line, col), (2, 11 + MAX_EXPR_DEPTH), "{detail}");
+            assert!(detail.contains("nests deeper than 64"), "{detail}");
+        }
+        let at_bound = "(".repeat(MAX_EXPR_DEPTH - 1) + "-7" + &")".repeat(MAX_EXPR_DEPTH - 1);
+        let p = assemble("t", &source(at_bound)).unwrap();
+        assert_eq!(p.insns[0].op, Opcode::MovI(R1, -7));
     }
 
     #[test]

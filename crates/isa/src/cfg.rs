@@ -229,13 +229,6 @@ impl Cfg {
     pub fn num_blocks(&self) -> usize {
         self.blocks.len()
     }
-
-    /// Iterates over `(block, instruction-range)` pairs for a function.
-    pub fn blocks_in_range(&self, start: Addr, end: Addr) -> impl Iterator<Item = &BasicBlock> {
-        self.blocks
-            .iter()
-            .filter(move |b| b.start >= start && b.end <= end)
-    }
 }
 
 #[cfg(test)]

@@ -1,7 +1,7 @@
 //! Disassembly: rendering instructions and programs as assembler text.
 //!
-//! The format round-trips through [`crate::asm::assemble`]; property tests in
-//! the assembler module rely on this.
+//! The format round-trips through [`crate::asm::assemble`]; the `props.rs`
+//! property tier relies on this.
 
 use crate::insn::{Insn, Opcode};
 use crate::program::Program;
@@ -56,36 +56,14 @@ impl fmt::Display for Insn {
     }
 }
 
-/// Renders a whole program as annotated assembler text: function headers,
-/// addresses and instructions. Intended for debugging and golden tests, not
-/// for re-assembly (it uses `@addr` numeric targets rather than labels).
-#[must_use]
-pub fn disassemble(program: &Program) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "; program: {} ({} insns)", program.name, program.len());
-    for (i, insn) in program.insns.iter().enumerate() {
-        if let Some(func) = program
-            .symbols
-            .functions()
-            .iter()
-            .find(|f| f.entry == i as u32)
-        {
-            let _ = writeln!(out, "{}:", func.name);
-        }
-        let _ = writeln!(out, "  {i:6}  {insn}");
-    }
-    out
-}
-
 /// Renders a program as **re-assemblable** source: `.data`/`.init`
 /// directives, `.func`/`.endfunc` blocks in entry order, and one
 /// instruction per line with `@addr` numeric branch targets.
 ///
 /// For any validated program whose `init_data` indices lie inside
-/// `data_words` (always true of builder output), feeding the result
+/// `data_words` (always true of assembler output), feeding the result
 /// back through [`crate::asm::assemble`] reproduces a structurally
-/// equal [`Program`] — the round-trip the `props.rs` property tier
-/// pins, and the renderer behind the `.ctasm` catalog emitter.
+/// equal [`Program`]: the round trip the `props.rs` property tier pins.
 #[must_use]
 pub fn to_asm(program: &Program) -> String {
     let mut out = String::new();
@@ -125,7 +103,6 @@ pub fn to_asm(program: &Program) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::program::{Function, SymbolTable};
     use crate::reg::names::*;
 
     #[test]
@@ -150,20 +127,6 @@ mod tests {
             Insn::new(Opcode::FMovI(F1, 1.5)).to_string(),
             "fmovi f1, 1.5"
         );
-    }
-
-    #[test]
-    fn disassemble_includes_function_names() {
-        let insns = vec![Insn::new(Opcode::Nop), Insn::new(Opcode::Halt)];
-        let sym = SymbolTable::new(vec![Function {
-            name: "main".into(),
-            entry: 0,
-            end: 2,
-        }]);
-        let p = Program::new("t", insns, sym, 0).unwrap();
-        let text = disassemble(&p);
-        assert!(text.contains("main:"));
-        assert!(text.contains("halt"));
     }
 
     #[test]

@@ -41,18 +41,15 @@ pub enum IsaError {
     UnknownOverride { name: String },
     /// Assembler: a `.data` size or `.init` index would grow the data
     /// segment past the assembler's hard bound
-    /// ([`crate::asm::MAX_DATA_WORDS`]). Checked before any fill loop
-    /// runs, so a hostile source cannot make assembly itself allocate
-    /// unbounded memory.
+    /// ([`crate::asm::MAX_DATA_WORDS`]), or the `.init` lines so far
+    /// would together set more words than that bound. Checked before any
+    /// fill runs, so a hostile source cannot make assembly itself
+    /// allocate more than the bound's worth of `.init` words.
     DataTooLarge {
         line: usize,
         words: usize,
         limit: usize,
     },
-    /// Builder: a label was bound more than once.
-    LabelRebound { label: u32 },
-    /// Builder: an emitted reference was never bound.
-    UnboundLabel { label: u32 },
 }
 
 impl fmt::Display for IsaError {
@@ -106,12 +103,8 @@ impl fmt::Display for IsaError {
             IsaError::DataTooLarge { line, words, limit } => {
                 write!(
                     f,
-                    "line {line}: data segment of {words} words exceeds assembler cap {limit}"
+                    "line {line}: {words} data words exceed the assembler cap of {limit}"
                 )
-            }
-            IsaError::LabelRebound { label } => write!(f, "builder label {label} bound twice"),
-            IsaError::UnboundLabel { label } => {
-                write!(f, "builder label {label} referenced but never bound")
             }
         }
     }

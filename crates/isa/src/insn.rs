@@ -266,12 +266,6 @@ impl Insn {
     }
 }
 
-impl From<Opcode> for Insn {
-    fn from(op: Opcode) -> Self {
-        Insn::new(op)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -6,7 +6,9 @@
 //! representation: a small register machine with integer, floating-point,
 //! memory and control-flow instructions, plus the static analyses the
 //! profiling pipeline needs (symbol tables, control-flow graphs, basic-block
-//! maps) and a text assembler/disassembler for tests and golden files.
+//! maps), the `.ctasm` text assembler ([`asm`], the one way to write a
+//! program) and [`disasm::to_asm`], which renders a program back to
+//! assembler text.
 //!
 //! Addresses are instruction indices: every instruction occupies one address
 //! slot, so `Addr` arithmetic (`IP+1` and friends — central to the paper's
@@ -38,7 +40,6 @@
 #![deny(rustdoc::broken_intra_doc_links)]
 
 pub mod asm;
-pub mod builder;
 pub mod cfg;
 pub mod disasm;
 pub mod error;
@@ -47,7 +48,6 @@ pub mod prime;
 pub mod program;
 pub mod reg;
 
-pub use builder::ProgramBuilder;
 pub use cfg::{BasicBlock, BlockId, Cfg, Terminator};
 pub use error::IsaError;
 pub use insn::{Addr, Cond, Insn, InsnClass, Opcode};

@@ -58,15 +58,6 @@ impl SymbolTable {
         self.functions.iter().find(|f| f.name == name)
     }
 
-    /// Returns the function containing `addr`, if any.
-    #[must_use]
-    pub fn containing(&self, addr: Addr) -> Option<&Function> {
-        let idx = self.functions.partition_point(|f| f.entry <= addr);
-        idx.checked_sub(1)
-            .map(|i| &self.functions[i])
-            .filter(|f| f.contains(addr))
-    }
-
     /// Returns the index (into [`SymbolTable::functions`]) of the function
     /// containing `addr`.
     #[must_use]
@@ -301,11 +292,12 @@ mod tests {
                 end: 10,
             },
         ]);
-        assert_eq!(sym.containing(0).unwrap().name, "a");
-        assert_eq!(sym.containing(9).unwrap().name, "a");
-        assert_eq!(sym.containing(10).unwrap().name, "b");
-        assert_eq!(sym.containing(19).unwrap().name, "b");
-        assert!(sym.containing(20).is_none());
+        // Sorted by entry: `a` is function 0, `b` function 1.
+        let containing = |addr| sym.index_containing(addr);
+        assert_eq!(
+            [0, 9, 10, 19, 20].map(containing),
+            [Some(0), Some(0), Some(1), Some(1), None]
+        );
         assert!(sym.is_entry(10));
         assert!(!sym.is_entry(11));
         assert_eq!(sym.by_name("b").unwrap().entry, 10);
@@ -325,7 +317,6 @@ mod tests {
                 end: 12,
             },
         ]);
-        assert!(sym.containing(6).is_none());
         assert_eq!(sym.index_containing(8), Some(1));
         assert_eq!(sym.index_containing(6), None);
     }

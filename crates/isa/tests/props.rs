@@ -1,9 +1,13 @@
-//! Property-based tests for the ISA layer: assembler round-trips, CFG
-//! invariants on randomly generated structured programs, primality.
+//! Property-based tests for the ISA layer: assembler round-trips and
+//! robustness, CFG invariants on randomly generated structured programs,
+//! primality.
 
-use ct_isa::reg::names::*;
-use ct_isa::{asm, disasm, prime, BasicBlock, Cfg, Cond, Insn, Opcode, ProgramBuilder, Reg};
+use ct_isa::{asm, disasm, prime, BasicBlock, Cfg, Cond, Insn, Opcode, Reg};
 use proptest::prelude::*;
+use std::fmt::Write as _;
+
+#[path = "support/mutate.rs"]
+mod mutate;
 
 fn arb_reg() -> impl Strategy<Value = Reg> {
     (0u8..16).prop_map(Reg::new)
@@ -43,19 +47,21 @@ fn arb_body_op() -> impl Strategy<Value = BodyOp> {
     ]
 }
 
-fn build_program(loop_n: u16, body: &[BodyOp], leaves: &[Vec<Opcode>]) -> ct_isa::Program {
-    let mut b = ProgramBuilder::new("prop");
-    b.begin_func("main");
-    b.movi(R1, i64::from(loop_n) + 1);
-    let top = b.here_label();
-    let mut pending_skip: Option<(ct_isa::builder::Label, u8)> = None;
+/// Renders the structured program as `.ctasm` source. Forward skips
+/// branch to `skipN:` labels, calls name their callee, and each leaf is
+/// a `.func leafN` ending in `ret`.
+fn program_source(loop_n: u16, body: &[BodyOp], leaves: &[Vec<Opcode>]) -> String {
+    let mut src = format!(".func main\n    movi r1, {}\ntop:\n", u32::from(loop_n) + 1);
+    // The open skip's label number and the linear ops it still covers.
+    let mut pending_skip: Option<(usize, u8)> = None;
+    let mut skips = 0;
     for op in body {
         match op {
             BodyOp::Linear(op) => {
-                b.emit(*op);
+                let _ = writeln!(src, "    {}", Insn::new(*op));
                 if let Some((label, n)) = pending_skip.take() {
                     if n <= 1 {
-                        b.bind(label).unwrap();
+                        let _ = writeln!(src, "skip{label}:");
                     } else {
                         pending_skip = Some((label, n - 1));
                     }
@@ -63,34 +69,45 @@ fn build_program(loop_n: u16, body: &[BodyOp], leaves: &[Vec<Opcode>]) -> ct_isa
             }
             BodyOp::FwdSkip(n) => {
                 if pending_skip.is_none() {
-                    let label = b.new_label();
-                    b.brz(R2, label);
-                    pending_skip = Some((label, *n));
+                    let _ = writeln!(src, "    brz r2, skip{skips}");
+                    pending_skip = Some((skips, *n));
+                    skips += 1;
                 }
             }
             BodyOp::Call(i) => {
                 if pending_skip.is_none() && !leaves.is_empty() {
-                    b.call(format!("leaf{}", *i as usize % leaves.len()));
+                    let _ = writeln!(src, "    call leaf{}", *i as usize % leaves.len());
                 }
             }
         }
     }
-    if let Some((label, _)) = pending_skip.take() {
-        b.bind(label).unwrap();
+    if let Some((label, _)) = pending_skip {
+        let _ = writeln!(src, "skip{label}:");
     }
-    b.subi(R1, R1, 1);
-    b.brnz(R1, top);
-    b.halt();
-    b.end_func();
+    src.push_str("    subi r1, r1, 1\n    brnz r1, top\n    halt\n.endfunc\n");
     for (i, leaf) in leaves.iter().enumerate() {
-        b.begin_func(format!("leaf{i}"));
+        let _ = writeln!(src, ".func leaf{i}");
         for op in leaf {
-            b.emit(*op);
+            let _ = writeln!(src, "    {}", Insn::new(*op));
         }
-        b.ret();
-        b.end_func();
+        src.push_str("    ret\n.endfunc\n");
     }
-    b.build().expect("structured programs are always valid")
+    src
+}
+
+/// `.data`/`.init` directives ahead of a generated program: a segment
+/// of `24 + data_extra` words and one `.init` line per `(index, value)`.
+fn data_source(data_extra: usize, inits: &[(usize, i64)]) -> String {
+    let mut src = format!(".data {}\n", 24 + data_extra);
+    for (idx, val) in inits {
+        let _ = writeln!(src, ".init {idx}, {val}");
+    }
+    src
+}
+
+fn build_program(loop_n: u16, body: &[BodyOp], leaves: &[Vec<Opcode>]) -> ct_isa::Program {
+    asm::assemble("prop", &program_source(loop_n, body, leaves))
+        .expect("structured programs are always valid")
 }
 
 proptest! {
@@ -125,12 +142,10 @@ proptest! {
         prop_assert_eq!(p.insns[0].op, Opcode::Load(r, base, off));
     }
 
-    /// Whole-program round trip: random structured `Program` (control
-    /// flow, calls, data segment, init words) → [`disasm::to_asm`] text
-    /// → [`asm::assemble`] → structurally equal `Program`. Shrinking
-    /// happens on the generator inputs, which shrink the text form with
-    /// them — a failing case minimizes to the shortest source that
-    /// still breaks the round trip.
+    /// Whole-program round trip: generated `.ctasm` source (control
+    /// flow, calls, a data segment and init words) →
+    /// [`asm::assemble`] → [`disasm::to_asm`] text → [`asm::assemble`]
+    /// → a structurally equal `Program`.
     #[test]
     fn whole_program_roundtrips_through_to_asm(
         loop_n in 1u16..20,
@@ -139,11 +154,10 @@ proptest! {
         data_extra in 0usize..32,
         inits in prop::collection::vec((0usize..24, -1000i64..1000), 0..8),
     ) {
-        let mut p = build_program(loop_n, &body, &leaves);
-        // Graft a data segment and init words onto the built program the
-        // same way the builder-based workloads do.
-        p.data_words = 24 + data_extra;
-        p.init_data = inits;
+        let source = data_source(data_extra, &inits) + &program_source(loop_n, &body, &leaves);
+        let p = asm::assemble("prop", &source).expect("generated source assembles");
+        prop_assert_eq!(p.data_words, 24 + data_extra);
+        prop_assert_eq!(&p.init_data, &inits);
         let text = disasm::to_asm(&p);
         let back = asm::assemble("prop", &text)
             .expect("to_asm output of a valid program re-assembles");
@@ -219,5 +233,34 @@ proptest! {
     fn is_prime_matches_trial_division(n in 0u64..10_000) {
         let trial = n >= 2 && (2..n).take_while(|d| d * d <= n).all(|d| n % d != 0);
         prop_assert_eq!(prime::is_prime(n), trial);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2048))]
+
+    /// The assembler under adversarial input: generated source with one
+    /// to four byte-level edits must assemble or fail with a typed
+    /// `IsaError`, never panic, and whatever assembles must survive the
+    /// `to_asm` round trip unchanged.
+    #[test]
+    fn mutated_source_assembles_or_errors(
+        loop_n in 1u16..20,
+        body in prop::collection::vec(arb_body_op(), 0..30),
+        leaves in prop::collection::vec(prop::collection::vec(arb_linear_op(), 0..6), 0..3),
+        data_extra in 0usize..32,
+        inits in prop::collection::vec((0usize..24, -1000i64..1000), 0..8),
+        edits in prop::collection::vec(
+            (0u8..5, 0usize..1 << 16, 0..mutate::ALPHABET.len(), 1usize..32),
+            1..5,
+        ),
+    ) {
+        let source = data_source(data_extra, &inits) + &program_source(loop_n, &body, &leaves);
+        let mutant = mutate::mutate(&source, &edits);
+        if let Ok(p) = asm::assemble("prop", &mutant) {
+            let text = disasm::to_asm(&p);
+            let back = asm::assemble("prop", &text);
+            prop_assert_eq!(back.as_ref(), Ok(&p), "mutant:\n{}\nas:\n{}", mutant, text);
+        }
     }
 }

@@ -1,8 +1,7 @@
 //! Property-based tests for the PMU model: counter arithmetic, sample
 //! rates, LBR bounds and period policies under random configurations.
 
-use ct_isa::reg::names::*;
-use ct_isa::ProgramBuilder;
+use ct_isa::asm;
 use ct_pmu::{
     PeriodGenerator, PeriodSpec, PmuEvent, Precision, Randomization, Sampler, SamplerConfig,
 };
@@ -10,22 +9,19 @@ use ct_sim::{Cpu, MachineModel, RunConfig};
 use proptest::prelude::*;
 
 fn loop_program(iters: u32, body_len: u8) -> ct_isa::Program {
-    let mut b = ProgramBuilder::new("prop");
-    b.begin_func("main");
-    b.movi(R1, i64::from(iters));
-    let top = b.here_label();
-    for i in 0..body_len {
-        if i % 5 == 4 {
-            b.div(R3, R4, R5);
-        } else {
-            b.addi(R2, R2, 1);
-        }
-    }
-    b.subi(R1, R1, 1);
-    b.brnz(R1, top);
-    b.halt();
-    b.end_func();
-    b.build().expect("valid")
+    let body: String = (0..body_len)
+        .map(|i| {
+            if i % 5 == 4 {
+                "    div r3, r4, r5\n"
+            } else {
+                "    addi r2, r2, 1\n"
+            }
+        })
+        .collect();
+    let source = format!(
+        ".func main\n    movi r1, {iters}\ntop:\n{body}    subi r1, r1, 1\n    brnz r1, top\n    halt\n.endfunc\n"
+    );
+    asm::assemble("prop", &source).expect("valid")
 }
 
 proptest! {

@@ -116,7 +116,7 @@ impl CacheConfig {
                 return Err(bad());
             }
             let lines = words / self.line_words;
-            if ways == 0 || ways > lines || lines % ways != 0 {
+            if ways == 0 || ways > lines || !lines.is_multiple_of(ways) {
                 return Err(bad());
             }
             if !(lines / ways).is_power_of_two() {

@@ -2,7 +2,7 @@
 //! retirement stream on randomly generated (always-terminating) programs.
 
 use ct_isa::reg::names::*;
-use ct_isa::{Opcode, ProgramBuilder, Reg};
+use ct_isa::{asm, Insn, Opcode, Reg};
 use ct_sim::{Cpu, MachineModel, RetireEvent, RetireObserver, RunConfig, StopReason};
 use proptest::prelude::*;
 
@@ -22,18 +22,15 @@ fn arb_linear_op() -> impl Strategy<Value = Opcode> {
 }
 
 fn loop_program(loop_n: u16, body: &[Opcode]) -> ct_isa::Program {
-    let mut b = ProgramBuilder::new("prop");
-    b.begin_func("main");
-    b.movi(R1, i64::from(loop_n) + 1);
-    let top = b.here_label();
-    for op in body {
-        b.emit(*op);
-    }
-    b.subi(R1, R1, 1);
-    b.brnz(R1, top);
-    b.halt();
-    b.end_func();
-    b.build().expect("valid")
+    let body: String = body
+        .iter()
+        .map(|op| format!("    {}\n", Insn::new(*op)))
+        .collect();
+    let source = format!(
+        ".func main\n    movi r1, {}\ntop:\n{body}    subi r1, r1, 1\n    brnz r1, top\n    halt\n.endfunc\n",
+        u32::from(loop_n) + 1
+    );
+    asm::assemble("prop", &source).expect("valid")
 }
 
 #[derive(Default)]

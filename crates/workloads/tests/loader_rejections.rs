@@ -90,8 +90,10 @@ fn oversized_data_segment_is_rejected() {
 
 #[test]
 fn enforced_data_cap_applies_even_without_declared_limits() {
-    let mut limits = LoaderLimits::default();
-    limits.max_data_words = 4;
+    let limits = LoaderLimits {
+        max_data_words: 4,
+        ..LoaderLimits::default()
+    };
     let e = loader::load_pair(
         Path::new("test.json"),
         &manifest(""),
@@ -105,8 +107,10 @@ fn enforced_data_cap_applies_even_without_declared_limits() {
 
 #[test]
 fn declared_limits_cannot_widen_enforced_caps() {
-    let mut limits = LoaderLimits::default();
-    limits.max_data_words = 4;
+    let limits = LoaderLimits {
+        max_data_words: 4,
+        ..LoaderLimits::default()
+    };
     // The manifest declares a generous limit; the enforced cap still wins.
     let m = manifest(",\n  \"limits\": { \"max_data_words\": 1000000 }");
     let e = loader::load_pair(Path::new("test.json"), &m, OK_SOURCE, 1.0, &limits).unwrap_err();

@@ -11,8 +11,8 @@ use ct_isa::asm::assemble;
 use ct_sim::MachineModel;
 
 fn main() {
-    // 1. A workload: assemble it from text (builders work too — see the
-    //    ct-workloads crate for programmatic generation).
+    // 1. A workload: assemble it from `.ctasm` text, the one way a
+    //    program is written (the ct-workloads catalog is such files).
     let program = assemble(
         "quickstart",
         r#"

@@ -56,8 +56,7 @@ fn main() {
     // nobody registered, and lines 5–6 are tenant traffic for "apps".
     // Every failure comes back as an in-order error response; the
     // pipeline keeps draining.
-    let wire = r#"
-{"machine":"Ivy Bridge (Xeon E3-1265L)","workload":"callchain","method":"lbr","runs":3,"seed":7}
+    let wire = r#"{"machine":"Ivy Bridge (Xeon E3-1265L)","workload":"callchain","method":"lbr","runs":3,"seed":7}
 {"machine":"Ivy Bridge (Xeon E3-1265L)","workload":"callchain","method":"classic","runs":3,"seed":7}
 this line is not a request at all
 {"machine":"Ivy Bridge (Xeon E3-1265L)","workload":"callchain","method":"lbr","runs":1,"seed":7,"catalog":"nope"}

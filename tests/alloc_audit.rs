@@ -8,7 +8,10 @@
 //!   allocations once its scratch tables are warm;
 //! * the batched and pipelined serve paths allocate a vanishing amount
 //!   per retired instruction (per-response bookkeeping exists, but
-//!   nothing scales with the instruction stream).
+//!   nothing scales with the instruction stream);
+//! * the assembler, the front end for tenant-supplied `.ctasm`, requests
+//!   bytes linear in its source plus the `.init` words it lays out, and
+//!   refuses `.init` fills past its bound before allocating them.
 //!
 //! Each test measures a delta around its own steady-state section. The
 //! two exact-zero interpreter audits count the calling thread only:
@@ -20,11 +23,17 @@
 use countertrust::grid::WorkloadSpec;
 use countertrust::methods::MethodOptions;
 use countertrust::serve::{EvalRequest, EvalService, PipelineOptions};
-use ct_isa::asm::assemble;
-use ct_isa::Program;
+use ct_isa::asm::{assemble, MAX_DATA_WORDS};
+use ct_isa::{IsaError, Program};
 use ct_sim::alloc_audit::AllocSnapshot;
 use ct_sim::{Cpu, MachineModel, RunConfig};
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
+use std::path::Path;
 use std::sync::Mutex;
+
+#[path = "../crates/isa/tests/support/mutate.rs"]
+mod mutate;
 
 /// Serializes every measured section, so a concurrently running test
 /// cannot leak its allocations into another test's window.
@@ -175,4 +184,71 @@ fn pipelined_serve_allocates_nothing_per_retired_instruction() {
             .unwrap();
         assert!(!out.is_empty());
     });
+}
+
+/// Assembles `source`, returning the bytes requested process-wide while
+/// it ran (the caller holds [`EXCLUSIVE`]).
+fn assembly_bytes(source: &str) -> (u64, Result<Program, IsaError>) {
+    let before = AllocSnapshot::now();
+    let result = assemble("audit", source);
+    (AllocSnapshot::now().bytes - before.bytes, result)
+}
+
+#[test]
+fn init_words_are_bounded_across_lines_before_any_fill() {
+    let _guard = EXCLUSIVE.lock().unwrap();
+    // Each fill alone is within the bound: 2^24 words of 16 bytes.
+    let source = |fills| {
+        format!(".init 0..{MAX_DATA_WORDS}, 1\n").repeat(fills) + ".func main\n halt\n.endfunc\n"
+    };
+    let (one_fill, program) = assembly_bytes(&source(1));
+    assert_eq!(program.map(|p| p.init_data.len()), Ok(MAX_DATA_WORDS));
+    for fills in [2, 4] {
+        // Refused at the second fill, before it runs: no more bytes than
+        // one fill, plus parsing the extra lines.
+        let (bytes, result) = assembly_bytes(&source(fills));
+        let error = IsaError::DataTooLarge {
+            line: 2,
+            words: 2 * MAX_DATA_WORDS,
+            limit: MAX_DATA_WORDS,
+        };
+        assert_eq!(result.map(|p| p.init_data.len()), Err(error));
+        assert!(
+            bytes <= one_fill + 4096,
+            "{fills} fills: {bytes} bytes, one: {one_fill}"
+        );
+    }
+}
+
+#[test]
+fn assembling_mutated_catalog_sources_requests_bytes_linear_in_the_source() {
+    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../workloads/programs");
+    let mut paths: Vec<_> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .collect();
+    paths.retain(|path| path.extension().is_some_and(|e| e == "ctasm"));
+    paths.sort();
+    assert_eq!(paths.len(), 9, "the nine catalog workloads");
+    let mut rng = SmallRng::seed_from_u64(0xC7A5);
+    let _guard = EXCLUSIVE.lock().unwrap();
+    for path in paths {
+        let source = std::fs::read_to_string(path).unwrap();
+        for _ in 0..200 {
+            let mut r = |n: usize| rng.gen_range(0..n);
+            let edits: Vec<mutate::Edit> = (0..1 + r(4))
+                .map(|_| (r(5) as u8, r(1 << 16), r(mutate::ALPHABET.len()), 1 + r(31)))
+                .collect();
+            let mutant = mutate::mutate(&source, &edits);
+            let (bytes, result) = assembly_bytes(&mutant);
+            let init_words = result.map_or(0, |p| p.init_data.len()) as u64;
+            // The unmutated sources request 2.4–7.8 bytes per source
+            // byte. A `.init` word takes 16 bytes, and a Vec that doubles
+            // requests at most four times its final length in all.
+            assert!(
+                bytes <= 32 * mutant.len() as u64 + 4 * 16 * init_words + 4096,
+                "{bytes} bytes for {init_words} .init words and source:\n{mutant}"
+            );
+        }
+    }
 }

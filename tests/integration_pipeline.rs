@@ -1,7 +1,8 @@
 //! Chunked-intake guarantees: the serve loop
 //! ([`countertrust::serve::EvalService::serve_pipelined`]) degenerates
 //! gracefully (empty stream, single request), keeps draining past
-//! malformed lines (answering them in order), stops at a line over the
+//! malformed lines (answering them in order, also a line nested past the
+//! JSON parser's recursion limit), stops at a line over the
 //! 1 MiB cap after answering it, and — the acceptance contract —
 //! produces byte-identical output to the batched service for the same
 //! stream at any thread count and chunk size.
@@ -106,7 +107,7 @@ fn single_request_round_trips() {
     let mut out = Vec::new();
     let stats = svc
         .serve_pipelined(
-            wire(&[request.clone()]).as_bytes(),
+            wire(std::slice::from_ref(&request)).as_bytes(),
             &mut out,
             &PipelineOptions::default(),
         )
@@ -233,6 +234,46 @@ fn over_long_line_is_answered_in_order_then_reading_stops() {
     assert!(!String::from_utf8(out)
         .unwrap()
         .contains(&MAX_FRAME_PAYLOAD.to_string()));
+}
+
+#[test]
+fn deeply_nested_line_is_answered_in_order_and_reading_continues() {
+    let program = kernel(5_000);
+    let run_config = RunConfig::default();
+    let workloads = [WorkloadSpec {
+        name: "k",
+        program: &program,
+        run_config: &run_config,
+    }];
+    let machines = [MachineModel::ivy_bridge()];
+    let request = sample_requests(&machines).remove(0);
+    let good = wire(std::slice::from_ref(&request));
+    // 10 KB, far under the line cap, but nested far past the JSON
+    // parser's recursion limit.
+    let input = format!("{good}{}\n{good}", "[".repeat(10_000));
+
+    let mut out = Vec::new();
+    let stats = service(&machines, &workloads, 2)
+        .serve_pipelined(input.as_bytes(), &mut out, &PipelineOptions::default())
+        .expect("a deeply nested line is answered, not an I/O error");
+    let counts = (stats.lines, stats.requests, stats.parse_errors);
+    assert_eq!((counts, stats.responses), ((3, 2, 1), 3));
+    let text = String::from_utf8(out).unwrap();
+    let parsed: Vec<EvalResponse> = text
+        .lines()
+        .map(|l| serde_json::from_str(l).unwrap())
+        .collect();
+    let error = parsed[1].error.as_deref().unwrap();
+    assert!(
+        error.contains("parse error on line 2: JSON error: recursion limit"),
+        "{error}"
+    );
+    for response in [&parsed[0], &parsed[2]] {
+        assert!(
+            response.is_ok() && response.request == request,
+            "{response:?}"
+        );
+    }
 }
 
 #[test]

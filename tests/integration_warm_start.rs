@@ -75,7 +75,7 @@ fn warm_restart_is_byte_identical_with_zero_rebuilds_batched_and_pipelined() {
     let stream = zipfian_stream(&machines, &workloads, &opts);
     let service = |dir: Option<&TempDir>| {
         let s = EvalService::new(&machines, &specs)
-            .method_options(opts.clone())
+            .method_options(opts)
             .threads(2);
         match dir {
             Some(tmp) => s.snapshot_dir(&tmp.0),
@@ -161,7 +161,7 @@ fn warm_restart_over_tcp_is_byte_identical_and_build_free() {
 
     let serve_once = |audited: bool| -> (String, usize) {
         let service = EvalService::new(&machines, &specs)
-            .method_options(opts.clone())
+            .method_options(opts)
             .threads(2)
             .snapshot_dir(&tmp.0);
         let server = EvalServer::listen(
