@@ -237,7 +237,7 @@ proptest! {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(2048))]
+    #![proptest_config(ProptestConfig::with_cases(8192))]
 
     /// The assembler under adversarial input: generated source with one
     /// to four byte-level edits must assemble or fail with a typed
