@@ -256,8 +256,8 @@ fn deeply_nested_line_is_answered_in_order_and_reading_continues() {
     let stats = service(&machines, &workloads, 2)
         .serve_pipelined(input.as_bytes(), &mut out, &PipelineOptions::default())
         .expect("a deeply nested line is answered, not an I/O error");
-    let counts = (stats.lines, stats.requests, stats.parse_errors);
-    assert_eq!((counts, stats.responses), ((3, 2, 1), 3));
+    assert_eq!((stats.lines, stats.requests, stats.parse_errors), (3, 2, 1));
+    assert_eq!(stats.responses, 3);
     let text = String::from_utf8(out).unwrap();
     let parsed: Vec<EvalResponse> = text
         .lines()
