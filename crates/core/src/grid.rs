@@ -10,9 +10,9 @@
 //!   counter ([`for_each_index`]), so a fan-out spawns no thread once
 //!   the pool has grown to its width;
 //! * each `(machine, workload)` pair's [`ReferenceProfile`] is collected
-//!   exactly once (phase 1, itself parallel) and shared via [`Arc`] with
-//!   every method evaluation of that pair (phase 2) through
-//!   [`Session::with_reference`];
+//!   exactly once (phase 1, itself parallel) as a [`PairParts`] and
+//!   shared via [`Arc`] with every method evaluation of that pair
+//!   (phase 2) through [`PairCtx::session`];
 //! * per-run seeds derive from the cell coordinates via [`cell_seed`], so
 //!   results are a pure function of the grid shape and base seed — output
 //!   is byte-identical no matter how many threads run or how the queue

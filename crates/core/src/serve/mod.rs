@@ -1104,9 +1104,9 @@ impl EvalService {
     /// build counts do.
     #[must_use]
     pub fn cache_capacity(mut self, capacity: usize) -> Self {
-        let backing = self.cache.snapshot_backing();
+        let snapshot = self.cache.snapshot.take();
         self.cache = ProfileCache::with_capacity(capacity);
-        self.cache.set_snapshot_backing(backing);
+        self.cache.snapshot = snapshot;
         self
     }
 
@@ -1118,7 +1118,7 @@ impl EvalService {
     /// executions, byte-identical to the cold run. Survives
     /// [`Self::cache_capacity`] in either order.
     #[must_use]
-    pub fn snapshot_dir(self, dir: impl Into<PathBuf>) -> Self {
+    pub fn snapshot_dir(mut self, dir: impl Into<PathBuf>) -> Self {
         self.cache.attach_snapshot_store(dir);
         self
     }

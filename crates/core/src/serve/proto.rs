@@ -26,10 +26,11 @@
 //!   order reproduces, byte for byte, the v1 response stream for the
 //!   same request lines — that is the v2 determinism contract.
 //! * `ERR` (server → client): a fatal protocol error (truncated frame,
-//!   oversized length, unknown kind). Emitted **after** the responses
-//!   to every frame that preceded the bad one, then the server closes
-//!   the connection. Malformed *JSON* is not a protocol error — it gets
-//!   an in-order parse-error `RESP` exactly like v1.
+//!   oversized length, unknown kind, or a `REQ` opening a stream past
+//!   [`MAX_STREAMS`]). Emitted **after** the responses to every frame
+//!   that preceded the bad one, then the server closes the connection.
+//!   Malformed *JSON* is not a protocol error — it gets an in-order
+//!   parse-error `RESP` exactly like v1.
 //! * `BYE` (client → server): clean end of session; the server flushes
 //!   pending responses and closes.
 //!
@@ -129,6 +130,12 @@ pub const MAX_FRAME_PAYLOAD: u32 = 1 << 20;
 /// Bytes in a frame header: kind (1) + stream id (4) + payload len (4).
 pub const FRAME_HEADER_LEN: usize = 9;
 
+/// Most distinct stream ids one connection may use. The server keeps a
+/// line counter per stream for the life of the connection (a blank `REQ`
+/// opens a stream too), so the first `REQ` on a new id past this limit
+/// is a protocol error instead of unbounded server memory.
+pub const MAX_STREAMS: usize = 1_024;
+
 /// Frame discriminator — the first header byte.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
@@ -168,7 +175,7 @@ pub struct Frame {
     pub payload: Vec<u8>,
 }
 
-/// Why a frame could not be decoded.
+/// Why a frame could not be decoded or accepted.
 #[derive(Debug)]
 pub enum FrameError {
     /// Transport-level failure (connection reset, timeout, ...).
@@ -179,6 +186,8 @@ pub enum FrameError {
     Oversized(u32),
     /// The kind byte is not a known [`FrameKind`].
     BadKind(u8),
+    /// A `REQ` on this new stream id would exceed [`MAX_STREAMS`].
+    TooManyStreams(u32),
 }
 
 impl std::fmt::Display for FrameError {
@@ -193,6 +202,10 @@ impl std::fmt::Display for FrameError {
                 )
             }
             Self::BadKind(b) => write!(f, "unknown frame kind {b:#04x}"),
+            Self::TooManyStreams(id) => write!(
+                f,
+                "stream {id} exceeds the limit of {MAX_STREAMS} streams per connection"
+            ),
         }
     }
 }
@@ -324,7 +337,7 @@ pub(crate) fn serve_v2(
     // Per-stream line numbers, so a malformed payload is reported as
     // "parse error on line N" with N counting that stream's lines —
     // byte-identical to the same lines arriving over their own v1
-    // connection.
+    // connection. At most MAX_STREAMS entries.
     let mut line_numbers: HashMap<u32, u64> = HashMap::new();
     let mut session_done = false;
     let mut protocol_error: Option<FrameError> = None;
@@ -342,6 +355,12 @@ pub(crate) fn serve_v2(
                 }
                 Ok(Some(frame)) => match frame.kind {
                     FrameKind::Req => {
+                        if line_numbers.len() >= MAX_STREAMS
+                            && !line_numbers.contains_key(&frame.stream)
+                        {
+                            protocol_error = Some(FrameError::TooManyStreams(frame.stream));
+                            break;
+                        }
                         let line_no = line_numbers.entry(frame.stream).or_insert(0);
                         *line_no += 1;
                         chunk.push_line(frame.stream, *line_no, &frame.payload);
@@ -412,16 +431,7 @@ impl V2Client {
     /// not a v2 server.
     pub fn connect(addr: impl ToSocketAddrs) -> io::Result<Self> {
         let stream = TcpStream::connect(addr)?;
-        let mut half = &stream;
-        half.write_all(&V2_PREAMBLE)?;
-        let mut ack = [0u8; 8];
-        half.read_exact(&mut ack)?;
-        if ack != V2_ACK {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "server did not acknowledge protocol v2",
-            ));
-        }
+        handshake(&stream)?;
         Ok(Self {
             reader: BufReader::new(stream.try_clone()?),
             writer: BufWriter::new(stream),
@@ -470,29 +480,7 @@ impl V2Client {
     /// Transport errors, malformed frames, and server `ERR` frames (as
     /// `InvalidData` carrying the server's message).
     pub fn recv(&mut self) -> io::Result<Option<(u32, String)>> {
-        match read_frame(&mut self.reader) {
-            Ok(None) => Ok(None),
-            Ok(Some(frame)) => match frame.kind {
-                FrameKind::Resp => {
-                    let text = String::from_utf8(frame.payload)
-                        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-                    Ok(Some((frame.stream, text)))
-                }
-                FrameKind::Err => Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!(
-                        "server protocol error: {}",
-                        String::from_utf8_lossy(&frame.payload)
-                    ),
-                )),
-                FrameKind::Req | FrameKind::Bye => Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    "unexpected client-direction frame from server",
-                )),
-            },
-            Err(FrameError::Io(e)) => Err(e),
-            Err(e) => Err(io::Error::new(io::ErrorKind::InvalidData, e.to_string())),
-        }
+        read_response(&mut self.reader)
     }
 
     /// Ends the session cleanly: sends `BYE` and flushes. The server
@@ -504,6 +492,52 @@ impl V2Client {
     pub fn bye(mut self) -> io::Result<()> {
         write_frame(&mut self.writer, FrameKind::Bye, 0, &[])?;
         self.writer.flush()
+    }
+}
+
+/// Writes the [`V2_PREAMBLE`] on a connected socket and checks that the
+/// server answers with [`V2_ACK`]; `InvalidData` when it does not.
+fn handshake(stream: &TcpStream) -> io::Result<()> {
+    let mut half = stream;
+    half.write_all(&V2_PREAMBLE)?;
+    let mut ack = [0u8; 8];
+    half.read_exact(&mut ack)?;
+    if ack != V2_ACK {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            "server did not acknowledge protocol v2",
+        ));
+    }
+    Ok(())
+}
+
+/// Reads the next server frame as a response: `Some((stream,
+/// response_line))`, or `None` once the server closed the session. A
+/// server `ERR` frame becomes `InvalidData` carrying its message, as do
+/// malformed and client-direction frames.
+fn read_response<R: Read>(reader: &mut R) -> io::Result<Option<(u32, String)>> {
+    match read_frame(reader) {
+        Ok(None) => Ok(None),
+        Ok(Some(frame)) => match frame.kind {
+            FrameKind::Resp => {
+                let text = String::from_utf8(frame.payload)
+                    .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
+                Ok(Some((frame.stream, text)))
+            }
+            FrameKind::Err => Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!(
+                    "server protocol error: {}",
+                    String::from_utf8_lossy(&frame.payload)
+                ),
+            )),
+            FrameKind::Req | FrameKind::Bye => Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                "unexpected client-direction frame from server",
+            )),
+        },
+        Err(FrameError::Io(e)) => Err(e),
+        Err(e) => Err(io::Error::new(io::ErrorKind::InvalidData, e.to_string())),
     }
 }
 
@@ -579,16 +613,7 @@ pub fn exchange_v2_with(
     let stream = TcpStream::connect(addr)?;
     stream.set_read_timeout(timeout)?;
     stream.set_write_timeout(timeout)?;
-    let mut half = &stream;
-    half.write_all(&V2_PREAMBLE)?;
-    let mut ack = [0u8; 8];
-    half.read_exact(&mut ack)?;
-    if ack != V2_ACK {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "server did not acknowledge protocol v2",
-        ));
-    }
+    handshake(&stream)?;
 
     // Expected responses per stream: one per non-blank line (blank
     // lines consume a line number but are never answered — v1 rules).
@@ -608,47 +633,20 @@ pub fn exchange_v2_with(
         let mut reader = BufReader::new(&stream);
         let mut received = 0usize;
         while received < expected {
-            match read_frame(&mut reader) {
-                Ok(None) => {
-                    return Err(io::Error::new(
-                        io::ErrorKind::UnexpectedEof,
-                        format!("server closed after {received}/{expected} responses"),
-                    ))
-                }
-                Ok(Some(frame)) => match frame.kind {
-                    FrameKind::Resp => {
-                        let id = frame.stream as usize;
-                        if id >= buffers.len() {
-                            return Err(io::Error::new(
-                                io::ErrorKind::InvalidData,
-                                format!("response for unknown stream {id}"),
-                            ));
-                        }
-                        let text = std::str::from_utf8(&frame.payload).map_err(|e| {
-                            io::Error::new(io::ErrorKind::InvalidData, e.to_string())
-                        })?;
-                        buffers[id].push_str(text);
-                        received += 1;
-                    }
-                    FrameKind::Err => {
-                        return Err(io::Error::new(
-                            io::ErrorKind::InvalidData,
-                            format!(
-                                "server protocol error: {}",
-                                String::from_utf8_lossy(&frame.payload)
-                            ),
-                        ))
-                    }
-                    FrameKind::Req | FrameKind::Bye => {
-                        return Err(io::Error::new(
-                            io::ErrorKind::InvalidData,
-                            "unexpected client-direction frame from server",
-                        ))
-                    }
-                },
-                Err(FrameError::Io(e)) => return Err(e),
-                Err(e) => return Err(io::Error::new(io::ErrorKind::InvalidData, e.to_string())),
-            }
+            let Some((id, text)) = read_response(&mut reader)? else {
+                return Err(io::Error::new(
+                    io::ErrorKind::UnexpectedEof,
+                    format!("server closed after {received}/{expected} responses"),
+                ));
+            };
+            let buffer = buffers.get_mut(id as usize).ok_or_else(|| {
+                io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    format!("response for unknown stream {id}"),
+                )
+            })?;
+            buffer.push_str(&text);
+            received += 1;
         }
         sender.join().expect("sender thread never panics")
     })?;

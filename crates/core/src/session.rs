@@ -8,8 +8,9 @@
 //! The reference profile is held behind an [`Arc`] so sessions over the
 //! same `(machine, workload)` pair can share one collection instead of
 //! re-driving the instrumented execution: the grid engine
-//! ([`crate::grid`]) collects each pair's reference once and fans it out
-//! to every per-method session via [`Session::with_reference`].
+//! ([`crate::grid`]) and the serving layer collect each pair's reference
+//! once as a [`crate::cache::PairParts`] and build every per-method
+//! session from it via [`Session::with_shared_parts`].
 
 use crate::attrib;
 use crate::error::CoreError;
@@ -19,7 +20,7 @@ use crate::profile::EstimatedProfile;
 use ct_instrument::ReferenceProfile;
 use ct_isa::{Cfg, Program};
 use ct_pmu::{Sampler, SamplerStats};
-use ct_sim::{Cpu, MachineModel, RunConfig, RunSummary};
+use ct_sim::{Cpu, MachineModel, RunConfig};
 use std::sync::Arc;
 
 /// Result of running one sampling method once.
@@ -44,7 +45,6 @@ pub struct Session<'a> {
     cfg: Arc<Cfg>,
     run_config: RunConfig,
     reference: Option<Arc<ReferenceProfile>>,
-    reference_summary: Option<RunSummary>,
     /// Retained interpreter: its scratch tables (decoded program, data
     /// memory, call stack, predictor and cache state) are allocated on the
     /// first [`Session::run_method`] call and reset — not reallocated —
@@ -75,29 +75,6 @@ impl<'a> Session<'a> {
         )
     }
 
-    /// Creates a session that reuses an already-collected reference
-    /// profile instead of re-driving the instrumented execution.
-    ///
-    /// The caller must pass a profile collected for the same
-    /// `(machine, program, run_config)` triple; accuracy numbers are
-    /// meaningless otherwise. This is the constructor behind the grid
-    /// engine's reference sharing.
-    #[must_use]
-    pub fn with_reference(
-        machine: &'a MachineModel,
-        program: &'a Program,
-        run_config: RunConfig,
-        reference: Arc<ReferenceProfile>,
-    ) -> Self {
-        Self::with_shared_parts(
-            machine,
-            program,
-            run_config,
-            Arc::new(Cfg::build(program)),
-            Some(reference),
-        )
-    }
-
     /// The most general constructor: shares both the program's CFG and
     /// (optionally) the reference profile with other sessions.
     ///
@@ -120,7 +97,6 @@ impl<'a> Session<'a> {
             cfg,
             run_config,
             reference,
-            reference_summary: None,
             cpu: Cpu::new(machine),
         }
     }
@@ -144,24 +120,15 @@ impl<'a> Session<'a> {
         Ok(self.reference.as_deref().expect("just collected"))
     }
 
-    /// Like [`Session::reference`], but returns the shareable handle so
-    /// other sessions over the same pair can reuse the collection via
-    /// [`Session::with_reference`].
-    pub fn shared_reference(&mut self) -> Result<Arc<ReferenceProfile>, CoreError> {
-        self.ensure_reference()?;
-        Ok(self.reference.clone().expect("just collected"))
-    }
-
     fn ensure_reference(&mut self) -> Result<(), CoreError> {
         if self.reference.is_none() {
-            let (reference, summary) = ReferenceProfile::collect_with_cfg(
+            let (reference, _) = ReferenceProfile::collect_with_cfg(
                 self.machine,
                 self.program,
                 &self.cfg,
                 &self.run_config,
             )?;
             self.reference = Some(Arc::new(reference));
-            self.reference_summary = Some(summary);
         }
         Ok(())
     }

@@ -81,7 +81,7 @@ use ct_instrument::ReferenceProfile;
 use ct_isa::{Cfg, Program};
 use ct_sim::{MachineModel, RunConfig};
 use std::fmt;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::Arc;
 
 /// The 8-byte magic opening every snapshot. `\r\n` catches text-mode
@@ -451,12 +451,6 @@ impl SnapshotStore {
     #[must_use]
     pub fn new(dir: impl Into<PathBuf>) -> Self {
         Self { dir: dir.into() }
-    }
-
-    /// The backing directory.
-    #[must_use]
-    pub fn dir(&self) -> &Path {
-        &self.dir
     }
 
     /// The snapshot file path for one fingerprint.

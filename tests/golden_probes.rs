@@ -404,10 +404,10 @@ fn sim_replay_probe_is_pinned() {
     assert_pinned("sim_replay", observed);
 }
 
-mod sharded_cache_audit {
+mod cache_audit {
     //! The "at most one reference collection per distinct pair" claim on
-    //! the sharded cache path, asserted against the process-global
-    //! [`CollectionAudit`] counter.
+    //! a cache hammered by several threads, asserted against the
+    //! process-global [`CollectionAudit`] counter.
 
     use countertrust::cache::{PairKey, PairParts, ProfileCache};
     use ct_instrument::CollectionAudit;
@@ -433,12 +433,11 @@ mod sharded_cache_audit {
     }
 
     #[test]
-    fn sharded_cache_collects_each_pair_at_most_once() {
+    fn concurrent_cache_collects_each_pair_at_most_once() {
         let _guard = super::lock();
         let program = kernel();
         let machine = MachineModel::ivy_bridge();
-        let cache = ProfileCache::unbounded().with_shard_count(4);
-        assert_eq!(cache.shard_count(), 4);
+        let cache = ProfileCache::unbounded();
         let audit = CollectionAudit::begin();
         const THREADS: usize = 6;
         const DISTINCT: usize = 5;

@@ -1,10 +1,10 @@
 //! Protocol v2 guarantees: negotiation never disturbs v1 clients, a v2
 //! connection carrying N interleaved streams answers each stream with
 //! bytes identical to N separate v1 connections (and to the offline
-//! pipeline), sessions are genuinely keep-alive, malformed frames are
-//! answered with in-order `ERR` frames after everything that preceded
-//! them, and malformed lines, blank lines and latency stamps behave the
-//! same over both protocols.
+//! pipeline), sessions are genuinely keep-alive, malformed frames and a
+//! stream past the per-connection limit are answered with in-order `ERR`
+//! frames after everything that preceded them, and malformed lines,
+//! blank lines and latency stamps behave the same over both protocols.
 
 use countertrust::grid::WorkloadSpec;
 use countertrust::methods::MethodOptions;
@@ -391,6 +391,90 @@ fn malformed_frames_get_in_order_error_frames_after_prior_responses() {
             );
         });
     }
+}
+
+#[test]
+fn a_stream_past_the_per_connection_limit_gets_an_in_order_error_and_spares_a_sibling() {
+    use countertrust::serve::proto::MAX_STREAMS;
+    let program = kernel(4_000);
+    let run_config = RunConfig::default();
+    let workloads = [WorkloadSpec {
+        name: "k",
+        program: &program,
+        run_config: &run_config,
+    }];
+    let machines = [MachineModel::ivy_bridge(), MachineModel::westmere()];
+    let request = EvalRequest::new("Ivy Bridge (Xeon E3-1265L)", "k", "classic", 1, 23);
+    let line = serde_json::to_string(&request).unwrap();
+    let sibling = streams_for(&machines, 1).remove(0);
+    let service = EvalService::new(&machines, &workloads)
+        .method_options(MethodOptions::fast())
+        .threads(2);
+    let limit = u32::try_from(MAX_STREAMS).unwrap();
+
+    // One connection answers a request on stream 0, opens streams
+    // 1..limit with blank frames (never answered, yet each opens a
+    // stream), then sends a request on one stream too many; a second v2
+    // client runs concurrently. Outcomes are checked after the server
+    // shut down, so a wrong one fails the test instead of hanging it.
+    let ((first, refused, after, concurrent), stats) =
+        with_server(&service, NetOptions::default(), |addr| {
+            std::thread::scope(|scope| {
+                let concurrent = scope.spawn(|| exchange_v2(addr, &[wire(&sibling)]));
+                let mut client = V2Client::connect(addr).expect("v2 connect");
+                client
+                    .set_timeout(Some(std::time::Duration::from_secs(60)))
+                    .expect("timeout");
+                client.send_line(0, &line).expect("send");
+                for id in 1..limit {
+                    client.send_line(id, "").expect("send blank");
+                }
+                client.send_line(limit, &line).expect("send");
+                client.flush().expect("flush");
+                let first = client.recv();
+                let refused = client.recv();
+                // Only a refused stream ends the session; read on only then.
+                let after = refused.is_err().then(|| client.recv());
+                let concurrent = concurrent.join().expect("sibling client");
+                (first, refused, after, concurrent)
+            })
+        });
+
+    let offline = |requests: &[EvalRequest]| {
+        let service = EvalService::new(&machines, &workloads)
+            .method_options(MethodOptions::fast())
+            .threads(1);
+        let mut out = Vec::new();
+        service
+            .serve_pipelined(
+                wire(requests).as_bytes(),
+                &mut out,
+                &PipelineOptions::default(),
+            )
+            .unwrap();
+        String::from_utf8(out).unwrap()
+    };
+    assert_eq!(
+        first.expect("stream 0 answered"),
+        Some((0, offline(std::slice::from_ref(&request))))
+    );
+    let refused = refused.expect_err("ERR for the stream past the limit");
+    assert_eq!(refused.kind(), std::io::ErrorKind::InvalidData);
+    let message = refused.to_string();
+    let expected = format!("stream {limit} exceeds the limit of {MAX_STREAMS} streams");
+    assert!(message.contains("protocol error"), "{message}");
+    assert!(message.contains(&expected), "{message}");
+    assert!(
+        matches!(after, Some(Ok(None))),
+        "the connection closes after ERR: {after:?}"
+    );
+    let concurrent = concurrent.expect("sibling exchange");
+    assert_eq!(concurrent[0], offline(&sibling), "the concurrent sibling");
+    assert_eq!(stats.connections, 2);
+    assert_eq!(
+        (stats.io_errors, stats.worker_panics, stats.parse_errors),
+        (0, 0, 1)
+    );
 }
 
 #[test]

@@ -208,7 +208,7 @@ fn profile_cache_falls_back_cold_on_corrupt_snapshot_then_repairs_it() {
 
     let build = || Ok(collect(&machine, &program));
 
-    let cache = ProfileCache::unbounded();
+    let mut cache = ProfileCache::unbounded();
     cache.attach_snapshot_store(&tmp.0);
     let (parts, hit) = cache
         .get_or_build_with_fingerprint(key, Some(FP), build)
@@ -233,7 +233,7 @@ fn profile_cache_falls_back_cold_on_corrupt_snapshot_then_repairs_it() {
 
     // The cold build's write-behind replaced the corrupt file: a fresh
     // cache on the same directory now loads it — zero builds executed.
-    let warm = ProfileCache::unbounded();
+    let mut warm = ProfileCache::unbounded();
     warm.attach_snapshot_store(&tmp.0);
     let (warm_parts, _) = warm
         .get_or_build_with_fingerprint(key, Some(FP), || {
