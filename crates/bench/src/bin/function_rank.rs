@@ -13,10 +13,10 @@
 //!
 //! Machines are evaluated in parallel on the grid engine; the reference
 //! profile (and the truth ranking derived from it) is collected once per
-//! machine and shared across all method runs.
+//! machine, and one simulation per machine drives every method's run.
 
 use countertrust::grid::cell_seed;
-use countertrust::methods::{MethodKind, MethodOptions};
+use countertrust::methods::{MethodInstance, MethodKind, MethodOptions};
 use countertrust::report::Table;
 use countertrust::{kendall_tau, top_n_exact_match};
 use ct_bench::{grid_runner, workload_specs, CliOptions};
@@ -41,25 +41,32 @@ fn main() {
             .take(10)
             .map(|(n, _)| n)
             .collect();
-        let mut session = ctx.session();
+        let methods: Vec<(MethodKind, MethodInstance, u64)> = MethodKind::ALL
+            .iter()
+            .enumerate()
+            .filter_map(|(k, kind)| {
+                let inst = kind.instantiate(ctx.machine, &opts)?;
+                let seed = cell_seed(cli.seed, ctx.machine_index, ctx.workload_index, k, 0);
+                Some((*kind, inst, seed))
+            })
+            .collect();
+        let runs: Vec<(&MethodInstance, u64)> = methods
+            .iter()
+            .map(|(_, inst, seed)| (inst, *seed))
+            .collect();
         let mut rows = Vec::new();
-        for (k, kind) in MethodKind::ALL.iter().enumerate() {
-            let Some(inst) = kind.instantiate(ctx.machine, &opts) else {
-                continue;
-            };
-            let seed = cell_seed(cli.seed, ctx.machine_index, ctx.workload_index, k, 0);
-            let run = match session.run_method(&inst, seed) {
-                Ok(r) => r,
-                Err(e) => {
-                    eprintln!("warning: {kind:?} on {}: {e}", ctx.machine.name);
-                    continue;
+        ctx.session().run_methods(&runs, |i, run| {
+            let kind = methods[i].0;
+            match run {
+                Ok(run) => {
+                    let est = run.profile.top_functions(10);
+                    let exact = top_n_exact_match(&est, &truth, 10);
+                    let tau = kendall_tau(&est, &truth);
+                    rows.push((kind.label().to_string(), exact, tau));
                 }
-            };
-            let est = run.profile.top_functions(10);
-            let exact = top_n_exact_match(&est, &truth, 10);
-            let tau = kendall_tau(&est, &truth);
-            rows.push((kind.label().to_string(), exact, tau));
-        }
+                Err(e) => eprintln!("warning: {kind:?} on {}: {e}", ctx.machine.name),
+            }
+        });
         rows
     });
 

@@ -27,24 +27,37 @@ pub fn attribute(
     nominal_period: u64,
 ) -> Vec<f64> {
     let mut bb_mass = vec![0.0; cfg.num_blocks()];
-    let period = nominal_period as f64;
     for sample in &batch.samples {
-        match attribution {
-            Attribution::Plain => {
-                credit_ip(sample.reported_ip, cfg, period, &mut bb_mass);
-            }
-            Attribution::IpFix => {
-                let ip = corrected_ip(sample);
-                credit_ip(ip, cfg, period, &mut bb_mass);
-            }
-            Attribution::LbrWalk => {
-                if let Some(lbr) = &sample.lbr {
-                    lbrwalk::credit_stack(lbr, cfg, nominal_period, &mut bb_mass);
-                }
+        credit(sample, cfg, attribution, nominal_period, &mut bb_mass);
+    }
+    bb_mass
+}
+
+/// Credits one sample's mass to `bb_mass` under `attribution`, so
+/// samples can be attributed as they arrive: [`attribute`] is this fold
+/// over a batch, in sample order.
+pub(crate) fn credit(
+    sample: &Sample,
+    cfg: &Cfg,
+    attribution: Attribution,
+    nominal_period: u64,
+    bb_mass: &mut [f64],
+) {
+    let period = nominal_period as f64;
+    match attribution {
+        Attribution::Plain => {
+            credit_ip(sample.reported_ip, cfg, period, bb_mass);
+        }
+        Attribution::IpFix => {
+            let ip = corrected_ip(sample);
+            credit_ip(ip, cfg, period, bb_mass);
+        }
+        Attribution::LbrWalk => {
+            if let Some(lbr) = &sample.lbr {
+                lbrwalk::credit_stack(lbr, cfg, nominal_period, bb_mass);
             }
         }
     }
-    bb_mass
 }
 
 /// Applies the LBR-based IP+1 offset correction (§6.2) to one sample.

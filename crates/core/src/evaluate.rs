@@ -7,7 +7,7 @@
 use crate::error::CoreError;
 use crate::methods::MethodInstance;
 use crate::metrics::Stats;
-use crate::session::Session;
+use crate::session::{MethodRun, Session};
 use serde::{Deserialize, Serialize};
 
 /// Error statistics of one method over repeated runs.
@@ -44,35 +44,61 @@ pub fn evaluate_method(
 }
 
 /// Runs `method` once per seed in `seeds` and aggregates the accuracy
-/// errors under an explicit result label.
+/// errors under an explicit result label. The runs share passes through
+/// [`Session::run_methods`].
 ///
-/// This is the primitive behind [`evaluate_method`] and the grid engine
-/// ([`crate::grid`]), which derives each cell's seeds from its grid
-/// coordinates so results do not depend on scheduling order, and labels
-/// ablation cells by their configuration rather than the method family.
+/// This is the primitive behind [`evaluate_method`]. The grid engine
+/// ([`crate::grid`]) and the serving layer fold their runs the same
+/// way, with seeds derived from grid coordinates or from the request,
+/// never from scheduling order.
 pub fn evaluate_method_with_seeds(
     session: &mut Session<'_>,
     method: &MethodInstance,
     label: &str,
     seeds: &[u64],
 ) -> Result<ErrorStats, CoreError> {
-    let mut runs = Vec::with_capacity(seeds.len());
-    let mut samples = 0usize;
-    let mut skid = 0.0;
-    for &seed in seeds {
-        let r = session.run_method(method, seed)?;
-        runs.push(r.accuracy_error);
-        samples += r.samples;
-        skid += r.mean_skid;
+    let runs: Vec<(&MethodInstance, u64)> = seeds.iter().map(|&seed| (method, seed)).collect();
+    let mut tally = Tally::default();
+    session.run_methods(&runs, |_, run| tally.add(run));
+    tally.finish(label)
+}
+
+/// Folds one method's runs, in seed order, into its [`ErrorStats`]. The
+/// first failed run decides the outcome, as it ends a run-by-run loop.
+#[derive(Default)]
+pub(crate) struct Tally {
+    runs: Vec<f64>,
+    samples: usize,
+    skid: f64,
+    error: Option<CoreError>,
+}
+
+impl Tally {
+    pub(crate) fn add(&mut self, run: Result<MethodRun, CoreError>) {
+        match run {
+            _ if self.error.is_some() => {}
+            Ok(r) => {
+                self.runs.push(r.accuracy_error);
+                self.samples += r.samples;
+                self.skid += r.mean_skid;
+            }
+            Err(e) => self.error = Some(e),
+        }
     }
-    let n = seeds.len().max(1) as f64;
-    Ok(ErrorStats {
-        method: label.to_string(),
-        stats: Stats::from_values(&runs),
-        runs,
-        mean_samples: samples as f64 / n,
-        mean_skid: skid / n,
-    })
+
+    pub(crate) fn finish(self, label: &str) -> Result<ErrorStats, CoreError> {
+        if let Some(e) = self.error {
+            return Err(e);
+        }
+        let n = self.runs.len().max(1) as f64;
+        Ok(ErrorStats {
+            method: label.to_string(),
+            stats: Stats::from_values(&self.runs),
+            mean_samples: self.samples as f64 / n,
+            mean_skid: self.skid / n,
+            runs: self.runs,
+        })
+    }
 }
 
 #[cfg(test)]

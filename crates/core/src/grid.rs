@@ -13,6 +13,12 @@
 //!   exactly once (phase 1, itself parallel) as a [`PairParts`] and
 //!   shared via [`Arc`] with every method evaluation of that pair
 //!   (phase 2) through [`PairCtx::session`];
+//! * phase 2 simulates once per pair and samples many: one task per pair
+//!   runs all of its methods × repeats through shared passes
+//!   ([`Session::run_methods`]), since every run on a pair sees the same
+//!   retirement stream. A pair's cells split into several tasks only
+//!   when there are fewer pairs than workers, and tasks are claimed
+//!   heaviest pair first;
 //! * per-run seeds derive from the cell coordinates via [`cell_seed`], so
 //!   results are a pure function of the grid shape and base seed — output
 //!   is byte-identical no matter how many threads run or how the queue
@@ -53,7 +59,7 @@
 
 use crate::cache::PairParts;
 use crate::error::CoreError;
-use crate::evaluate::{evaluate_method_with_seeds, ErrorStats, Evaluation};
+use crate::evaluate::{ErrorStats, Evaluation, Tally};
 use crate::methods::{MethodInstance, MethodKind, MethodOptions};
 use crate::session::Session;
 use ct_instrument::ReferenceProfile;
@@ -199,6 +205,38 @@ fn workload_cfgs(workloads: &[WorkloadSpec<'_>]) -> Vec<Arc<Cfg>> {
         .iter()
         .map(|w| Arc::new(Cfg::build(w.program)))
         .collect()
+}
+
+/// Phase 2's task list: one task per pair (its cell range and the
+/// reference's retired instructions), each split into up to
+/// `workers ÷ pairs` contiguous parts only when there are fewer pairs
+/// than `workers`, and ordered heaviest pair first. Pairs differ in cost
+/// by an order of magnitude (at scale 0.01, `xalancbmk` retires 3.2 M
+/// instructions, the others 0.1–0.5 M), so claiming the heaviest first
+/// keeps the longest passes from finishing a sweep alone. The sort is
+/// stable, so equal pairs keep machine-major order.
+fn split_heaviest_first(
+    pairs: Vec<(std::ops::Range<usize>, u64)>,
+    workers: usize,
+) -> Vec<std::ops::Range<usize>> {
+    let parts = if pairs.len() < workers {
+        workers.div_ceil(pairs.len().max(1))
+    } else {
+        1
+    };
+    let mut tasks: Vec<(std::ops::Range<usize>, u64)> = Vec::new();
+    for (cells, weight) in pairs {
+        let n = cells.len();
+        let k = parts.min(n).max(1);
+        tasks.extend((0..k).map(|j| {
+            (
+                cells.start + n * j / k..cells.start + n * (j + 1) / k,
+                weight,
+            )
+        }));
+    }
+    tasks.sort_by_key(|(_, weight)| std::cmp::Reverse(*weight));
+    tasks.into_iter().map(|(cells, _)| cells).collect()
 }
 
 /// splitmix64 finalizer.
@@ -375,7 +413,8 @@ impl GridRunner {
     /// `resolve_methods` is called once per machine on the calling thread
     /// (its output order defines the method order of every
     /// [`Evaluation`]); the resulting `(machine, workload, method)` cells
-    /// are then evaluated in parallel. Methods whose evaluation fails are
+    /// are then evaluated in parallel, one task per pair whose cells
+    /// share passes (see the module docs). Methods whose evaluation fails are
     /// skipped with a warning on stderr, matching the holes in the
     /// paper's tables. Results come back machine-major, workload-minor —
     /// independent of thread count and scheduling.
@@ -395,53 +434,66 @@ impl GridRunner {
         let cfgs = workload_cfgs(workloads);
         let pairs = self.collect_pair_parts(machines, workloads, &cfgs);
 
-        // One task per (machine, workload, method) cell, in output order.
-        let mut tasks = Vec::new();
+        // Every (machine, workload, method) cell, in output order, and
+        // one task per pair over its cells: all of a pair's methods ×
+        // repeats share passes through `Session::run_methods`.
+        let mut cells = Vec::new();
+        let mut pair_tasks = Vec::new();
         for (m, machine_methods) in methods.iter().enumerate() {
             for w in 0..workloads.len() {
-                for k in 0..machine_methods.len() {
-                    tasks.push((m, w, k));
-                }
+                let first = cells.len();
+                cells.extend((0..machine_methods.len()).map(|k| (m, w, k)));
+                // Reference failures were already reported by phase 1;
+                // the pair's task only counts its cells.
+                let weight = pairs[m * workloads.len() + w]
+                    .as_ref()
+                    .map_or(0, |parts| parts.reference.total_instructions());
+                pair_tasks.push((first..cells.len(), weight));
             }
         }
-        let total = tasks.len();
+        let tasks = split_heaviest_first(pair_tasks, self.threads);
+        let total = cells.len();
         let done = AtomicUsize::new(0);
         let slots: Vec<Mutex<Option<ErrorStats>>> = (0..total).map(|_| Mutex::new(None)).collect();
 
-        self.for_each_index(total, |t| {
-            let (m, w, k) = tasks[t];
+        self.for_each_index(tasks.len(), |t| {
+            let task_cells = &cells[tasks[t].clone()];
+            let Some(&(m, w, _)) = task_cells.first() else {
+                return;
+            };
             let machine = &machines[m];
             let workload = &workloads[w];
-            let grid_method = &methods[m][k];
-            // Reference failures were already reported by phase 1; the
-            // pair's cells are simply skipped.
             if let Ok(parts) = &pairs[m * workloads.len() + w] {
                 let mut session =
                     parts.session(machine, workload.program, workload.run_config.clone());
-                let seeds: Vec<u64> = (0..repeats)
-                    .map(|r| cell_seed(base_seed, m, w, k, r))
+                let runs: Vec<(&MethodInstance, u64)> = task_cells
+                    .iter()
+                    .flat_map(|&(m, w, k)| {
+                        let instance = &methods[m][k].instance;
+                        (0..repeats).map(move |r| (instance, cell_seed(base_seed, m, w, k, r)))
+                    })
                     .collect();
-                match evaluate_method_with_seeds(
-                    &mut session,
-                    &grid_method.instance,
-                    &grid_method.label,
-                    &seeds,
-                ) {
-                    Ok(stats) => {
-                        *slots[t].lock().expect("no poisoned slots") = Some(stats);
+                let mut tallies: Vec<Tally> = task_cells.iter().map(|_| Tally::default()).collect();
+                session.run_methods(&runs, |i, run| tallies[i / repeats].add(run));
+                for (c, tally) in tasks[t].clone().zip(tallies) {
+                    let label = &methods[m][cells[c].2].label;
+                    match tally.finish(label) {
+                        Ok(stats) => *slots[c].lock().expect("no poisoned slots") = Some(stats),
+                        Err(e) => eprintln!(
+                            "warning: {} / {} / {label}: {e}",
+                            machine.name, workload.name
+                        ),
                     }
-                    Err(e) => eprintln!(
-                        "warning: {} / {} / {}: {e}",
-                        machine.name, workload.name, grid_method.label
-                    ),
                 }
             }
             if self.progress {
-                let d = done.fetch_add(1, Ordering::Relaxed) + 1;
-                eprintln!(
-                    "  [{d}/{total}] {} / {} / {}",
-                    machine.name, workload.name, grid_method.label
-                );
+                for &(_, _, k) in task_cells {
+                    let d = done.fetch_add(1, Ordering::Relaxed) + 1;
+                    eprintln!(
+                        "  [{d}/{total}] {} / {} / {}",
+                        machine.name, workload.name, methods[m][k].label
+                    );
+                }
             }
         });
 
@@ -653,6 +705,23 @@ mod tests {
                 });
             }
         });
+    }
+
+    #[test]
+    fn phase_two_claims_the_heaviest_pairs_first_and_splits_only_when_short() {
+        let pairs = || vec![(0..7, 10), (7..14, 30), (14..21, 20)];
+        // As many pairs as workers: one task per pair, heaviest first.
+        assert_eq!(split_heaviest_first(pairs(), 3), vec![7..14, 14..21, 0..7]);
+        // Fewer pairs than workers: each pair splits into contiguous
+        // parts that cover its cells.
+        let tasks = split_heaviest_first(pairs(), 8);
+        assert_eq!(tasks.len(), 9);
+        assert_eq!(tasks[..3], [7..9, 9..11, 11..14]);
+        let mut cells: Vec<usize> = tasks.into_iter().flatten().collect();
+        cells.sort_unstable();
+        assert_eq!(cells, (0..21).collect::<Vec<_>>());
+        // A pair never splits into more parts than it has cells.
+        assert_eq!(split_heaviest_first(vec![(0..2, 1)], 8), vec![0..1, 1..2]);
     }
 
     #[test]

@@ -17,9 +17,13 @@
 //!    CFG are built **at most once per pair per cache residency**, and
 //!    at most once per pair per batch regardless of cache capacity,
 //!    because the batch holds the attached parts for its whole
-//!    lifetime), then every request *evaluates* as its own
-//!    task, so even a fully skewed batch — all requests on one hot
-//!    pair — spreads across every worker;
+//!    lifetime), then each shard *evaluates* in groups of its requests:
+//!    every run on a pair sees the same retirement stream, so all of a
+//!    group's runs share passes of one simulation. A shard splits into
+//!    groups only as far as it takes to keep every worker busy (at least
+//!    `threads` tasks whenever the batch has that many requests), so even
+//!    a fully skewed batch — all requests on one hot pair — spreads
+//!    across every worker;
 //! 4. answered **in request order**, with per-run seeds derived from the
 //!    request itself ([`request_seed`]), never from scheduling.
 //!
@@ -69,10 +73,10 @@
 //!
 //! [`PipelineOptions::record_latency`] (off by default) stamps every
 //! pipelined response with queue/build/eval microseconds
-//! ([`EvalResponse::latency`]) and feeds p50/p99 aggregates into
-//! [`ServeStats`]. It is opt-in precisely because timing is not
-//! deterministic: with it off — the default — the determinism contract
-//! below is untouched.
+//! ([`EvalResponse::latency`]; a request's eval time is its group's)
+//! and feeds p50/p99 aggregates into [`ServeStats`]. It is opt-in
+//! precisely because timing is not deterministic: with it off — the
+//! default — the determinism contract below is untouched.
 //!
 //! # Determinism contract
 //!
@@ -192,7 +196,7 @@ pub mod proto;
 mod reactor;
 
 use crate::cache::{CacheStats, PairKey, PairParts, ProfileCache};
-use crate::evaluate::{evaluate_method_with_seeds, ErrorStats};
+use crate::evaluate::{ErrorStats, Tally};
 use crate::grid::{default_threads, for_each_index, mix64, WorkloadSpec};
 use crate::methods::{MethodInstance, MethodKind, MethodOptions};
 use ct_isa::{Cfg, Program};
@@ -302,8 +306,9 @@ impl Deserialize for EvalRequest {
 /// [`PipelineOptions::record_latency`] is on.
 ///
 /// Queue and build time are chunk-granular (every request of a chunk
-/// shares them); evaluation time is the request's own. v1 lines and v2
-/// frames are stamped alike.
+/// shares them); evaluation time is that of the request's group, the
+/// requests on one pair whose runs share passes. v1 lines and v2 frames
+/// are stamped alike.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct RequestLatency {
     /// Intake-to-build-start: time from the end of reading the
@@ -313,8 +318,9 @@ pub struct RequestLatency {
     /// Attach wall time of the request's chunk (cache lookups and
     /// reference builds).
     pub build_us: u64,
-    /// This request's own evaluation wall time (`0` for requests that
-    /// never evaluated — resolution failures).
+    /// Evaluation wall time of the request's group: every request
+    /// evaluated in the same shared passes reads the same value (`0` for
+    /// requests that never evaluated — resolution failures).
     pub eval_us: u64,
 }
 
@@ -432,6 +438,26 @@ impl ResponseBody {
             latency: None,
         }
     }
+}
+
+/// The evaluate step's tasks: each attached shard `(index, members)`
+/// split into contiguous groups of its members. A shard gets a share of
+/// `min(workers, requests)` groups in proportion to its requests,
+/// rounded up, so there are at least as many groups as that and never
+/// more than a shard's own requests.
+fn split_into_groups<'a>(
+    shards: &[(usize, &'a [usize])],
+    workers: usize,
+) -> Vec<(usize, &'a [usize])> {
+    let requests: usize = shards.iter().map(|(_, members)| members.len()).sum();
+    let target = workers.min(requests);
+    let mut groups = Vec::new();
+    for &(s, members) in shards {
+        let n = members.len();
+        let k = (n * target).div_ceil(requests).clamp(1, n);
+        groups.extend((0..k).map(|j| (s, &members[n * j / k..n * (j + 1) / k])));
+    }
+    groups
 }
 
 /// Derives the seed of one measurement run from a request's base seed.
@@ -848,7 +874,7 @@ struct Batch {
 
 /// Wall-clock bookkeeping of one timed batch. Queue and build times are
 /// batch-granular (the loop answers a chunk at a time); evaluation times
-/// are per-request.
+/// are per group of requests sharing passes.
 struct BatchTiming {
     /// When intake finished reading the chunk.
     parsed_at: Instant,
@@ -857,8 +883,8 @@ struct BatchTiming {
     queue_us: u64,
     /// Micros the attach step spent attaching the chunk's shards.
     build_us: u64,
-    /// Per-request evaluation micros, filled by the evaluate step
-    /// (`0` for requests that never evaluated).
+    /// Per-request evaluation micros, filled by the evaluate step with
+    /// the request's group time (`0` for requests that never evaluated).
     eval_us: Vec<AtomicU64>,
 }
 
@@ -1206,11 +1232,14 @@ impl EvalService {
         }
     }
 
-    /// Evaluate step: one task per *request*, so skewed traffic (many
-    /// requests on one hot pair) still spreads across every worker
-    /// instead of serializing inside its shard. Responses come back in
-    /// request order; requests that never reached a shard failed
-    /// resolution and are answered here.
+    /// Evaluate step: one task per *group* of a shard's requests, and
+    /// all of a group's runs share passes, since every run on a pair sees
+    /// the same retirement stream. Shards split into groups only as far
+    /// as it takes to keep every worker busy: a chunk of at least
+    /// `threads` requests runs as at least `threads` tasks, so skewed
+    /// traffic (many requests on one hot pair) still spreads across
+    /// every worker. Responses come back in request order; requests that
+    /// never reached a shard failed resolution and are answered here.
     fn evaluate_batch(&self, batch: Batch) -> Vec<EvalResponse> {
         let Batch {
             requests,
@@ -1220,24 +1249,25 @@ impl EvalService {
             attachments,
             timing,
         } = batch;
-        let tasks: Vec<(usize, usize)> = shards
+        let attached: Vec<(usize, &[usize])> = shards
             .iter()
             .enumerate()
             .filter(|(s, _)| attachments[*s].is_some())
-            .flat_map(|(s, (_, members))| members.iter().map(move |&i| (s, i)))
+            .map(|(s, (_, members))| (s, members.as_slice()))
             .collect();
+        let tasks = split_into_groups(&attached, self.threads);
         let timing_ref = timing.as_ref();
         for_each_index(self.threads, tasks.len(), |t| {
-            let (s, i) = tasks[t];
+            let (s, members) = tasks[t];
             let parts = attachments[s].as_ref().expect("attached shards only");
-            let key = shards[s].0;
-            let res = resolved[i].as_ref().expect("sharded requests resolved");
             let started = timing_ref.map(|_| Instant::now());
-            let response = self.evaluate_request(&requests[i], res, key, parts);
-            if let (Some(tm), Some(at)) = (timing_ref, started) {
-                tm.eval_us[i].store(micros_since(at), Ordering::Relaxed);
+            let bodies = self.evaluate_group(&requests, &resolved, members, shards[s].0, parts);
+            for (&i, body) in members.iter().zip(bodies) {
+                if let (Some(tm), Some(at)) = (timing_ref, started) {
+                    tm.eval_us[i].store(micros_since(at), Ordering::Relaxed);
+                }
+                *slots[i].lock().expect("no poisoned slots") = Some(body);
             }
-            *slots[i].lock().expect("no poisoned slots") = Some(response);
         });
 
         self.requests
@@ -1573,33 +1603,52 @@ impl EvalService {
         fp
     }
 
-    /// Evaluates one request against its shard's shared pair state,
-    /// returning the response body (the request is moved in later, by
-    /// the in-order assembly — never cloned here).
-    fn evaluate_request(
+    /// Evaluates a group of one shard's requests against the shard's
+    /// shared pair state, every run of every member in shared passes,
+    /// and returns one response body per member (the requests are moved
+    /// in later, by the in-order assembly — never cloned here).
+    fn evaluate_group(
         &self,
-        request: &EvalRequest,
-        res: &Resolved,
+        requests: &[EvalRequest],
+        resolved: &[Result<Resolved, String>],
+        members: &[usize],
         key: PairKey,
         parts: &PairParts,
-    ) -> ResponseBody {
+    ) -> Vec<ResponseBody> {
         let catalog = self.registry.catalog(key.catalog);
         let machine = &catalog.machines[key.machine];
         let workload = &catalog.workloads[key.workload];
         let mut session = parts.session(machine, &workload.program, workload.run_config.clone());
-        let seeds: Vec<u64> = (0..request.effective_runs())
-            .map(|r| request_seed(request.seed, r))
+        let resolved: Vec<&Resolved> = members
+            .iter()
+            .map(|&i| resolved[i].as_ref().expect("sharded requests resolved"))
             .collect();
-        match evaluate_method_with_seeds(&mut session, &res.instance, &res.label, &seeds) {
-            Ok(stats) => ResponseBody::ok(stats),
-            Err(e) => {
-                self.errors.fetch_add(1, Ordering::Relaxed);
-                self.tenants[key.catalog]
-                    .errors
-                    .fetch_add(1, Ordering::Relaxed);
-                ResponseBody::err(format!("evaluation failed: {e}"))
+        // Each run's entry, and the member it belongs to.
+        let mut runs = Vec::new();
+        let mut owners = Vec::new();
+        for (member, (&i, res)) in members.iter().zip(&resolved).enumerate() {
+            let request = &requests[i];
+            for r in 0..request.effective_runs() {
+                runs.push((&res.instance, request_seed(request.seed, r)));
+                owners.push(member);
             }
         }
+        let mut tallies: Vec<Tally> = members.iter().map(|_| Tally::default()).collect();
+        session.run_methods(&runs, |e, run| tallies[owners[e]].add(run));
+        tallies
+            .into_iter()
+            .zip(resolved)
+            .map(|(tally, res)| match tally.finish(&res.label) {
+                Ok(stats) => ResponseBody::ok(stats),
+                Err(e) => {
+                    self.errors.fetch_add(1, Ordering::Relaxed);
+                    self.tenants[key.catalog]
+                        .errors
+                        .fetch_add(1, Ordering::Relaxed);
+                    ResponseBody::err(format!("evaluation failed: {e}"))
+                }
+            })
+            .collect()
     }
 
     /// Checks a request's run count against [`MAX_RUNS`], then resolves
@@ -1824,6 +1873,38 @@ mod tests {
         let (samples, _) = partial.sorted_samples();
         assert_eq!(samples.iter().filter(|&&s| s == 9).count(), 1);
         assert_eq!(samples.len(), LATENCY_WINDOW);
+    }
+
+    #[test]
+    fn groups_cover_every_request_in_order_and_keep_every_worker_busy() {
+        let members: Vec<usize> = (0..12).collect();
+        let shards = [
+            (0, &members[0..1]),
+            (1, &members[1..3]),
+            (2, &members[3..12]),
+        ];
+        for workers in 1..=16 {
+            let groups = split_into_groups(&shards, workers);
+            assert!(groups.len() >= workers.min(12), "{workers} workers");
+            assert!(groups.iter().all(|(_, g)| !g.is_empty()));
+            let flat: Vec<usize> = groups.iter().flat_map(|(_, g)| g.iter().copied()).collect();
+            assert_eq!(flat, members, "{workers} workers");
+            for (s, g) in &groups {
+                assert!(g.iter().all(|i| shards[*s].1.contains(i)));
+            }
+        }
+        // Fewer requests than workers: every request is its own task.
+        assert_eq!(split_into_groups(&shards[..2], 8).len(), 3);
+        // Even shards and enough of them for every worker: one group each.
+        let even = [
+            (0, &members[0..4]),
+            (1, &members[4..8]),
+            (2, &members[8..12]),
+        ];
+        assert_eq!(split_into_groups(&even, 2).len(), 3);
+        // A shard splits in proportion to its share of the requests.
+        assert_eq!(split_into_groups(&shards, 2).len(), 4);
+        assert!(split_into_groups(&[], 4).is_empty());
     }
 
     #[test]

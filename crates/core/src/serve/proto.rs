@@ -524,12 +524,10 @@ fn read_response<R: Read>(reader: &mut R) -> io::Result<Option<(u32, String)>> {
                     .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
                 Ok(Some((frame.stream, text)))
             }
+            // The server's text already names the protocol error.
             FrameKind::Err => Err(io::Error::new(
                 io::ErrorKind::InvalidData,
-                format!(
-                    "server protocol error: {}",
-                    String::from_utf8_lossy(&frame.payload)
-                ),
+                String::from_utf8_lossy(&frame.payload).into_owned(),
             )),
             FrameKind::Req | FrameKind::Bye => Err(io::Error::new(
                 io::ErrorKind::InvalidData,

@@ -3,7 +3,9 @@
 //! A [`Session`] binds a machine and a program, lazily collects the exact
 //! reference profile (the "REF" column), and runs sampling methods against
 //! the same workload, producing [`MethodRun`]s with estimated profiles and
-//! their accuracy errors.
+//! their accuracy errors. [`Session::run_methods`] runs a list of
+//! `(method, seed)` entries through shared simulation passes;
+//! [`Session::run_method`] is its one-entry case.
 //!
 //! The reference profile is held behind an [`Arc`] so sessions over the
 //! same `(machine, workload)` pair can share one collection instead of
@@ -14,14 +16,20 @@
 
 use crate::attrib;
 use crate::error::CoreError;
-use crate::methods::MethodInstance;
+use crate::methods::{Attribution, MethodInstance};
 use crate::metrics::accuracy_error;
 use crate::profile::EstimatedProfile;
 use ct_instrument::ReferenceProfile;
-use ct_isa::{Cfg, Program};
+use ct_isa::{Addr, Cfg, Program};
 use ct_pmu::{Sampler, SamplerStats};
-use ct_sim::{Cpu, MachineModel, RunConfig};
+use ct_sim::{Cpu, MachineModel, QuietBudget, RetireEvent, RetireObserver, RunConfig, Skipped};
 use std::sync::Arc;
+
+/// The most samplers one pass of [`Session::run_methods`] drives, so a
+/// pass holds a bounded number of live samplers and block-mass vectors
+/// however long its list (a request may ask for 1,000 runs). A `tables`
+/// pair needs 35: seven methods × five repeats.
+const SAMPLERS_PER_PASS: usize = 64;
 
 /// Result of running one sampling method once.
 #[derive(Debug, Clone)]
@@ -47,8 +55,7 @@ pub struct Session<'a> {
     reference: Option<Arc<ReferenceProfile>>,
     /// Retained interpreter: its scratch tables (decoded program, data
     /// memory, call stack, predictor and cache state) are allocated on the
-    /// first [`Session::run_method`] call and reset — not reallocated —
-    /// on every subsequent method × seed replay.
+    /// first pass and reset — not reallocated — on every later one.
     cpu: Cpu<'a>,
 }
 
@@ -134,33 +141,162 @@ impl<'a> Session<'a> {
     }
 
     /// Runs one sampling method with the given seed and evaluates it
-    /// against the reference profile.
+    /// against the reference profile: [`Session::run_methods`] with one
+    /// entry.
     pub fn run_method(
         &mut self,
         method: &MethodInstance,
         seed: u64,
     ) -> Result<MethodRun, CoreError> {
-        // Ensure the reference exists before the borrow below.
-        self.ensure_reference()?;
-        let mut config = method.config.clone();
-        config.seed = seed;
-        let mut sampler = Sampler::new(self.machine, &config)?;
-        let nominal = sampler.nominal_period();
-        self.cpu
-            .run_observed(self.program, &self.run_config, &mut sampler)?;
-        let stats = sampler.stats();
-        let batch = sampler.into_batch();
-        let bb_mass = attrib::attribute(&batch, &self.cfg, method.attribution, nominal);
-        let profile = EstimatedProfile::from_bb_mass(bb_mass, self.program, &self.cfg);
-        let reference = self.reference.as_deref().expect("collected above");
+        let mut result = None;
+        self.run_methods(&[(method, seed)], |_, run| result = Some(run));
+        result.expect("one result per entry")
+    }
+
+    /// Runs every `(method, seed)` entry of `runs` and evaluates each
+    /// against the reference profile, handing `each` the entry's index
+    /// and result, in list order.
+    ///
+    /// The simulator takes no seed and observers cannot change it, so
+    /// every entry sees the same retirement stream: one pass of
+    /// [`Cpu::run_all`] drives the samplers of up to 64 entries at a time.
+    /// Each sampler's samples are attributed as they are recorded, so a
+    /// pass holds one block-mass vector per entry, never a sample batch.
+    /// Every result equals what [`Session::run_method`] returns for its
+    /// entry alone: an entry whose sampler cannot be built gets that
+    /// error, and a pass that fails gives each of its entries the
+    /// simulation error.
+    pub fn run_methods(
+        &mut self,
+        runs: &[(&MethodInstance, u64)],
+        mut each: impl FnMut(usize, Result<MethodRun, CoreError>),
+    ) {
+        if let Err(e) = self.ensure_reference() {
+            for i in 0..runs.len() {
+                each(i, Err(e.clone()));
+            }
+            return;
+        }
+        let cfg = self.cfg.clone();
+        for (pass, entries) in runs.chunks(SAMPLERS_PER_PASS).enumerate() {
+            // Each entry's sampler, or why it cannot be built.
+            let mut members = Vec::with_capacity(entries.len());
+            let built: Vec<Result<(), CoreError>> = entries
+                .iter()
+                .map(|&(method, seed)| {
+                    let mut config = method.config.clone();
+                    config.seed = seed;
+                    let sampler = Sampler::new(self.machine, &config)?;
+                    members.push(Streamed::new(sampler, &cfg, method.attribution));
+                    Ok(())
+                })
+                .collect();
+            let outcome = if members.is_empty() {
+                Ok(())
+            } else {
+                self.cpu
+                    .run_all(self.program, &self.run_config, &mut members)
+                    .map(drop)
+            };
+            let mut members = members.into_iter();
+            for (i, built) in built.into_iter().enumerate() {
+                let run = built.and_then(|()| {
+                    let streamed = members.next().expect("one member per built sampler");
+                    match &outcome {
+                        Ok(()) => Ok(self.evaluate(streamed)),
+                        Err(e) => Err(CoreError::from(e.clone())),
+                    }
+                });
+                each(pass * SAMPLERS_PER_PASS + i, run);
+            }
+        }
+    }
+
+    /// Scores a finished entry's estimated profile against the reference.
+    fn evaluate(&self, streamed: Streamed<'_>) -> MethodRun {
+        let profile = EstimatedProfile::from_bb_mass(streamed.bb_mass, self.program, &self.cfg);
+        let reference = self
+            .reference
+            .as_deref()
+            .expect("collected before the pass");
         let err = accuracy_error(&profile.bb_mass, &reference.bb_instructions);
-        Ok(MethodRun {
+        MethodRun {
             profile,
             accuracy_error: err,
-            samples: batch.len(),
-            stats,
-            mean_skid: batch.mean_skid(),
-        })
+            samples: streamed.samples,
+            stats: streamed.sampler.stats(),
+            mean_skid: if streamed.samples == 0 {
+                0.0
+            } else {
+                streamed.skid as f64 / streamed.samples as f64
+            },
+        }
+    }
+}
+
+/// A sampler whose samples are attributed as they are recorded, folding
+/// exactly what [`attrib::attribute`] and [`ct_pmu::SampleBatch::mean_skid`]
+/// fold over a whole batch, in the same order.
+struct Streamed<'c> {
+    sampler: Sampler,
+    cfg: &'c Cfg,
+    attribution: Attribution,
+    nominal: u64,
+    bb_mass: Vec<f64>,
+    samples: usize,
+    /// Total skid in instructions.
+    skid: u64,
+}
+
+impl<'c> Streamed<'c> {
+    fn new(sampler: Sampler, cfg: &'c Cfg, attribution: Attribution) -> Self {
+        Self {
+            nominal: sampler.nominal_period(),
+            sampler,
+            cfg,
+            attribution,
+            bb_mass: vec![0.0; cfg.num_blocks()],
+            samples: 0,
+            skid: 0,
+        }
+    }
+
+    fn attribute_recorded(&mut self) {
+        for sample in self.sampler.take_samples() {
+            attrib::credit(
+                &sample,
+                self.cfg,
+                self.attribution,
+                self.nominal,
+                &mut self.bb_mass,
+            );
+            self.samples += 1;
+            self.skid += sample.skid_instructions();
+        }
+    }
+}
+
+impl RetireObserver for Streamed<'_> {
+    fn quiet_budget(&self) -> QuietBudget {
+        self.sampler.quiet_budget()
+    }
+
+    fn on_skipped(&mut self, skipped: Skipped, cycle_head: (Addr, u64)) {
+        self.sampler.on_skipped(skipped, cycle_head);
+    }
+
+    fn on_taken_branch(&mut self, ev: &RetireEvent) {
+        self.sampler.on_taken_branch(ev);
+    }
+
+    fn on_retire(&mut self, ev: &RetireEvent) {
+        self.sampler.on_retire(ev);
+        self.attribute_recorded();
+    }
+
+    fn on_finish(&mut self, final_cycle: u64) {
+        self.sampler.on_finish(final_cycle);
+        self.attribute_recorded();
     }
 }
 

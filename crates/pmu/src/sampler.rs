@@ -211,6 +211,14 @@ impl Sampler {
         self.batch
     }
 
+    /// Takes the samples recorded so far out of the batch and leaves its
+    /// counters, so a caller can attribute samples as they are recorded
+    /// instead of holding a whole batch; [`Sampler::into_batch`] then
+    /// returns only the samples recorded since the last take.
+    pub fn take_samples(&mut self) -> std::vec::Drain<'_, Sample> {
+        self.batch.samples.drain(..)
+    }
+
     /// Statistics snapshot.
     #[must_use]
     pub fn stats(&self) -> SamplerStats {

@@ -92,8 +92,9 @@ pub struct Skipped {
 /// stream in program order.
 ///
 /// [`crate::Cpu::run_observed`] delivers exactly the events the budget
-/// names; [`crate::Cpu::run`] delivers every event to each observer of
-/// its slice and never reads their budgets.
+/// names, and so does [`crate::Cpu::run`] for each observer of its
+/// slice: one pass drives them all, and each sees what it would see
+/// alone.
 pub trait RetireObserver {
     /// Called for every delivered event, in program order.
     fn on_retire(&mut self, ev: &RetireEvent);
@@ -119,6 +120,33 @@ pub trait RetireObserver {
     /// Called for every taken branch that retires unseen while the budget
     /// sets [`QuietBudget::taken_hook`]. It still counts as skipped.
     fn on_taken_branch(&mut self, _ev: &RetireEvent) {}
+}
+
+/// An observer behind a mutable reference is the observer itself, so
+/// [`crate::Cpu::run`] drives a slice of `&mut dyn RetireObserver`
+/// through the same fan-out as [`crate::Cpu::run_all`] drives a slice of
+/// one concrete type.
+impl<O: RetireObserver + ?Sized> RetireObserver for &mut O {
+    #[inline]
+    fn on_retire(&mut self, ev: &RetireEvent) {
+        (**self).on_retire(ev);
+    }
+    #[inline]
+    fn on_finish(&mut self, final_cycle: u64) {
+        (**self).on_finish(final_cycle);
+    }
+    #[inline]
+    fn quiet_budget(&self) -> QuietBudget {
+        (**self).quiet_budget()
+    }
+    #[inline]
+    fn on_skipped(&mut self, skipped: Skipped, cycle_head: (Addr, u64)) {
+        (**self).on_skipped(skipped, cycle_head);
+    }
+    #[inline]
+    fn on_taken_branch(&mut self, ev: &RetireEvent) {
+        (**self).on_taken_branch(ev);
+    }
 }
 
 /// A no-op observer, useful as a placeholder in generic code.

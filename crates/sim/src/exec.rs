@@ -122,6 +122,8 @@ struct SimScratch {
     /// cache geometry, which can fail); reset on every later run.
     cache: Option<CacheModel>,
     bpred: BranchPredictor,
+    /// The fan-out's per-observer gates, refilled each [`Cpu::run_all`].
+    gates: Vec<Gate>,
 }
 
 /// One statically-decoded instruction: opcode plus every per-step
@@ -144,47 +146,31 @@ struct Decoded {
     latency: u32,
 }
 
-/// [`Cpu::run`]'s observer set behind dyn dispatch. It keeps the default
-/// budget, so every observer sees every event and the set needs no
-/// per-observer budget state.
-struct Fanout<'a, 'b>(&'a mut [&'b mut dyn RetireObserver]);
-
-impl RetireObserver for Fanout<'_, '_> {
-    fn on_retire(&mut self, ev: &RetireEvent) {
-        for obs in self.0.iter_mut() {
-            obs.on_retire(ev);
-        }
-    }
-    fn on_finish(&mut self, final_cycle: u64) {
-        for obs in self.0.iter_mut() {
-            obs.on_finish(final_cycle);
-        }
-    }
-    fn on_skipped(&mut self, skipped: Skipped, cycle_head: (Addr, u64)) {
-        for obs in self.0.iter_mut() {
-            obs.on_skipped(skipped, cycle_head);
-        }
-    }
-}
-
-/// The loop's side of the quiet-budget contract (see [`QuietBudget`]).
+/// One observer's side of the quiet-budget contract (see [`QuietBudget`]).
 /// Budgets are kept as limits on the totals the loop counts anyway, so
 /// an unseen instruction costs a few compares and no call.
-#[derive(Default)]
-struct Watch {
-    /// `(addr, seq)` of the first instruction of the current cycle.
-    cycle_head: (Addr, u64),
+#[derive(Clone, Copy, Default)]
+struct Gate {
     /// `(instructions, uops, taken branches)` at the last delivered event.
-    seen: (u64, u64, u64),
+    seen: Totals,
     /// Deliver the event after which a total exceeds its limit.
-    limit: (u64, u64, u64),
+    limit: Totals,
     deadline: u64,
     taken_hook: bool,
 }
 
-impl Watch {
+/// `(instructions, uops, taken branches)` retired so far.
+type Totals = (u64, u64, u64);
+
+/// What `ev` adds to the totals.
+#[inline(always)]
+fn units(ev: &RetireEvent) -> Totals {
+    (1, u64::from(ev.uops), u64::from(ev.is_taken_branch()))
+}
+
+impl Gate {
     #[inline(always)]
-    fn arm(&mut self, budget: QuietBudget, totals: (u64, u64, u64)) {
+    fn arm(&mut self, budget: QuietBudget, totals: Totals) {
         self.seen = totals;
         self.limit = (
             totals.0.saturating_add(budget.insns),
@@ -195,6 +181,36 @@ impl Watch {
         self.taken_hook = budget.taken_hook;
     }
 
+    /// Whether the budget names the event retiring at `cycle` that
+    /// brings the totals to `totals`.
+    #[inline(always)]
+    fn names(&self, totals: Totals, cycle: u64) -> bool {
+        totals.0 > self.limit.0
+            || totals.1 > self.limit.1
+            || totals.2 > self.limit.2
+            || cycle >= self.deadline
+    }
+
+    /// What retired unseen between the last delivered event and `totals`.
+    fn unseen(&self, totals: Totals) -> Skipped {
+        Skipped {
+            insns: totals.0 - self.seen.0,
+            uops: totals.1 - self.seen.1,
+            taken_branches: totals.2 - self.seen.2,
+        }
+    }
+}
+
+/// The loop's watch over its one observer: the observer's [`Gate`] plus
+/// the head of the current retirement cycle.
+#[derive(Default)]
+struct Watch {
+    /// `(addr, seq)` of the first instruction of the current cycle.
+    cycle_head: (Addr, u64),
+    gate: Gate,
+}
+
+impl Watch {
     /// Delivers `ev` when the budget names it; `totals` include it, and
     /// `heads_cycle` says `ev` is the first retirement of its cycle.
     ///
@@ -207,37 +223,127 @@ impl Watch {
         observer: &mut O,
         ev: RetireEvent,
         heads_cycle: bool,
-        totals: (u64, u64, u64),
+        totals: Totals,
     ) {
         if heads_cycle {
             self.cycle_head = (ev.addr, ev.seq);
         }
-        if totals.0 > self.limit.0
-            || totals.1 > self.limit.1
-            || totals.2 > self.limit.2
-            || ev.cycle >= self.deadline
-        {
-            let before = (
-                totals.0 - 1,
-                totals.1 - u64::from(ev.uops),
-                totals.2 - u64::from(ev.is_taken_branch()),
-            );
-            observer.on_skipped(self.unseen(before), self.cycle_head);
+        if self.gate.names(totals, ev.cycle) {
+            let (di, du, dt) = units(&ev);
+            let before = (totals.0 - di, totals.1 - du, totals.2 - dt);
+            observer.on_skipped(self.gate.unseen(before), self.cycle_head);
             let delivered = ev;
             observer.on_retire(&delivered);
-            self.arm(observer.quiet_budget(), totals);
-        } else if self.taken_hook && ev.is_taken_branch() {
+            self.gate.arm(observer.quiet_budget(), totals);
+        } else if self.gate.taken_hook && ev.is_taken_branch() {
             let taken = ev;
             observer.on_taken_branch(&taken);
         }
     }
+}
 
-    /// What retired unseen between the last delivered event and `totals`.
-    fn unseen(&self, totals: (u64, u64, u64)) -> Skipped {
-        Skipped {
-            insns: totals.0 - self.seen.0,
-            uops: totals.1 - self.seen.1,
-            taken_branches: totals.2 - self.seen.2,
+/// The observer set of [`Cpu::run`] and [`Cpu::run_all`], driven by one
+/// pass. Each member keeps its own [`Gate`], so it sees exactly the
+/// events its own [`QuietBudget`] names, as if it ran alone; toward the
+/// loop the set declares the tightest member limit of each quantity, the
+/// earliest member deadline, and the taken hook when any member sets it.
+///
+/// An event the loop delivers reaches, through `on_skipped` and
+/// `on_retire`, only the members whose limit it crosses or whose
+/// deadline it reaches; each gets its own [`Skipped`] and the shared
+/// cycle head, then re-arms. For every other member the event retires
+/// unseen (a taken branch still reaches a member that sets the hook).
+/// A member that declares no budget sees every event.
+struct Fanout<'a, O> {
+    members: &'a mut [O],
+    /// One gate per member, in the `Cpu`'s retained scratch.
+    gates: &'a mut Vec<Gate>,
+    /// Totals through the last event the set was told about, delivered
+    /// or reported unseen.
+    totals: Totals,
+    cycle_head: (Addr, u64),
+}
+
+impl<'a, O: RetireObserver> Fanout<'a, O> {
+    fn new(members: &'a mut [O], gates: &'a mut Vec<Gate>) -> Self {
+        gates.clear();
+        gates.extend(members.iter().map(|m| {
+            let mut gate = Gate::default();
+            gate.arm(m.quiet_budget(), (0, 0, 0));
+            gate
+        }));
+        Self {
+            members,
+            gates,
+            totals: (0, 0, 0),
+            cycle_head: (0, 0),
+        }
+    }
+}
+
+// Deliveries are rare, so they stay out of line: inlining the member
+// loop into the dispatch loop would crowd its registers on every
+// instruction. An unseen taken branch is not rare, so its hook inlines.
+impl<O: RetireObserver> RetireObserver for Fanout<'_, O> {
+    #[inline(never)]
+    fn quiet_budget(&self) -> QuietBudget {
+        let mut limit = (u64::MAX, u64::MAX, u64::MAX);
+        let mut budget = QuietBudget::UNLIMITED;
+        for gate in self.gates.iter() {
+            limit.0 = limit.0.min(gate.limit.0);
+            limit.1 = limit.1.min(gate.limit.1);
+            limit.2 = limit.2.min(gate.limit.2);
+            budget.deadline = budget.deadline.min(gate.deadline);
+            budget.taken_hook |= gate.taken_hook;
+        }
+        // Every limit is at or past the totals: a member either re-armed
+        // on the last event or its limit was not crossed.
+        budget.insns = limit.0 - self.totals.0;
+        budget.uops = limit.1 - self.totals.1;
+        budget.taken_branches = limit.2 - self.totals.2;
+        budget
+    }
+
+    #[inline(never)]
+    fn on_skipped(&mut self, skipped: Skipped, cycle_head: (Addr, u64)) {
+        self.totals.0 += skipped.insns;
+        self.totals.1 += skipped.uops;
+        self.totals.2 += skipped.taken_branches;
+        self.cycle_head = cycle_head;
+    }
+
+    #[inline(never)]
+    fn on_retire(&mut self, ev: &RetireEvent) {
+        let before = self.totals;
+        let (di, du, dt) = units(ev);
+        self.totals = (before.0 + di, before.1 + du, before.2 + dt);
+        for (member, gate) in self.members.iter_mut().zip(self.gates.iter_mut()) {
+            if gate.names(self.totals, ev.cycle) {
+                member.on_skipped(gate.unseen(before), self.cycle_head);
+                member.on_retire(ev);
+                gate.arm(member.quiet_budget(), self.totals);
+            } else if gate.taken_hook && ev.is_taken_branch() {
+                member.on_taken_branch(ev);
+            }
+        }
+    }
+
+    #[inline]
+    fn on_taken_branch(&mut self, ev: &RetireEvent) {
+        for (member, gate) in self.members.iter_mut().zip(self.gates.iter()) {
+            if gate.taken_hook {
+                member.on_taken_branch(ev);
+            }
+        }
+    }
+
+    #[inline(never)]
+    fn on_finish(&mut self, final_cycle: u64) {
+        for (member, gate) in self.members.iter_mut().zip(self.gates.iter()) {
+            if self.totals != gate.seen {
+                member.on_skipped(gate.unseen(self.totals), self.cycle_head);
+            }
+            member.on_finish(final_cycle);
         }
     }
 }
@@ -254,6 +360,7 @@ impl<'m> Cpu<'m> {
                 decoded: Vec::new(),
                 cache: None,
                 bpred: BranchPredictor::new(),
+                gates: Vec::new(),
             },
         }
     }
@@ -264,8 +371,11 @@ impl<'m> Cpu<'m> {
         self.machine
     }
 
-    /// Runs `program` to completion, publishing every retired instruction
-    /// to `observers` in order (their quiet budgets are not read).
+    /// Runs `program` to completion in one pass for every observer of
+    /// `observers`: each sees exactly the events its own [`QuietBudget`]
+    /// names, as [`Cpu::run_observed`] would show it alone, so an
+    /// observer that declares nothing sees every retired instruction in
+    /// order. The observers' bookkeeping lives in the retained scratch.
     ///
     /// Every run starts from the identical architectural cold state
     /// (cleared memory, empty call stack, invalid cache ways,
@@ -278,15 +388,28 @@ impl<'m> Cpu<'m> {
         config: &RunConfig,
         observers: &mut [&mut dyn RetireObserver],
     ) -> Result<RunSummary, SimError> {
-        self.run_sink::<_, true>(program, config, &mut Fanout(observers))
+        self.run_all(program, config, observers)
+    }
+
+    /// Like [`Cpu::run`] over observers of one concrete type, whose hooks
+    /// then inline into the fan-out instead of paying a virtual call.
+    pub fn run_all<O: RetireObserver>(
+        &mut self,
+        program: &Program,
+        config: &RunConfig,
+        observers: &mut [O],
+    ) -> Result<RunSummary, SimError> {
+        let mut gates = std::mem::take(&mut self.scratch.gates);
+        let summary =
+            self.run_sink::<_, true>(program, config, &mut Fanout::new(observers, &mut gates));
+        self.scratch.gates = gates;
+        summary
     }
 
     /// Like [`Cpu::run`] with exactly one observer, monomorphized over
-    /// its concrete type, and the only entry point that honours the
-    /// observer's [`QuietBudget`]: the loop runs silently between the
-    /// events the budget names, and the observer's hooks inline into it
-    /// instead of paying a virtual call. The serving layer runs its PMU
-    /// sampler through this entry point.
+    /// its concrete type: the loop runs silently between the events the
+    /// observer's [`QuietBudget`] names, and its hooks inline into the
+    /// loop instead of paying a virtual call.
     pub fn run_observed<O: RetireObserver + ?Sized>(
         &mut self,
         program: &Program,
@@ -323,6 +446,7 @@ impl<'m> Cpu<'m> {
             decoded,
             cache: cache_slot,
             bpred,
+            gates: _,
         } = &mut self.scratch;
         let mut regs = [0i64; ct_isa::reg::NUM_REGS];
         let mut fregs = [0f64; ct_isa::reg::NUM_FREGS];
@@ -370,7 +494,7 @@ impl<'m> Cpu<'m> {
         let mut mispredicts: u64 = 0;
         let hide = m.hide_latency;
         let mut watch = Watch::default();
-        watch.arm(observer.quiet_budget(), (0, 0, 0));
+        watch.gate.arm(observer.quiet_budget(), (0, 0, 0));
 
         let stop = loop {
             if instructions >= config.max_insns {
@@ -618,8 +742,8 @@ impl<'m> Cpu<'m> {
 
         if OBSERVED {
             let totals = (instructions, uops, taken_branches);
-            if totals != watch.seen {
-                observer.on_skipped(watch.unseen(totals), watch.cycle_head);
+            if totals != watch.gate.seen {
+                observer.on_skipped(watch.gate.unseen(totals), watch.cycle_head);
             }
             observer.on_finish(cycle);
         }

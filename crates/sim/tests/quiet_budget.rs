@@ -1,4 +1,5 @@
-//! The quiet-budget contract of `Cpu::run_observed` (see `QuietBudget`).
+//! The quiet-budget contract of `Cpu::run_observed` and `Cpu::run` (see
+//! `QuietBudget`).
 //!
 //! An observer that declares budgets sees exactly the event on which a
 //! budget runs out, the first event at or after its cycle deadline and,
@@ -6,7 +7,9 @@
 //! Before each delivered event, and once before `on_finish` when the run
 //! ends on unseen events, `on_skipped` reports what retired unseen and
 //! the head of the current cycle. The expected log is derived here from
-//! the full event stream, straight from that wording.
+//! the full event stream, straight from that wording. `Cpu::run` drives
+//! many observers through one pass, and each must see exactly what it
+//! sees alone.
 
 use ct_isa::asm::assemble;
 use ct_isa::{Addr, Program};
@@ -66,7 +69,9 @@ fn units(ev: &RetireEvent) -> (u64, u64, u64) {
 /// retired at `last_cycle`: the unit budget cycles through a few sizes
 /// (0 asks for the very next event), every third budget adds a deadline
 /// a few cycles on, and every other one asks for taken branches.
-fn policy(unit: Unit, k: usize, last_cycle: u64) -> QuietBudget {
+/// Observers with different `shift`s declare different budgets at once.
+fn policy(unit: Unit, shift: usize, delivered: usize, last_cycle: u64) -> QuietBudget {
+    let k = delivered + shift;
     const QUIET: [u64; 5] = [0, 1, 5, 17, 60];
     let n = QUIET[k % QUIET.len()];
     let mut budget = QuietBudget::UNLIMITED;
@@ -94,6 +99,7 @@ enum Seen {
 /// Declares [`policy`] budgets and logs every callback.
 struct Budgeted {
     unit: Unit,
+    shift: usize,
     delivered: usize,
     last_cycle: u64,
     log: Vec<Seen>,
@@ -101,7 +107,7 @@ struct Budgeted {
 
 impl RetireObserver for Budgeted {
     fn quiet_budget(&self) -> QuietBudget {
-        policy(self.unit, self.delivered, self.last_cycle)
+        policy(self.unit, self.shift, self.delivered, self.last_cycle)
     }
     fn on_skipped(&mut self, skipped: Skipped, cycle_head: (Addr, u64)) {
         self.log.push(Seen::Skipped(skipped, cycle_head));
@@ -156,11 +162,24 @@ fn head_of(stream: &[RetireEvent], i: usize) -> (Addr, u64) {
     (head.addr, head.seq)
 }
 
-/// The log the contract prescribes for `unit` over the full `stream`.
-fn expected(unit: Unit, stream: &[RetireEvent], final_cycle: u64) -> Vec<Seen> {
+impl Budgeted {
+    fn new(unit: Unit, shift: usize) -> Self {
+        Self {
+            unit,
+            shift,
+            delivered: 0,
+            last_cycle: 0,
+            log: Vec::new(),
+        }
+    }
+}
+
+/// The log the contract prescribes for `unit` and `shift` over the full
+/// `stream`.
+fn expected(unit: Unit, shift: usize, stream: &[RetireEvent], final_cycle: u64) -> Vec<Seen> {
     let mut log = Vec::new();
     let mut delivered = 0;
-    let mut budget = policy(unit, 0, 0);
+    let mut budget = policy(unit, shift, 0, 0);
     let mut unseen = Skipped::default();
     for (i, ev) in stream.iter().enumerate() {
         let (di, du, dt) = units(ev);
@@ -171,7 +190,7 @@ fn expected(unit: Unit, stream: &[RetireEvent], final_cycle: u64) -> Vec<Seen> {
             log.push(Seen::Skipped(unseen, head_of(stream, i)));
             log.push(Seen::Retire(*ev));
             delivered += 1;
-            budget = policy(unit, delivered, ev.cycle);
+            budget = policy(unit, shift, delivered, ev.cycle);
             unseen = Skipped::default();
         } else {
             unseen.insns += di;
@@ -203,6 +222,8 @@ fn accounted(log: &[Seen]) -> (u64, u64, u64) {
     total
 }
 
+const UNITS: [Unit; 3] = [Unit::Insns, Unit::Uops, Unit::Taken];
+
 fn full_stream(machine: &MachineModel, p: &Program, config: &RunConfig) -> (Vec<Seen>, RunSummary) {
     let mut all = Plain::default();
     let summary = Cpu::new(machine).run(p, config, &mut [&mut all]).unwrap();
@@ -219,18 +240,13 @@ fn budgeted_observers_see_exactly_the_events_their_budgets_name() {
             let Some(&Seen::Finish(final_cycle)) = all.last() else {
                 panic!("on_finish comes last");
             };
-            for unit in [Unit::Insns, Unit::Uops, Unit::Taken] {
-                let mut obs = Budgeted {
-                    unit,
-                    delivered: 0,
-                    last_cycle: 0,
-                    log: Vec::new(),
-                };
+            for unit in UNITS {
+                let mut obs = Budgeted::new(unit, 0);
                 let s = Cpu::new(&machine)
                     .run_observed(&p, &config, &mut obs)
                     .unwrap();
                 assert_eq!(s, summary, "a budget never changes the run");
-                let want = expected(unit, &stream, final_cycle);
+                let want = expected(unit, 0, &stream, final_cycle);
                 assert_eq!(
                     obs.log, want,
                     "{} {unit:?} fuel {}",
@@ -279,6 +295,46 @@ fn an_observer_that_declares_nothing_sees_every_event_in_order() {
                 Seen::Skipped(Skipped::default(), head_of(&stream, i))
             );
             assert_eq!(pair[1], Seen::Retire(stream[i]));
+        }
+    }
+}
+
+#[test]
+fn one_pass_gives_each_observer_exactly_its_solo_stream() {
+    let p = program();
+    for machine in MachineModel::paper_machines() {
+        for config in [RunConfig::default(), RunConfig::with_fuel(1_019)] {
+            let (all, summary) = full_stream(&machine, &p, &config);
+            let stream = retired(&all);
+            let Some(&Seen::Finish(final_cycle)) = all.last() else {
+                panic!("on_finish comes last");
+            };
+            // Every unit at three phases of the policy: at any moment the
+            // members hold different budgets, deadlines and taken hooks.
+            let mut budgeted: Vec<Budgeted> = UNITS
+                .into_iter()
+                .flat_map(|unit| (0..3).map(move |shift| Budgeted::new(unit, shift)))
+                .collect();
+            let mut plain = Plain::default();
+            let mut members: Vec<&mut dyn RetireObserver> = budgeted
+                .iter_mut()
+                .map(|b| b as &mut dyn RetireObserver)
+                .collect();
+            members.push(&mut plain);
+            let s = Cpu::new(&machine).run(&p, &config, &mut members).unwrap();
+            assert_eq!(s, summary, "one pass runs the same program");
+            assert_eq!(plain.0, all, "a member that declares nothing sees it all");
+            for obs in &budgeted {
+                assert_eq!(
+                    obs.log,
+                    expected(obs.unit, obs.shift, &stream, final_cycle),
+                    "{} {:?} shift {} fuel {}",
+                    machine.name,
+                    obs.unit,
+                    obs.shift,
+                    config.max_insns
+                );
+            }
         }
     }
 }

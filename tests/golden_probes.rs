@@ -27,7 +27,7 @@
 
 use countertrust::grid::GridRunner;
 use countertrust::methods::MethodOptions;
-use countertrust::serve::net::{exchange, EvalServer, NetOptions};
+use countertrust::serve::net::{exchange, NetOptions};
 use countertrust::serve::proto::exchange_v2;
 use countertrust::serve::{Catalog, CatalogRegistry, EvalRequest, EvalService, PipelineOptions};
 use countertrust::store::checksum;
@@ -39,6 +39,10 @@ use ct_workloads::Workload;
 use std::fmt::Write as _;
 use std::net::SocketAddr;
 use std::sync::{Mutex, MutexGuard, PoisonError};
+use support::with_server;
+
+#[path = "support/loopback.rs"]
+mod support;
 
 static GUARD: Mutex<()> = Mutex::new(());
 
@@ -201,20 +205,8 @@ fn over_loopback(
     pipeline: PipelineOptions,
     client: impl FnOnce(SocketAddr) -> String,
 ) -> String {
-    let server = EvalServer::listen(
-        "127.0.0.1:0",
-        NetOptions::new().pipeline(pipeline).max_connections(1),
-    )
-    .expect("loopback listener binds");
-    let local = server.local_addr();
-    let handle = server.handle();
-    std::thread::scope(|scope| {
-        let serving = scope.spawn(|| server.serve(service));
-        let response = client(local);
-        handle.shutdown();
-        serving.join().expect("server thread").expect("accept loop");
-        response
-    })
+    let options = NetOptions::new().pipeline(pipeline).max_connections(1);
+    with_server(service, options, client).0
 }
 
 #[test]

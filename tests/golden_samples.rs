@@ -18,7 +18,9 @@
 //! fuel-capped run that stops in the middle of a basic block.
 //!
 //! A change to how the sampler or the reference observe the stream
-//! (batching, skipping, buffering) must reproduce every row bit for bit.
+//! (batching, skipping, buffering) must reproduce every row bit for bit,
+//! and so must one `Cpu::run` pass that drives every method's sampler of
+//! a pair at once.
 //!
 //! Regenerating (only legitimate when the *sampling or machine model*
 //! itself changes, never for a refactor or an optimization):
@@ -36,7 +38,7 @@ use ct_isa::Cfg;
 use ct_pmu::{
     LbrEntry, LbrFilter, LbrMode, Sample, SampleBatch, Sampler, SamplerConfig, SamplerStats,
 };
-use ct_sim::{Cpu, MachineModel, RunConfig, StopReason};
+use ct_sim::{Cpu, MachineModel, RetireObserver, RunConfig, StopReason};
 use ct_workloads::{Workload, WorkloadClass};
 
 /// 64-bit FNV-1a over a byte stream, fed incrementally.
@@ -232,6 +234,58 @@ fn sample_rows(
                     kind.label(),
                     digests[0].0,
                     digests[1].0,
+                ));
+            }
+        }
+    }
+    rows
+}
+
+/// [`sample_rows`] again, from one `Cpu::run` pass per pair and options
+/// that drives the samplers of every supported method at once.
+fn fused_sample_rows(
+    machines: &[MachineModel],
+    workloads: &[Workload],
+) -> Vec<(String, String, &'static str, u64, u64)> {
+    let mut rows = Vec::new();
+    for m in machines {
+        let mut cpu = Cpu::new(m);
+        for w in workloads {
+            let kinds: Vec<MethodKind> = MethodKind::ALL
+                .into_iter()
+                .filter(|&kind| method_config(m, kind, &MethodOptions::fast()).is_some())
+                .collect();
+            let [fast, default] = [MethodOptions::fast(), MethodOptions::default()].map(|opts| {
+                let mut samplers: Vec<Sampler> = kinds
+                    .iter()
+                    .map(|&kind| {
+                        let config = method_config(m, kind, &opts).expect("same support");
+                        Sampler::new(m, &config).expect("supported configuration")
+                    })
+                    .collect();
+                let mut members: Vec<&mut dyn RetireObserver> = samplers
+                    .iter_mut()
+                    .map(|s| s as &mut dyn RetireObserver)
+                    .collect();
+                cpu.run(&w.program, &w.run_config, &mut members)
+                    .expect("registry workloads run to completion");
+                samplers
+                    .into_iter()
+                    .map(|sampler| {
+                        let stats = sampler.stats();
+                        let mut fnv = Fnv::new();
+                        digest_batch(&mut fnv, &sampler.into_batch(), &stats);
+                        fnv.0
+                    })
+                    .collect::<Vec<u64>>()
+            });
+            for (i, kind) in kinds.iter().enumerate() {
+                rows.push((
+                    m.name.clone(),
+                    w.name.clone(),
+                    kind.label(),
+                    fast[i],
+                    default[i],
                 ));
             }
         }
@@ -561,6 +615,16 @@ fn sample_streams_match_the_golden_digests() {
         println!("];");
         return;
     }
+    assert_golden_sample_rows(&rows);
+}
+
+#[test]
+fn one_fused_pass_per_pair_reproduces_the_sample_streams() {
+    let rows = fused_sample_rows(&MachineModel::paper_machines(), &workloads());
+    assert_golden_sample_rows(&rows);
+}
+
+fn assert_golden_sample_rows(rows: &[(String, String, &'static str, u64, u64)]) {
     assert_eq!(
         rows.len(),
         GOLDEN_SAMPLES.len(),

@@ -15,6 +15,10 @@ use ct_sim::{MachineModel, RunConfig};
 use ct_workloads::LoaderError;
 use std::io::{Read, Write};
 use std::net::{Shutdown, TcpStream};
+use support::{with_server, StopOnDrop};
+
+#[path = "support/loopback.rs"]
+mod support;
 
 fn kernel(n: u64) -> Program {
     assemble(
@@ -63,31 +67,26 @@ fn connection_streams(machines: &[MachineModel], connections: usize) -> Vec<Vec<
         .collect()
 }
 
-/// Binds a loopback server, runs `clients` against it inside one scope,
-/// shuts down gracefully, and returns each client's result plus the
-/// server's stats.
+/// Binds a loopback server, runs `clients` against it on their own
+/// threads, shuts down gracefully, and returns each client's result plus
+/// the server's stats.
 fn serve_loopback<R: Send>(
     service: &EvalService,
     options: NetOptions,
     clients: impl Fn(std::net::SocketAddr, usize) -> R + Sync,
     connections: usize,
 ) -> (Vec<R>, NetStats) {
-    let server = EvalServer::listen("127.0.0.1:0", options).expect("loopback bind");
-    let addr = server.local_addr();
-    let handle = server.handle();
     let clients = &clients;
-    std::thread::scope(|scope| {
-        let serving = scope.spawn(|| server.serve(service));
-        let workers: Vec<_> = (0..connections)
-            .map(|c| scope.spawn(move || clients(addr, c)))
-            .collect();
-        let results: Vec<R> = workers
-            .into_iter()
-            .map(|w| w.join().expect("client thread"))
-            .collect();
-        handle.shutdown();
-        let stats = serving.join().expect("server thread").expect("accept loop");
-        (results, stats)
+    with_server(service, options, |addr| {
+        std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..connections)
+                .map(|c| scope.spawn(move || clients(addr, c)))
+                .collect();
+            workers
+                .into_iter()
+                .map(|w| w.join().expect("client thread"))
+                .collect()
+        })
     })
 }
 
@@ -429,6 +428,7 @@ fn shutdown_drains_in_flight_connections() {
     let handle = server.handle();
     let response = std::thread::scope(|scope| {
         let serving = scope.spawn(|| server.serve(&service));
+        let stop = StopOnDrop(&handle);
         let mut stream = TcpStream::connect(addr).unwrap();
         stream
             .write_all(wire(std::slice::from_ref(&request)).as_bytes())
@@ -441,7 +441,7 @@ fn shutdown_drains_in_flight_connections() {
         while server.connections_accepted() == 0 {
             std::thread::sleep(std::time::Duration::from_millis(1));
         }
-        handle.shutdown();
+        drop(stop);
         let mut response = String::new();
         stream.read_to_string(&mut response).unwrap();
         let stats = serving.join().unwrap().unwrap();
@@ -496,6 +496,7 @@ fn panicking_connection_worker_leaves_the_server_serving() {
                 Ok(stats)
             })
         });
+        let stop = StopOnDrop(&handle);
         // First connection hits the injected panic; whatever the client
         // observes (empty response or a reset) must stay on that
         // connection.
@@ -503,7 +504,7 @@ fn panicking_connection_worker_leaves_the_server_serving() {
         // The second connection must be accepted (the panicking worker's
         // slot was released) and served normally.
         let second = exchange(addr, &good_wire).expect("server must keep serving");
-        handle.shutdown();
+        drop(stop);
         let stats = serving
             .join()
             .expect("a worker panic must never unwind out of serve")
@@ -719,17 +720,8 @@ fn workload_dir_option_serves_a_directory_as_a_tenant_catalog() {
     let served = base()
         .workload_dir(&dir, 0.5)
         .expect("well-formed catalog dir");
-    let server = EvalServer::listen("127.0.0.1:0", NetOptions::new()).expect("loopback bind");
-    let addr = server.local_addr();
-    let handle = server.handle();
-    let (output, stats) = std::thread::scope(|scope| {
-        let serving = scope.spawn(|| server.serve(&served));
-        let output = exchange(addr, &wire(&requests)).expect("loopback exchange");
-        handle.shutdown();
-        (
-            output,
-            serving.join().expect("server thread").expect("accept loop"),
-        )
+    let (output, stats) = with_server(&served, NetOptions::new(), |addr| {
+        exchange(addr, &wire(&requests)).expect("loopback exchange")
     });
     assert_eq!(stats.responses, 3);
     assert_eq!(stats.io_errors, 0);

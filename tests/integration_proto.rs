@@ -8,7 +8,7 @@
 
 use countertrust::grid::WorkloadSpec;
 use countertrust::methods::MethodOptions;
-use countertrust::serve::net::{exchange, EvalServer, NetOptions, NetStats};
+use countertrust::serve::net::{exchange, NetOptions};
 use countertrust::serve::proto::{
     exchange_v2, read_frame, write_frame, Frame, FrameKind, V2Client, V2_ACK, V2_PREAMBLE,
 };
@@ -18,6 +18,10 @@ use ct_isa::Program;
 use ct_sim::{MachineModel, RunConfig};
 use std::io::{BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
+use support::with_server;
+
+#[path = "support/loopback.rs"]
+mod support;
 
 fn kernel(n: u64) -> Program {
     assemble(
@@ -62,25 +66,6 @@ fn streams_for(machines: &[MachineModel], count: usize) -> Vec<Vec<EvalRequest>>
                 .collect()
         })
         .collect()
-}
-
-/// Runs `body` against a freshly bound loopback server and returns its
-/// result and the server's stats after a graceful shutdown.
-fn with_server<R>(
-    service: &EvalService,
-    options: NetOptions,
-    body: impl FnOnce(SocketAddr) -> R,
-) -> (R, NetStats) {
-    let server = EvalServer::listen("127.0.0.1:0", options).expect("loopback bind");
-    let addr = server.local_addr();
-    let handle = server.handle();
-    std::thread::scope(|scope| {
-        let serving = scope.spawn(|| server.serve(service));
-        let result = body(addr);
-        handle.shutdown();
-        let stats = serving.join().expect("server thread").expect("accept loop");
-        (result, stats)
-    })
 }
 
 /// One v1 connection carrying raw bytes (which may not be UTF-8): the
@@ -188,33 +173,25 @@ fn v2_session_is_keep_alive_across_request_rounds() {
         .method_options(MethodOptions::fast())
         .threads(2);
 
-    let (rounds, connections) = {
-        let server = EvalServer::listen("127.0.0.1:0", NetOptions::default()).unwrap();
-        let addr = server.local_addr();
-        let handle = server.handle();
-        std::thread::scope(|scope| {
-            let serving = scope.spawn(|| server.serve(&service));
-            // Three request/response rounds over ONE connection — each
-            // round waits for its response before sending the next, so
-            // the server demonstrably answers without seeing EOF or BYE.
-            let mut client = V2Client::connect(addr).expect("v2 connect");
-            let mut rounds = Vec::new();
-            for (i, request) in requests.iter().enumerate() {
-                let line = serde_json::to_string(request).unwrap();
-                client.send_line(i as u32, &line).expect("send");
-                client.flush().expect("flush");
-                let (stream, text) = client.recv().expect("recv").expect("open session");
-                assert_eq!(stream, i as u32);
-                rounds.push(text);
-            }
-            client.bye().expect("bye");
-            handle.shutdown();
-            let stats = serving.join().unwrap().expect("accept loop");
-            (rounds, stats.connections)
-        })
-    };
+    let (rounds, stats) = with_server(&service, NetOptions::default(), |addr| {
+        // Three request/response rounds over ONE connection — each
+        // round waits for its response before sending the next, so
+        // the server demonstrably answers without seeing EOF or BYE.
+        let mut client = V2Client::connect(addr).expect("v2 connect");
+        let mut rounds = Vec::new();
+        for (i, request) in requests.iter().enumerate() {
+            let line = serde_json::to_string(request).unwrap();
+            client.send_line(i as u32, &line).expect("send");
+            client.flush().expect("flush");
+            let (stream, text) = client.recv().expect("recv").expect("open session");
+            assert_eq!(stream, i as u32);
+            rounds.push(text);
+        }
+        client.bye().expect("bye");
+        rounds
+    });
     assert_eq!(
-        connections, 1,
+        stats.connections, 1,
         "three rounds, one connection: keep-alive works"
     );
 
@@ -462,7 +439,11 @@ fn a_stream_past_the_per_connection_limit_gets_an_in_order_error_and_spares_a_si
     assert_eq!(refused.kind(), std::io::ErrorKind::InvalidData);
     let message = refused.to_string();
     let expected = format!("stream {limit} exceeds the limit of {MAX_STREAMS} streams");
-    assert!(message.contains("protocol error"), "{message}");
+    assert_eq!(
+        message.matches("protocol error").count(),
+        1,
+        "the client names the protocol error once: {message}"
+    );
     assert!(message.contains(&expected), "{message}");
     assert!(
         matches!(after, Some(Ok(None))),
@@ -672,4 +653,36 @@ fn v2_latency_stamps_carry_queue_and_build_time() {
     );
     assert!(latency.eval_us > 0, "{latency:?}");
     assert_eq!(service.stats().builds, 1);
+}
+
+/// A failing assertion inside a loopback test body must fail the test,
+/// not hang it: the helper shuts its server down while the panic
+/// unwinds, and the panic reaches the caller.
+#[test]
+fn a_panicking_body_shuts_the_loopback_server_down_and_fails() {
+    let (done, finished) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let program = kernel(1_000);
+        let run_config = RunConfig::default();
+        let workloads = [WorkloadSpec {
+            name: "k",
+            program: &program,
+            run_config: &run_config,
+        }];
+        let service = EvalService::new(&[MachineModel::ivy_bridge()], &workloads);
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            with_server(&service, NetOptions::default(), |_| {
+                panic!("an assertion inside the body failed")
+            })
+        }));
+        let _ = done.send(outcome.map(drop));
+    });
+    let outcome = finished
+        .recv_timeout(std::time::Duration::from_secs(30))
+        .expect("the helper returns within the bound instead of hanging");
+    let payload = outcome.expect_err("the body's panic reaches the caller");
+    assert_eq!(
+        payload.downcast_ref::<&str>(),
+        Some(&"an assertion inside the body failed")
+    );
 }

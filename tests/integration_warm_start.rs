@@ -8,7 +8,7 @@
 //! see `crates/bench/Cargo.toml`).
 
 use countertrust::methods::MethodOptions;
-use countertrust::serve::net::{exchange, EvalServer, NetOptions};
+use countertrust::serve::net::{exchange, NetOptions};
 use countertrust::serve::{EvalService, PipelineOptions};
 use ct_bench::streams::{request_stream, to_wire, StreamConfig, StreamPattern};
 use ct_bench::workload_specs;
@@ -16,6 +16,10 @@ use ct_instrument::CollectionAudit;
 use ct_sim::MachineModel;
 use std::path::PathBuf;
 use std::sync::Mutex;
+use support::with_server;
+
+#[path = "support/loopback.rs"]
+mod support;
 
 static GUARD: Mutex<()> = Mutex::new(());
 
@@ -164,20 +168,10 @@ fn warm_restart_over_tcp_is_byte_identical_and_build_free() {
             .method_options(opts)
             .threads(2)
             .snapshot_dir(&tmp.0);
-        let server = EvalServer::listen(
-            "127.0.0.1:0",
-            NetOptions::new().pipeline(PipelineOptions::new().chunk(4)),
-        )
-        .expect("ephemeral loopback listener binds");
-        let local = server.local_addr();
-        let handle = server.handle();
+        let options = NetOptions::new().pipeline(PipelineOptions::new().chunk(4));
         let audit = audited.then(CollectionAudit::begin);
-        let (response, net) = std::thread::scope(|scope| {
-            let serving = scope.spawn(|| server.serve(&service));
-            let response = exchange(local, &wire).expect("loopback exchange");
-            handle.shutdown();
-            let net = serving.join().expect("server thread").expect("accept loop");
-            (response, net)
+        let (response, net) = with_server(&service, options, |local| {
+            exchange(local, &wire).expect("loopback exchange")
         });
         assert_eq!(net.connections, 1);
         (response, audit.map_or(0, |a| a.collections() as usize))

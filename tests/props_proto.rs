@@ -6,7 +6,7 @@
 
 use countertrust::grid::WorkloadSpec;
 use countertrust::methods::MethodOptions;
-use countertrust::serve::net::{EvalServer, NetOptions};
+use countertrust::serve::net::NetOptions;
 use countertrust::serve::proto::{
     exchange_v2, read_frame, write_frame, FrameError, FrameKind, FRAME_HEADER_LEN,
 };
@@ -17,6 +17,10 @@ use ct_sim::{MachineModel, RunConfig};
 use proptest::prelude::*;
 use std::io::{Read, Write};
 use std::net::TcpStream;
+use support::with_server;
+
+#[path = "support/loopback.rs"]
+mod support;
 
 fn kernel(n: u64) -> Program {
     assemble(
@@ -123,11 +127,7 @@ proptest! {
             .method_options(MethodOptions::fast())
             .threads(1);
 
-        let server = EvalServer::listen("127.0.0.1:0", NetOptions::default()).unwrap();
-        let addr = server.local_addr();
-        let handle = server.handle();
-        std::thread::scope(|scope| {
-            let serving = scope.spawn(|| server.serve(&service));
+        let ((), stats) = with_server(&service, NetOptions::default(), |addr| {
             let mut stream = TcpStream::connect(addr).unwrap();
             stream
                 .set_read_timeout(Some(std::time::Duration::from_secs(10)))
@@ -138,11 +138,8 @@ proptest! {
             // The server must terminate the connection on its own —
             // a wedged connection would trip the read timeout here.
             stream.read_to_end(&mut reply).unwrap();
-            handle.shutdown();
-            let stats = serving.join().unwrap().expect("accept loop");
-            prop_assert_eq!(stats.connections, 1);
-            Ok(())
-        })?;
+        });
+        prop_assert_eq!(stats.connections, 1);
     }
 }
 
@@ -188,15 +185,8 @@ proptest! {
         let service = EvalService::new(&machines, &workloads)
             .method_options(MethodOptions::fast())
             .threads(2);
-        let server = EvalServer::listen("127.0.0.1:0", NetOptions::default()).unwrap();
-        let addr = server.local_addr();
-        let handle = server.handle();
-        let replies = std::thread::scope(|scope| {
-            let serving = scope.spawn(|| server.serve(&service));
-            let replies = exchange_v2(addr, &wires).unwrap();
-            handle.shutdown();
-            serving.join().unwrap().expect("accept loop");
-            replies
+        let (replies, _) = with_server(&service, NetOptions::default(), |addr| {
+            exchange_v2(addr, &wires).unwrap()
         });
 
         for (s, sub) in streams.iter().enumerate() {
