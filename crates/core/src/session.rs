@@ -384,4 +384,62 @@ mod tests {
         assert_eq!(a.accuracy_error, b.accuracy_error);
         assert_eq!(a.samples, b.samples);
     }
+
+    /// `(accuracy error, samples, stats, mean skid)` or the error text.
+    fn outcome(
+        run: Result<MethodRun, CoreError>,
+    ) -> Result<(f64, usize, SamplerStats, f64), String> {
+        run.map(|r| (r.accuracy_error, r.samples, r.stats, r.mean_skid))
+            .map_err(|e| e.to_string())
+    }
+
+    /// Every entry of a shared pass gets exactly its solo result: a
+    /// sampler that cannot be built fails alone, and a pass that fails
+    /// fails each entry with its solo simulation error.
+    #[test]
+    fn each_entry_of_a_shared_pass_gets_its_solo_result() {
+        let m = MachineModel::westmere();
+        let opts = MethodOptions::fast();
+        let lbr = MethodKind::Lbr.instantiate(&m, &opts).unwrap();
+        let classic = MethodKind::Classic.instantiate(&m, &opts).unwrap();
+        let mut unbuildable = classic.clone();
+        unbuildable.config.period.nominal = 0;
+        let entries = [(&lbr, 1), (&unbuildable, 2), (&classic, 3), (&lbr, 4)];
+        // The second program reads past its data once its loop ends; its
+        // reference stops on fuel before that, so only the pass fails.
+        let faulting = assemble(
+            "f",
+            ".data 4\n.func main\n movi r1, 3000\ntop:\n subi r1, r1, 1\n brnz r1, top\n load r2, [r3+100]\n halt\n.endfunc",
+        )
+        .unwrap();
+        for program in [kernel(), faulting] {
+            let cfg = Arc::new(Cfg::build(&program));
+            let (reference, _) = ReferenceProfile::collect_with_cfg(
+                &m,
+                &program,
+                &cfg,
+                &RunConfig::with_fuel(5_000),
+            )
+            .unwrap();
+            let reference = Arc::new(reference);
+            let session = || {
+                Session::with_shared_parts(
+                    &m,
+                    &program,
+                    RunConfig::with_fuel(200_000),
+                    cfg.clone(),
+                    Some(reference.clone()),
+                )
+            };
+            let mut fused = Vec::new();
+            session().run_methods(&entries, |i, run| fused.push((i, outcome(run))));
+            let solo: Vec<_> = entries
+                .iter()
+                .enumerate()
+                .map(|(i, &(method, seed))| (i, outcome(session().run_method(method, seed))))
+                .collect();
+            assert_eq!(fused, solo);
+            assert!(fused[1].1.is_err(), "the unbuildable sampler fails");
+        }
+    }
 }
