@@ -399,13 +399,6 @@ impl<'m> Cpu<'m> {
         config: &RunConfig,
         observers: &mut [O],
     ) -> Result<RunSummary, SimError> {
-        // One observer is its own fan-out: the loop then inlines its
-        // hooks directly, which keeps single-run passes as fast as
-        // `run_observed` (the set's extra call per taken branch cost
-        // LBR samplers 2-8% on short runs).
-        if let [only] = observers {
-            return self.run_sink::<_, true>(program, config, only);
-        }
         let mut gates = std::mem::take(&mut self.scratch.gates);
         let summary =
             self.run_sink::<_, true>(program, config, &mut Fanout::new(observers, &mut gates));
