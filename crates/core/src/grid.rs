@@ -746,6 +746,28 @@ mod tests {
     // counter is process-global, so asserting exact deltas here would
     // race against sibling unit tests collecting references in parallel.
 
+    /// A machine whose cache geometry cannot be built fails its pairs
+    /// at the reference step: its rows come back with no methods and
+    /// `map_pairs` skips them, while a sound machine's rows are whole.
+    #[test]
+    fn a_degenerate_machine_leaves_its_rows_without_methods() {
+        let program = kernel();
+        let run_config = RunConfig::default();
+        let workloads = specs(&program, &run_config);
+        let mut degenerate = MachineModel::ivy_bridge();
+        degenerate.name = "degenerate".to_string();
+        degenerate.cache.l1_ways = degenerate.cache.l1_words;
+        let machines = [degenerate, MachineModel::westmere()];
+        let runner = GridRunner::new().threads(2);
+        let evals = runner.run_standard(&machines, &workloads, &MethodOptions::fast(), 2, 7);
+        assert_eq!(evals.len(), 2);
+        assert_eq!(evals[0].machine, "degenerate");
+        assert!(evals[0].methods.is_empty());
+        assert!(!evals[1].methods.is_empty());
+        let pairs = runner.map_pairs(&machines, &workloads, |ctx| ctx.machine_index);
+        assert_eq!(pairs, [None, Some(1)]);
+    }
+
     #[test]
     fn map_pairs_with_no_machines_is_empty() {
         let program = kernel();

@@ -3,7 +3,7 @@
 
 use ct_instrument::ReferenceProfile;
 use ct_isa::{asm, Cfg};
-use ct_sim::{MachineModel, RunConfig};
+use ct_sim::{Cpu, MachineModel, RunConfig};
 use proptest::prelude::*;
 use std::fmt::Write as _;
 
@@ -50,19 +50,22 @@ proptest! {
         arms in 0u8..5,
     ) {
         let p = structured_program(outer, inner, arms);
+        let cfg = Cfg::build(&p);
         for machine in MachineModel::paper_machines() {
-            let (r, summary) = ReferenceProfile::collect_with_cfg(
-                &machine,
-                &p,
-                &Cfg::build(&p),
-                &RunConfig::default(),
-            )
-            .unwrap();
+            let (r, _) =
+                ReferenceProfile::collect_with_cfg(&machine, &p, &cfg, &RunConfig::default())
+                    .unwrap();
+            // An independent timed run on each machine: the profile must
+            // account for exactly what it retires.
+            let timed = Cpu::new(&machine)
+                .run_silent(&p, &RunConfig::default())
+                .unwrap();
             let bb_sum: u64 = r.bb_instructions.iter().sum();
             let fn_sum: u64 = r.function_instructions.iter().sum();
-            prop_assert_eq!(bb_sum, summary.instructions);
-            prop_assert_eq!(fn_sum, summary.instructions);
-            prop_assert_eq!(r.taken_branches, summary.taken_branches);
+            prop_assert_eq!(bb_sum, timed.instructions);
+            prop_assert_eq!(fn_sum, timed.instructions);
+            prop_assert_eq!(r.total_instructions, timed.instructions);
+            prop_assert_eq!(r.taken_branches, timed.taken_branches);
         }
     }
 

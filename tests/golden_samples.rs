@@ -14,8 +14,10 @@
 //!   rate and a period of 5, which forces collisions — each over the four
 //!   kernels and every method it changes;
 //!
-//! and every field of the [`ReferenceProfile`] of the 27 pairs plus one
-//! fuel-capped run that stops in the middle of a basic block.
+//! and every field of the [`ReferenceProfile`] of the 9 workloads plus
+//! one fuel-capped run that stops in the middle of a basic block. The
+//! reference counts retirements only, so each row holds on every paper
+//! machine, and so do the per-address retirement counts beneath it.
 //!
 //! A change to how the sampler or the reference observe the stream
 //! (batching, skipping, buffering) must reproduce every row bit for bit,
@@ -38,7 +40,7 @@ use ct_isa::Cfg;
 use ct_pmu::{
     LbrEntry, LbrFilter, LbrMode, Sample, SampleBatch, Sampler, SamplerConfig, SamplerStats,
 };
-use ct_sim::{Cpu, MachineModel, RetireObserver, RunConfig, StopReason};
+use ct_sim::{Cpu, MachineModel, RetireEvent, RetireObserver, RunConfig, StopReason};
 use ct_workloads::{Workload, WorkloadClass};
 
 /// 64-bit FNV-1a over a byte stream, fed incrementally.
@@ -96,10 +98,10 @@ fn workloads() -> Vec<Workload> {
 /// Sampler seed for every run (jitter, randomized periods, PMI drops).
 const SEED: u64 = 0x5A3B_1E21;
 
-/// Fuel for the capped reference run; [`FUEL_PAIR`] stops mid-block at it
-/// (asserted, so the row keeps covering a partial block).
+/// Fuel for the capped reference run; [`FUEL_WORKLOAD`] stops mid-block
+/// at it (asserted, so the row keeps covering a partial block).
 const FUEL: u64 = 10_009;
-const FUEL_PAIR: (&str, &str) = ("Westmere (Xeon X5650)", "omnetpp");
+const FUEL_WORKLOAD: &str = "omnetpp";
 
 fn digest_sample(fnv: &mut Fnv, s: &Sample) {
     fnv.write_u64(u64::from(s.reported_ip));
@@ -171,8 +173,58 @@ fn reference_digest(machine: &MachineModel, workload: &Workload, run_config: &Ru
     }
     fnv.write_u64(r.total_instructions);
     fnv.write_u64(r.taken_branches);
-    fnv.write_u64(r.cycles);
     fnv.0
+}
+
+/// The reference's runs: every workload under its own run configuration,
+/// then [`FUEL_WORKLOAD`] capped at [`FUEL`] as `"<name>@fuel"`.
+fn reference_runs(workloads: &[Workload]) -> Vec<(String, &Workload, RunConfig)> {
+    let mut runs: Vec<_> = workloads
+        .iter()
+        .map(|w| (w.name.clone(), w, w.run_config.clone()))
+        .collect();
+    let w = workloads
+        .iter()
+        .find(|w| w.name == FUEL_WORKLOAD)
+        .expect("fuel workload");
+    let capped = RunConfig {
+        max_insns: FUEL,
+        ..w.run_config.clone()
+    };
+    runs.push((format!("{}@fuel", w.name), w, capped));
+    runs
+}
+
+/// Retirements per instruction address, with the run's totals.
+#[derive(Debug, PartialEq, Eq)]
+struct Retired {
+    counts: Vec<u64>,
+    instructions: u64,
+    taken_branches: u64,
+    stop: StopReason,
+}
+
+/// Counts every retired instruction by address.
+struct AddrCounts(Vec<u64>);
+
+impl RetireObserver for AddrCounts {
+    fn on_retire(&mut self, ev: &RetireEvent) {
+        self.0[ev.addr as usize] += 1;
+    }
+}
+
+/// [`Retired`] from a timed pass on `machine` with a counting observer.
+fn timed_counts(machine: &MachineModel, workload: &Workload, run_config: &RunConfig) -> Retired {
+    let mut counts = AddrCounts(vec![0; workload.program.len()]);
+    let summary = Cpu::new(machine)
+        .run_observed(&workload.program, run_config, &mut counts)
+        .expect("registry workloads run to completion");
+    Retired {
+        counts: counts.0,
+        instructions: summary.instructions,
+        taken_branches: summary.taken_branches,
+        stop: summary.stop,
+    }
 }
 
 /// The off-default configurations, each applied to `MethodOptions::fast()`
@@ -328,39 +380,25 @@ fn variant_rows(
     rows
 }
 
-/// Per machine and workload: the reference-profile digest. The last row
-/// is the fuel-capped run, with workload `"<name>@fuel"`.
-type ReferenceRow = (&'static str, &'static str, u64);
+/// Per workload: the reference-profile digest, the same on every machine.
+/// The last row is the fuel-capped run, with workload `"<name>@fuel"`.
+type ReferenceRow = (&'static str, u64);
 
-fn reference_rows(machines: &[MachineModel], workloads: &[Workload]) -> Vec<(String, String, u64)> {
-    let mut rows = Vec::new();
-    for m in machines {
-        for w in workloads {
-            rows.push((
-                m.name.clone(),
-                w.name.clone(),
-                reference_digest(m, w, &w.run_config),
-            ));
-        }
-    }
-    let m = machines
-        .iter()
-        .find(|m| m.name == FUEL_PAIR.0)
-        .expect("fuel machine");
-    let w = workloads
-        .iter()
-        .find(|w| w.name == FUEL_PAIR.1)
-        .expect("fuel workload");
-    let capped = RunConfig {
-        max_insns: FUEL,
-        ..w.run_config.clone()
-    };
-    rows.push((
-        m.name.clone(),
-        format!("{}@fuel", w.name),
-        reference_digest(m, w, &capped),
-    ));
-    rows
+fn reference_rows(machines: &[MachineModel], workloads: &[Workload]) -> Vec<(String, u64)> {
+    reference_runs(workloads)
+        .into_iter()
+        .map(|(name, w, run_config)| {
+            let digests: Vec<u64> = machines
+                .iter()
+                .map(|m| reference_digest(m, w, &run_config))
+                .collect();
+            assert!(
+                digests.iter().all(|&d| d == digests[0]),
+                "{name}: the reference profile depends on the machine"
+            );
+            (name, digests[0])
+        })
+        .collect()
 }
 
 /// Captured from the per-instruction sampler (one `on_retire` per retired
@@ -568,34 +606,16 @@ const GOLDEN_VARIANTS: &[VariantRow] = &[
 /// Captured from the per-instruction block and call-graph counters.
 #[rustfmt::skip]
 const GOLDEN_REFERENCES: &[ReferenceRow] = &[
-    ("Magny-Cours (Opteron 6164 HE)", "latency_biased", 0x50f93bc3b9a41444),
-    ("Magny-Cours (Opteron 6164 HE)", "callchain", 0x32f4cc6859cc4c87),
-    ("Magny-Cours (Opteron 6164 HE)", "g4box", 0x3015a08814b1174c),
-    ("Magny-Cours (Opteron 6164 HE)", "test40", 0x0c494ace28869cc8),
-    ("Magny-Cours (Opteron 6164 HE)", "mcf", 0xbfff203462a7b1a0),
-    ("Magny-Cours (Opteron 6164 HE)", "povray", 0xe6207e69cb6bcc00),
-    ("Magny-Cours (Opteron 6164 HE)", "omnetpp", 0x8778ee9ec30297e4),
-    ("Magny-Cours (Opteron 6164 HE)", "xalancbmk", 0x18c0de07a21822d9),
-    ("Magny-Cours (Opteron 6164 HE)", "fullcms", 0x4a707efb96cb7e02),
-    ("Westmere (Xeon X5650)", "latency_biased", 0xe6492e6b7d528aa3),
-    ("Westmere (Xeon X5650)", "callchain", 0x7cd5f23ec91cc404),
-    ("Westmere (Xeon X5650)", "g4box", 0xf0ab42c2e9c5b7d2),
-    ("Westmere (Xeon X5650)", "test40", 0xa9ff3a5b8a152279),
-    ("Westmere (Xeon X5650)", "mcf", 0x640c387d94f327f8),
-    ("Westmere (Xeon X5650)", "povray", 0x1ecc78cb90d84baf),
-    ("Westmere (Xeon X5650)", "omnetpp", 0xcd0dd7e971909197),
-    ("Westmere (Xeon X5650)", "xalancbmk", 0xa877a20538266f5f),
-    ("Westmere (Xeon X5650)", "fullcms", 0x64f26252e41788d1),
-    ("Ivy Bridge (Xeon E3-1265L)", "latency_biased", 0x2389df2c40c7f98e),
-    ("Ivy Bridge (Xeon E3-1265L)", "callchain", 0x072c616885d5fc76),
-    ("Ivy Bridge (Xeon E3-1265L)", "g4box", 0x6ffe193acafd3811),
-    ("Ivy Bridge (Xeon E3-1265L)", "test40", 0xd162f71316ff858f),
-    ("Ivy Bridge (Xeon E3-1265L)", "mcf", 0x07d18e66e646f2fe),
-    ("Ivy Bridge (Xeon E3-1265L)", "povray", 0xb00ef75323826145),
-    ("Ivy Bridge (Xeon E3-1265L)", "omnetpp", 0xc9c5d344e1c16007),
-    ("Ivy Bridge (Xeon E3-1265L)", "xalancbmk", 0xeb41438938a0c2d8),
-    ("Ivy Bridge (Xeon E3-1265L)", "fullcms", 0xf51eb765eef480fe),
-    ("Westmere (Xeon X5650)", "omnetpp@fuel", 0x0ba43d1f03680c47),
+    ("latency_biased", 0xaf1ebf725315fa78),
+    ("callchain", 0x727176ad9068ef67),
+    ("g4box", 0x1376a85fde70ee98),
+    ("test40", 0x8c9be52dc82b7fbe),
+    ("mcf", 0x551b2cfb31fc7b7a),
+    ("povray", 0x7c7255443b66de07),
+    ("omnetpp", 0xf25f5be5ee8f790f),
+    ("xalancbmk", 0x7f58c17d740377f3),
+    ("fullcms", 0xb6e6443e7dcd3072),
+    ("omnetpp@fuel", 0x4bcb787af9530883),
 ];
 
 fn regen() -> bool {
@@ -678,13 +698,11 @@ fn off_default_sampler_configurations_match_the_golden_digests() {
 
 #[test]
 fn reference_profiles_match_the_golden_digests() {
-    let machines = MachineModel::paper_machines();
-    let workloads = workloads();
-    let rows = reference_rows(&machines, &workloads);
+    let rows = reference_rows(&MachineModel::paper_machines(), &workloads());
     if regen() {
         println!("const GOLDEN_REFERENCES: &[ReferenceRow] = &[");
-        for (m, w, digest) in &rows {
-            println!("    (\"{m}\", \"{w}\", 0x{digest:016x}),");
+        for (w, digest) in &rows {
+            println!("    (\"{w}\", 0x{digest:016x}),");
         }
         println!("];");
         return;
@@ -692,16 +710,30 @@ fn reference_profiles_match_the_golden_digests() {
     assert_eq!(
         rows.len(),
         GOLDEN_REFERENCES.len(),
-        "golden table must cover the 27 pairs and the capped run"
+        "golden table must cover the 9 workloads and the capped run"
     );
     for (got, want) in rows.iter().zip(GOLDEN_REFERENCES) {
-        let (m, w, digest) = *want;
-        assert_eq!(
-            (got.0.as_str(), got.1.as_str()),
-            (m, w),
-            "row order drifted"
-        );
-        assert_eq!(got.2, digest, "{m}/{w}: reference profile diverged");
+        let (w, digest) = *want;
+        assert_eq!(got.0.as_str(), w, "row order drifted");
+        assert_eq!(got.1, digest, "{w}: reference profile diverged");
+    }
+}
+
+/// The reference's ground truth is the machine-independent part of the
+/// stream: on every paper machine a timed pass retires each address the
+/// same number of times, with the same totals and the same stop.
+#[test]
+fn retire_counts_do_not_depend_on_the_machine() {
+    let machines = MachineModel::paper_machines();
+    let workloads = workloads();
+    for (name, w, run_config) in reference_runs(&workloads) {
+        let timed: Vec<Retired> = machines
+            .iter()
+            .map(|m| timed_counts(m, w, &run_config))
+            .collect();
+        for (m, retired) in machines.iter().zip(&timed).skip(1) {
+            assert_eq!(retired, &timed[0], "{name}: {} retires differently", m.name);
+        }
     }
 }
 
@@ -710,13 +742,10 @@ fn reference_profiles_match_the_golden_digests() {
 /// whole multiple of its entries.
 #[test]
 fn the_fuel_capped_reference_stops_mid_block() {
-    let machine = MachineModel::paper_machines()
-        .into_iter()
-        .find(|m| m.name == FUEL_PAIR.0)
-        .expect("fuel machine");
+    let machine = MachineModel::westmere();
     let w = workloads()
         .into_iter()
-        .find(|w| w.name == FUEL_PAIR.1)
+        .find(|w| w.name == FUEL_WORKLOAD)
         .expect("fuel workload");
     let cfg = Cfg::build(&w.program);
     let capped = RunConfig {

@@ -126,6 +126,46 @@ fn single_request_round_trips() {
     );
 }
 
+/// A machine whose cache geometry cannot be built fails where its pair
+/// attaches: every request on it is answered with the reference error,
+/// in order, while a sound machine's request in the same chunk is served.
+#[test]
+fn degenerate_cache_geometry_is_answered_as_a_reference_failure() {
+    let program = kernel(2_000);
+    let run_config = RunConfig::default();
+    let workloads = [WorkloadSpec {
+        name: "k",
+        program: &program,
+        run_config: &run_config,
+    }];
+    let mut degenerate = MachineModel::ivy_bridge();
+    degenerate.name = "degenerate".to_string();
+    // 512 lines of 8 words; more ways than lines.
+    degenerate.cache.l1_ways = 1_024;
+    let machines = [degenerate, MachineModel::westmere()];
+    let requests = [
+        EvalRequest::new("degenerate", "k", "classic", 1, 1),
+        EvalRequest::new("Westmere (Xeon X5650)", "k", "classic", 1, 2),
+    ];
+    let svc = service(&machines, &workloads, 2);
+    let mut out = Vec::new();
+    svc.serve_pipelined(
+        wire(&requests).as_bytes(),
+        &mut out,
+        &PipelineOptions::default(),
+    )
+    .unwrap();
+    let out = String::from_utf8(out).unwrap();
+    let lines: Vec<&str> = out.lines().collect();
+    assert_eq!(lines.len(), 2);
+    assert_eq!(
+        lines[0],
+        r#"{"request":{"machine":"degenerate","workload":"k","method":"classic","runs":1,"seed":1},"stats":null,"error":"reference collection failed: simulation: L1 cache geometry is degenerate (4096 words, 1024 ways, 8-word lines): line size must be a power of two dividing the level size, with ways <= lines and a power-of-two set count"}"#
+    );
+    let served: EvalResponse = serde_json::from_str(lines[1]).unwrap();
+    assert!(served.is_ok(), "{:?}", served.error);
+}
+
 #[test]
 fn malformed_lines_answer_in_order_and_the_pipeline_keeps_draining() {
     let program = kernel(10_000);
