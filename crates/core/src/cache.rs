@@ -1,10 +1,11 @@
 //! The reference-profile cache behind the serving layer.
 //!
 //! Building a pair's evaluation state — its CFG and, above all, its
-//! instrumented [`ReferenceProfile`] — is the most expensive step of any
-//! evaluation (one full extra execution of the workload). The grid engine
-//! ([`crate::grid`]) amortizes it across a *static* grid; this module
-//! amortizes it across *arbitrary request traffic*:
+//! [`ReferenceProfile`] — is the most expensive step of any evaluation
+//! (one full extra execution of the workload, untimed). The grid engine
+//! ([`crate::grid`]) amortizes it across a *static* grid, one reference
+//! per workload; this module amortizes it across *arbitrary request
+//! traffic*, one per resident pair:
 //!
 //! * [`PairParts`] bundles the shareable per-pair state (CFG + reference)
 //!   and is the one place sessions over a pair are constructed from —
@@ -65,37 +66,44 @@ impl PairKey {
 }
 
 /// The shareable evaluation state of one `(machine, workload)` pair: the
-/// workload's CFG plus the pair's instrumented reference profile.
+/// workload's CFG plus its exact reference profile.
 ///
 /// Every consumer of a pair — grid cells, serve requests — builds its
 /// [`Session`]s from one `PairParts` so the expensive state is collected
-/// once and shared, never rebuilt per consumer.
+/// once and shared, never rebuilt per consumer. The reference does not
+/// depend on the machine, so the grid shares one `Arc` among every pair
+/// of a workload.
 #[derive(Debug, Clone)]
 pub struct PairParts {
     /// The workload's control-flow graph.
     pub cfg: Arc<Cfg>,
-    /// The pair's exact reference profile.
+    /// The workload's exact reference profile.
     pub reference: Arc<ReferenceProfile>,
 }
 
 impl PairParts {
-    /// Collects the pair's reference profile (one instrumented execution)
-    /// against a prebuilt CFG.
+    /// Collects the workload's reference profile (one untimed execution)
+    /// against a prebuilt CFG, for a pair on `machine`.
+    ///
+    /// The reference needs no machine, but the pair's sampled runs do:
+    /// the machine's cache geometry is validated first, so a machine that
+    /// no timed run can use fails here, where its pair attaches, with the
+    /// error its first run would raise.
     pub fn collect(
         machine: &MachineModel,
         program: &Program,
         run_config: &RunConfig,
         cfg: Arc<Cfg>,
     ) -> Result<Self, CoreError> {
-        let (reference, _) =
-            ReferenceProfile::collect_with_cfg(machine, program, &cfg, run_config)?;
+        machine.cache.validate()?;
+        let (reference, _) = ReferenceProfile::collect_with_cfg(program, &cfg, run_config)?;
         Ok(Self {
             cfg,
             reference: Arc::new(reference),
         })
     }
 
-    /// A session over the pair that shares this state (no instrumented
+    /// A session over the pair that shares this state (no reference
     /// re-execution, no CFG rebuild).
     #[must_use]
     pub fn session<'a>(

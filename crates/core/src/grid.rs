@@ -9,10 +9,11 @@
 //!   of parked worker threads that claim them from a shared atomic
 //!   counter ([`for_each_index`]), so a fan-out spawns no thread once
 //!   the pool has grown to its width;
-//! * each `(machine, workload)` pair's [`ReferenceProfile`] is collected
-//!   exactly once (phase 1, itself parallel) as a [`PairParts`] and
-//!   shared via [`Arc`] with every method evaluation of that pair
-//!   (phase 2) through [`PairCtx::session`];
+//! * each workload's [`ReferenceProfile`] is collected exactly once
+//!   (phase 1, itself parallel over workloads), since it does not depend
+//!   on the machine, and shared via [`Arc`] by the [`PairParts`] of every
+//!   pair of that workload, so with every method evaluation of those
+//!   pairs (phase 2) through [`PairCtx::session`];
 //! * phase 2 simulates once per pair and samples many: one task per pair
 //!   runs all of its methods × repeats through shared passes
 //!   ([`Session::run_methods`]), since every run on a pair sees the same
@@ -126,7 +127,7 @@ pub struct PairCtx<'a> {
     pub workload_index: usize,
     /// The workload's control-flow graph, built once and shared.
     pub cfg: Arc<Cfg>,
-    /// The pair's reference profile, collected once and shared.
+    /// The workload's reference profile, collected once and shared.
     pub reference: Arc<ReferenceProfile>,
 }
 
@@ -161,7 +162,7 @@ impl<'a> PairCtx<'a> {
     }
 
     /// A session over this pair that reuses the shared CFG and reference
-    /// profile (no instrumented re-execution, no CFG rebuild).
+    /// profile (no reference re-execution, no CFG rebuild).
     #[must_use]
     pub fn session(&self) -> Session<'a> {
         self.parts().session(
@@ -343,49 +344,62 @@ impl GridRunner {
         self
     }
 
-    /// Phase 1 internals: one [`PairParts`] per pair, machine-major. The
-    /// serving layer amortizes the same construction through its cache
-    /// instead of a one-shot vector.
+    /// Phase 1 internals: one [`PairParts`] per pair, machine-major, over
+    /// one reference per workload. The workloads' references are
+    /// collected in parallel, and every pair of a workload shares its
+    /// `Arc`. A pair fails with its machine's cache-geometry error when
+    /// that machine's geometry is degenerate (as [`PairParts::collect`]
+    /// fails it), and otherwise with its workload's reference error;
+    /// each failed pair is warned about on stderr. The serving layer
+    /// amortizes the same construction through its cache instead of a
+    /// one-shot vector.
     fn collect_pair_parts(
         &self,
         machines: &[MachineModel],
         workloads: &[WorkloadSpec<'_>],
         cfgs: &[Arc<Cfg>],
     ) -> Vec<Result<PairParts, CoreError>> {
-        let total = machines.len() * workloads.len();
         let slots: Vec<Mutex<Option<Result<PairParts, CoreError>>>> =
-            (0..total).map(|_| Mutex::new(None)).collect();
+            workloads.iter().map(|_| Mutex::new(None)).collect();
         let done = AtomicUsize::new(0);
-        self.for_each_index(total, |i| {
-            let (m, w) = (i / workloads.len(), i % workloads.len());
-            let machine = &machines[m];
+        self.for_each_index(workloads.len(), |w| {
             let workload = &workloads[w];
-            let result = PairParts::collect(
-                machine,
-                workload.program,
-                workload.run_config,
-                cfgs[w].clone(),
-            );
-            if let Err(e) = &result {
-                eprintln!(
-                    "warning: {} / {}: reference collection failed: {e}",
-                    machine.name, workload.name
-                );
-            }
-            *slots[i].lock().expect("no poisoned slots") = Some(result);
+            let result =
+                ReferenceProfile::collect_with_cfg(workload.program, &cfgs[w], workload.run_config)
+                    .map(|(reference, _)| PairParts {
+                        cfg: cfgs[w].clone(),
+                        reference: Arc::new(reference),
+                    })
+                    .map_err(CoreError::from);
+            *slots[w].lock().expect("no poisoned slots") = Some(result);
             if self.progress {
                 let d = done.fetch_add(1, Ordering::Relaxed) + 1;
-                eprintln!("  [ref {d}/{total}] {} / {}", machine.name, workload.name);
+                eprintln!("  [ref {d}/{}] {}", workloads.len(), workload.name);
             }
         });
-        slots
+        let per_workload: Vec<Result<PairParts, CoreError>> = slots
             .into_iter()
             .map(|s| {
                 s.into_inner()
                     .expect("no poisoned slots")
                     .expect("every index visited")
             })
-            .collect()
+            .collect();
+        let mut pairs = Vec::with_capacity(machines.len() * workloads.len());
+        for machine in machines {
+            let geometry = machine.cache.validate().map_err(CoreError::from);
+            for (workload, parts) in workloads.iter().zip(&per_workload) {
+                let result = geometry.clone().and_then(|()| parts.clone());
+                if let Err(e) = &result {
+                    eprintln!(
+                        "warning: {} / {}: reference collection failed: {e}",
+                        machine.name, workload.name
+                    );
+                }
+                pairs.push(result);
+            }
+        }
+        pairs
     }
 
     /// Runs the full grid with the standard method columns
@@ -740,8 +754,8 @@ mod tests {
         assert_ne!(cell_seed(1, 2, 3, 4, 5), cell_seed(2, 2, 3, 4, 5));
     }
 
-    // NOTE: the "reference collected exactly once per pair" guarantee is
-    // asserted via ct_instrument::collection_count() in
+    // NOTE: the "reference collected exactly once per workload" guarantee
+    // is asserted via ct_instrument::collection_count() in
     // tests/integration_grid.rs, which owns its whole test binary — the
     // counter is process-global, so asserting exact deltas here would
     // race against sibling unit tests collecting references in parallel.
@@ -820,13 +834,17 @@ mod tests {
         let results = GridRunner::new()
             .threads(3)
             .map_pairs(&machines, &workloads, |ctx| {
-                (ctx.machine.name.clone(), ctx.reference.total_instructions())
+                (ctx.machine.name.clone(), ctx.reference.clone())
             });
         assert_eq!(results.len(), 2);
-        let (name0, total0) = results[0].as_ref().unwrap();
+        let (name0, reference0) = results[0].as_ref().unwrap();
         assert_eq!(name0, &machines[0].name);
-        assert!(*total0 > 0);
-        let (name1, _) = results[1].as_ref().unwrap();
+        assert!(reference0.total_instructions() > 0);
+        let (name1, reference1) = results[1].as_ref().unwrap();
         assert_eq!(name1, &machines[1].name);
+        assert!(
+            Arc::ptr_eq(reference0, reference1),
+            "both machines share the workload's one reference"
+        );
     }
 }

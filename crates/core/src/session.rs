@@ -7,12 +7,12 @@
 //! `(method, seed)` entries through shared simulation passes;
 //! [`Session::run_method`] is its one-entry case.
 //!
-//! The reference profile is held behind an [`Arc`] so sessions over the
-//! same `(machine, workload)` pair can share one collection instead of
-//! re-driving the instrumented execution: the grid engine
-//! ([`crate::grid`]) and the serving layer collect each pair's reference
-//! once as a [`crate::cache::PairParts`] and build every per-method
-//! session from it via [`Session::with_shared_parts`].
+//! The reference profile is held behind an [`Arc`] so sessions can share
+//! one collection instead of re-driving the reference execution. It does
+//! not depend on the machine: the grid engine ([`crate::grid`]) collects
+//! one per workload and the serving layer one per cached pair, each as a
+//! [`crate::cache::PairParts`], and every per-method session is built from
+//! it via [`Session::with_shared_parts`].
 
 use crate::attrib;
 use crate::error::CoreError;
@@ -86,9 +86,9 @@ impl<'a> Session<'a> {
     /// (optionally) the reference profile with other sessions.
     ///
     /// `cfg` must be built from `program` and `reference` (when given)
-    /// collected for the same `(machine, program, run_config)` triple.
-    /// The grid engine uses this to build one CFG per workload and one
-    /// reference per (machine, workload) pair, no matter how many method
+    /// collected for the same `(program, run_config)`; the reference holds
+    /// on every machine. The grid engine uses this to build one CFG and
+    /// one reference per workload, no matter how many machines and method
     /// cells consume them.
     #[must_use]
     pub fn with_shared_parts(
@@ -121,7 +121,7 @@ impl<'a> Session<'a> {
     }
 
     /// The exact reference profile, collected on first use (one extra
-    /// instrumented execution, like the paper's Pin run).
+    /// untimed execution, like the paper's Pin run).
     pub fn reference(&mut self) -> Result<&ReferenceProfile, CoreError> {
         self.ensure_reference()?;
         Ok(self.reference.as_deref().expect("just collected"))
@@ -129,12 +129,8 @@ impl<'a> Session<'a> {
 
     fn ensure_reference(&mut self) -> Result<(), CoreError> {
         if self.reference.is_none() {
-            let (reference, _) = ReferenceProfile::collect_with_cfg(
-                self.machine,
-                self.program,
-                &self.cfg,
-                &self.run_config,
-            )?;
+            let (reference, _) =
+                ReferenceProfile::collect_with_cfg(self.program, &self.cfg, &self.run_config)?;
             self.reference = Some(Arc::new(reference));
         }
         Ok(())
@@ -414,13 +410,9 @@ mod tests {
         .unwrap();
         for program in [kernel(), faulting] {
             let cfg = Arc::new(Cfg::build(&program));
-            let (reference, _) = ReferenceProfile::collect_with_cfg(
-                &m,
-                &program,
-                &cfg,
-                &RunConfig::with_fuel(5_000),
-            )
-            .unwrap();
+            let (reference, _) =
+                ReferenceProfile::collect_with_cfg(&program, &cfg, &RunConfig::with_fuel(5_000))
+                    .unwrap();
             let reference = Arc::new(reference);
             let session = || {
                 Session::with_shared_parts(

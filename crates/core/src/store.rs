@@ -3,7 +3,7 @@
 //! directory.
 //!
 //! A reference profile is the expensive artifact of this system: every
-//! [`PairParts::collect`] is one full instrumented execution. This
+//! [`PairParts::collect`] is one full (untimed) execution. This
 //! module gives that artifact a deterministic on-disk form so a
 //! restarted (or freshly spawned) server reloads its references instead
 //! of re-executing them — and, because a mis-decoded profile would
@@ -12,7 +12,7 @@
 //! and checksum failures are all rejected with a typed [`StoreError`],
 //! never a panic and never a silently wrong profile.
 //!
-//! # Snapshot layout (version 1)
+//! # Snapshot layout (version 2)
 //!
 //! ```text
 //! offset  size  field
@@ -26,6 +26,9 @@
 //!      …     …  profile section (canonical JSON of ReferenceProfile)
 //!    end     8  FNV-1a checksum of ALL preceding bytes, u64 LE
 //! ```
+//!
+//! Version 2 dropped the profile's `cycles` field when references became
+//! untimed; readers reject version-1 snapshots, which then rebuild.
 //!
 //! Sections carry the vendored-serde JSON of the structures; `Value`
 //! maps preserve insertion order, so encoding is byte-deterministic —
@@ -91,7 +94,7 @@ pub const SNAPSHOT_MAGIC: [u8; 8] = *b"CTSNAP\r\n";
 /// The current snapshot format version. Readers reject anything else —
 /// format evolution means a bump here plus an explicit migration, never
 /// a guess.
-pub const SNAPSHOT_VERSION: u32 = 1;
+pub const SNAPSHOT_VERSION: u32 = 2;
 
 /// Header size: magic + version + fingerprint.
 const HEADER_LEN: usize = 8 + 4 + 8;
@@ -186,13 +189,15 @@ pub fn checksum(bytes: &[u8]) -> u64 {
     h
 }
 
-/// The fingerprint naming one pair *generation*: a hash of everything a
-/// reference profile is a pure function of — the catalog name, the
-/// machine model, the program, the run configuration and the method
-/// options. Equal fingerprints mean the deterministic pipeline would
-/// rebuild byte-identical parts, so a snapshot carrying this
-/// fingerprint may substitute for the build; any change to any input
-/// moves the fingerprint and invalidates every old snapshot.
+/// The fingerprint naming one pair *generation*: a hash of the catalog
+/// name, the machine model, the program, the run configuration and the
+/// method options. The reference profile is a function of the program
+/// and run configuration alone, so this covers more than it needs to;
+/// snapshots stay keyed by pair like the cache that reads them. Equal
+/// fingerprints mean the deterministic pipeline would rebuild
+/// byte-identical parts, so a snapshot carrying this fingerprint may
+/// substitute for the build; any change to any input moves the
+/// fingerprint and invalidates every old snapshot.
 #[must_use]
 pub fn pair_fingerprint(
     catalog: &str,

@@ -2,17 +2,17 @@
 //!
 //! The paper cross-references every sampling method against
 //! instrumentation-based basic-block counts obtained through Pin ("REF",
-//! §3.3). Here the same ground truth is obtained by observing the simulated
-//! retirement stream exactly, with no sampling involved: the run counts
-//! retirements per instruction address, and block and function counts
-//! fold out of that one array afterwards.
+//! §3.3). Here the same ground truth is obtained by counting the simulated
+//! retirement stream exactly, with no sampling involved: one untimed run,
+//! which needs no machine, counts retirements per instruction address,
+//! and block and function counts fold out of that one array afterwards.
 //!
 //! The headline type is [`ReferenceProfile`], consumed by the accuracy
 //! metric in `countertrust`:
 //!
 //! ```
 //! use ct_isa::asm::assemble;
-//! use ct_sim::{MachineModel, RunConfig};
+//! use ct_sim::RunConfig;
 //! use ct_instrument::ReferenceProfile;
 //!
 //! let p = assemble(
@@ -20,9 +20,7 @@
 //!     ".func main\n movi r1, 5\ntop:\n subi r1, r1, 1\n brnz r1, top\n halt\n.endfunc",
 //! )
 //! .unwrap();
-//! let reference =
-//!     ReferenceProfile::collect(&MachineModel::ivy_bridge(), &p, &RunConfig::default())
-//!         .unwrap();
+//! let reference = ReferenceProfile::collect(&p, &RunConfig::default()).unwrap();
 //! assert_eq!(reference.total_instructions(), 12);
 //! ```
 

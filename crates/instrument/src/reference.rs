@@ -1,29 +1,35 @@
 //! The complete "REF" profile: the paper's instrumentation ground truth.
+//!
+//! Like the paper's Pin run (§3.3), a collection counts how often each
+//! instruction retires and nothing about when, so it runs the untimed
+//! instance of the dispatch loop ([`ct_sim::count_retired`]): no cache
+//! model, branch predictor or clock, and no machine. Every machine
+//! retires the same instructions, so one profile serves a workload on
+//! all of them.
 
 use ct_isa::{Cfg, Program};
-use ct_sim::{Cpu, MachineModel, RetireEvent, RetireObserver, RunConfig, RunSummary, SimError};
+use ct_sim::{RetireTotals, RunConfig, SimError};
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Process-wide count of instrumented reference executions.
+/// Process-wide count of reference collections.
 static COLLECTIONS: AtomicU64 = AtomicU64::new(0);
 
-/// Number of instrumented reference executions performed by this process
-/// so far.
+/// Number of reference collections (untimed executions) performed by
+/// this process so far.
 ///
-/// Reference collection is the most expensive single step of a grid cell
-/// (one full extra execution per `(machine, workload)` pair); callers that
-/// share profiles — the `countertrust` grid engine — use this counter to
-/// assert the sharing actually happened (each pair collected exactly
-/// once).
+/// Reference collection is one full extra execution of a workload;
+/// callers that share profiles — the `countertrust` grid engine (one per
+/// workload) and its serving cache (one per resident pair) — use this
+/// counter to assert the sharing actually happened.
 #[must_use]
 pub fn collection_count() -> u64 {
     COLLECTIONS.load(Ordering::Relaxed)
 }
 
 /// A scoped view over [`collection_count`]: snapshots the counter at
-/// construction so cache-aware consumers can audit how many instrumented
-/// executions a region of work actually performed.
+/// construction so cache-aware consumers can audit how many reference
+/// collections a region of work actually performed.
 ///
 /// The `countertrust` serving layer's contract — "a reference profile is
 /// built at most once per (machine, workload) pair per batch, whatever
@@ -45,7 +51,7 @@ impl CollectionAudit {
         }
     }
 
-    /// Instrumented reference executions performed since [`CollectionAudit::begin`].
+    /// Reference collections performed since [`CollectionAudit::begin`].
     #[must_use]
     pub fn collections(&self) -> u64 {
         collection_count() - self.start
@@ -67,43 +73,28 @@ pub struct ReferenceProfile {
     pub total_instructions: u64,
     /// Total taken control transfers (the LBR sampling event count).
     pub taken_branches: u64,
-    /// Total cycles of the measured run.
-    pub cycles: u64,
 }
 
 impl ReferenceProfile {
-    /// Runs `program` once on `machine` with exact instrumentation attached
+    /// Runs `program` once, untimed, with exact instrumentation attached
     /// and returns the reference profile.
-    pub fn collect(
-        machine: &MachineModel,
-        program: &Program,
-        config: &RunConfig,
-    ) -> Result<Self, SimError> {
+    pub fn collect(program: &Program, config: &RunConfig) -> Result<Self, SimError> {
         let cfg = Cfg::build(program);
-        Self::collect_with_cfg(machine, program, &cfg, config).map(|(p, _)| p)
+        Self::collect_with_cfg(program, &cfg, config).map(|(p, _)| p)
     }
 
     /// As [`ReferenceProfile::collect`] but reuses a prebuilt CFG and also
-    /// returns the run summary.
+    /// returns the pass's totals.
     pub fn collect_with_cfg(
-        machine: &MachineModel,
         program: &Program,
         cfg: &Cfg,
         config: &RunConfig,
-    ) -> Result<(Self, RunSummary), SimError> {
+    ) -> Result<(Self, RetireTotals), SimError> {
         COLLECTIONS.fetch_add(1, Ordering::Relaxed);
         // One count per instruction address is all the run keeps; block
         // and function counts fold out of it afterwards.
-        struct AddrHits(Vec<u64>);
-        impl RetireObserver for AddrHits {
-            #[inline]
-            fn on_retire(&mut self, ev: &RetireEvent) {
-                self.0[ev.addr as usize] += 1;
-            }
-        }
-        let mut hits = AddrHits(vec![0; program.len()]);
-        let summary = Cpu::new(machine).run_observed(program, config, &mut hits)?;
-        let hits = hits.0;
+        let mut hits = vec![0; program.len()];
+        let totals = ct_sim::count_retired(program, config, &mut hits)?;
         let sum = |start: u32, end: u32| hits[start as usize..end as usize].iter().sum::<u64>();
         let functions = program.symbols.functions();
         Ok((
@@ -116,11 +107,10 @@ impl ReferenceProfile {
                     .collect(),
                 function_instructions: functions.iter().map(|f| sum(f.entry, f.end)).collect(),
                 function_names: functions.iter().map(|f| f.name.clone()).collect(),
-                total_instructions: summary.instructions,
-                taken_branches: summary.taken_branches,
-                cycles: summary.cycles,
+                total_instructions: totals.instructions,
+                taken_branches: totals.taken_branches,
             },
-            summary,
+            totals,
         ))
     }
 
@@ -169,14 +159,12 @@ mod tests {
         "#,
         )
         .unwrap();
-        let m = MachineModel::westmere();
-        let r = ReferenceProfile::collect(&m, &p, &RunConfig::default()).unwrap();
+        let r = ReferenceProfile::collect(&p, &RunConfig::default()).unwrap();
         let bb_sum: u64 = r.bb_instructions.iter().sum();
         let fn_sum: u64 = r.function_instructions.iter().sum();
         assert_eq!(bb_sum, r.total_instructions);
         assert_eq!(fn_sum, r.total_instructions);
         assert!(r.taken_branches > 0);
-        assert!(r.cycles > 0);
     }
 
     #[test]
@@ -194,8 +182,7 @@ mod tests {
         "#,
         )
         .unwrap();
-        let r = ReferenceProfile::collect(&MachineModel::ivy_bridge(), &p, &RunConfig::default())
-            .unwrap();
+        let r = ReferenceProfile::collect(&p, &RunConfig::default()).unwrap();
         // Block 0: movi (1 entry, 1 insn). Block 1: subi+brnz (10 entries,
         // 20 insns). Block 2: halt (1 entry, 1 insn).
         assert_eq!(r.bb_entries[0], 1);
@@ -225,13 +212,8 @@ mod tests {
         "#,
         )
         .unwrap();
-        let (r, s) = ReferenceProfile::collect_with_cfg(
-            &MachineModel::westmere(),
-            &p,
-            &Cfg::build(&p),
-            &RunConfig::default(),
-        )
-        .unwrap();
+        let (r, s) =
+            ReferenceProfile::collect_with_cfg(&p, &Cfg::build(&p), &RunConfig::default()).unwrap();
         assert_eq!(r.total_instructions(), s.instructions);
         let sum: u64 = r.bb_instructions.iter().sum();
         assert_eq!(sum, s.instructions);
@@ -258,8 +240,7 @@ mod tests {
         "#,
         )
         .unwrap();
-        let r = ReferenceProfile::collect(&MachineModel::ivy_bridge(), &p, &RunConfig::default())
-            .unwrap();
+        let r = ReferenceProfile::collect(&p, &RunConfig::default()).unwrap();
         let main_idx = r.function_names.iter().position(|n| n == "main").unwrap();
         let work_idx = r.function_names.iter().position(|n| n == "work").unwrap();
         // main: movi + 4*(call+subi+brnz) + halt = 14.
@@ -291,8 +272,7 @@ mod tests {
         "#,
         )
         .unwrap();
-        let r = ReferenceProfile::collect(&MachineModel::ivy_bridge(), &p, &RunConfig::default())
-            .unwrap();
+        let r = ReferenceProfile::collect(&p, &RunConfig::default()).unwrap();
         let rank = r.function_ranking();
         assert_eq!(rank[0].0, "hot");
         for w in rank.windows(2) {
@@ -323,8 +303,7 @@ mod tests {
         "#,
         )
         .unwrap();
-        let r = ReferenceProfile::collect(&MachineModel::ivy_bridge(), &p, &RunConfig::default())
-            .unwrap();
+        let r = ReferenceProfile::collect(&p, &RunConfig::default()).unwrap();
         let rank = r.function_ranking();
         assert_eq!(rank[0].0, "hot");
         assert!(rank[0].1 > rank[1].1);
@@ -334,7 +313,7 @@ mod tests {
     fn audit_observes_collections() {
         let p = assemble("t", ".func main\n halt\n.endfunc\n").unwrap();
         let audit = CollectionAudit::begin();
-        ReferenceProfile::collect(&MachineModel::ivy_bridge(), &p, &RunConfig::default()).unwrap();
+        ReferenceProfile::collect(&p, &RunConfig::default()).unwrap();
         // `>=`: sibling tests collect concurrently against the same
         // process-global counter.
         assert!(audit.collections() >= 1);
@@ -343,8 +322,7 @@ mod tests {
     #[test]
     fn serializes_to_json() {
         let p = assemble("t", ".func main\n halt\n.endfunc\n").unwrap();
-        let r = ReferenceProfile::collect(&MachineModel::ivy_bridge(), &p, &RunConfig::default())
-            .unwrap();
+        let r = ReferenceProfile::collect(&p, &RunConfig::default()).unwrap();
         let js = serde_json::to_string(&r).unwrap();
         assert!(js.contains("total_instructions"));
     }

@@ -50,18 +50,15 @@ proptest! {
         arms in 0u8..5,
     ) {
         let p = structured_program(outer, inner, arms);
-        let cfg = Cfg::build(&p);
+        let r = ReferenceProfile::collect(&p, &RunConfig::default()).unwrap();
+        let bb_sum: u64 = r.bb_instructions.iter().sum();
+        let fn_sum: u64 = r.function_instructions.iter().sum();
         for machine in MachineModel::paper_machines() {
-            let (r, _) =
-                ReferenceProfile::collect_with_cfg(&machine, &p, &cfg, &RunConfig::default())
-                    .unwrap();
             // An independent timed run on each machine: the profile must
             // account for exactly what it retires.
             let timed = Cpu::new(&machine)
                 .run_silent(&p, &RunConfig::default())
                 .unwrap();
-            let bb_sum: u64 = r.bb_instructions.iter().sum();
-            let fn_sum: u64 = r.function_instructions.iter().sum();
             prop_assert_eq!(bb_sum, timed.instructions);
             prop_assert_eq!(fn_sum, timed.instructions);
             prop_assert_eq!(r.total_instructions, timed.instructions);
@@ -78,9 +75,7 @@ proptest! {
         // program halts cleanly), instruction counts factor exactly.
         let p = structured_program(outer, inner, 2);
         let cfg = Cfg::build(&p);
-        let machine = MachineModel::westmere();
-        let (r, _) =
-            ReferenceProfile::collect_with_cfg(&machine, &p, &cfg, &RunConfig::default()).unwrap();
+        let (r, _) = ReferenceProfile::collect_with_cfg(&p, &cfg, &RunConfig::default()).unwrap();
         for blk in cfg.blocks() {
             prop_assert_eq!(
                 r.bb_instructions[blk.id as usize],
@@ -98,8 +93,7 @@ proptest! {
         // `leaf` is straight-line and entered only by `call`, so the entry
         // count of its first block is its call count.
         let p = structured_program(outer, inner, 1);
-        let machine = MachineModel::ivy_bridge();
-        let r = ReferenceProfile::collect(&machine, &p, &RunConfig::default()).unwrap();
+        let r = ReferenceProfile::collect(&p, &RunConfig::default()).unwrap();
         let leaf = p.symbols.by_name("leaf").unwrap().entry;
         prop_assert_eq!(
             r.bb_entries[Cfg::build(&p).block_of(leaf) as usize],

@@ -12,8 +12,15 @@
 //! * load latency comes from the two-level cache model.
 //!
 //! The stream of [`RetireEvent`]s, with their cycle stamps, is the single
-//! source of truth consumed by the PMU model and the instrumentation
-//! reference.
+//! source of truth consumed by the PMU model.
+//!
+//! One dispatch loop defines the ISA's semantics, in two instances. The
+//! timed one ([`Cpu::run`] and its siblings) drives the machine's timing
+//! model. The untimed one ([`count_retired`]) drives none: no cache
+//! model, branch predictor or retirement clock, so it needs no machine.
+//! It counts retirements per address, which is all the instrumentation
+//! reference reads; every machine retires the same instructions, and
+//! timing only decides when.
 
 use crate::bpred::BranchPredictor;
 use crate::cache::CacheModel;
@@ -94,6 +101,19 @@ impl RunSummary {
     }
 }
 
+/// What an untimed pass ([`count_retired`]) defines: the totals the loop
+/// keeps and how the run ended. It has no cycles, mispredicts or cache
+/// statistics, because an untimed pass drives no timing model.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RetireTotals {
+    pub instructions: u64,
+    pub uops: u64,
+    pub taken_branches: u64,
+    pub stop: StopReason,
+    /// Final value of `r0`.
+    pub result: i64,
+}
+
 /// The simulated CPU for one machine model.
 ///
 /// A `Cpu` owns reusable run state (`SimScratch`): the decoded
@@ -106,11 +126,17 @@ impl RunSummary {
 pub struct Cpu<'m> {
     machine: &'m MachineModel,
     scratch: SimScratch,
+    /// Built lazily on first run (construction validates the machine's
+    /// cache geometry, which can fail); reset on every later run.
+    cache: Option<CacheModel>,
+    bpred: BranchPredictor,
+    /// The fan-out's per-observer gates, refilled each [`Cpu::run_all`].
+    gates: Vec<Gate>,
 }
 
-/// Run-to-run reusable interpreter state. Every container is cleared or
-/// refilled — never re-`vec!`'d — between runs; capacities ratchet up to
-/// the largest program replayed and stay there.
+/// Run-to-run reusable interpreter state, timed or not. Every container
+/// is cleared or refilled — never re-`vec!`'d — between runs; capacities
+/// ratchet up to the largest program replayed and stay there.
 struct SimScratch {
     /// Flat data memory, resized (within retained capacity) to the
     /// program's data segment each run.
@@ -118,12 +144,62 @@ struct SimScratch {
     call_stack: Vec<Addr>,
     /// Predecoded instruction table, rebuilt in place each run.
     decoded: Vec<Decoded>,
-    /// Built lazily on first run (construction validates the machine's
-    /// cache geometry, which can fail); reset on every later run.
-    cache: Option<CacheModel>,
-    bpred: BranchPredictor,
-    /// The fan-out's per-observer gates, refilled each [`Cpu::run_all`].
-    gates: Vec<Gate>,
+}
+
+/// The timing model a timed pass drives, reset for the pass.
+struct Timing<'a> {
+    machine: &'a MachineModel,
+    cache: &'a mut CacheModel,
+    bpred: &'a mut BranchPredictor,
+}
+
+/// The retirement clock of a timed pass (see the module docs).
+#[derive(Default)]
+struct Clock {
+    cycle: u64,
+    /// Instructions retired so far in `cycle`.
+    slot: u32,
+    /// Bubble cycles ahead of the next retirement (after a mispredict).
+    pending_bubble: u64,
+    retire_width: u32,
+    hide_latency: u32,
+}
+
+impl Clock {
+    fn new(machine: &MachineModel) -> Self {
+        Self {
+            retire_width: machine.retire_width,
+            hide_latency: machine.hide_latency,
+            ..Self::default()
+        }
+    }
+
+    /// Advances the clock for one instruction that completes after
+    /// `latency` cycles and returns the cycle it retires in. Afterwards
+    /// `slot` is 1 exactly when the instruction opened a new retirement
+    /// cycle (it is the cycle head).
+    #[inline(always)]
+    fn retire(&mut self, latency: u32) -> u64 {
+        if self.pending_bubble > 0 {
+            self.cycle += self.pending_bubble;
+            self.slot = 0;
+            self.pending_bubble = 0;
+        }
+        let stall = u64::from(latency.saturating_sub(self.hide_latency));
+        if stall > 0 {
+            // Long-latency completion: retirement drains, the instruction
+            // retires alone at the head of a fresh cycle and a burst forms
+            // behind it.
+            self.cycle += stall;
+            self.slot = 0;
+        }
+        if self.slot >= self.retire_width {
+            self.cycle += 1;
+            self.slot = 0;
+        }
+        self.slot += 1;
+        self.cycle
+    }
 }
 
 /// One statically-decoded instruction: opcode plus every per-step
@@ -141,8 +217,9 @@ struct Decoded {
     op: Opcode,
     class: InsnClass,
     uops: u32,
-    /// `class_latency(class)` for this machine; loads still override it
-    /// with the cache model's access latency.
+    /// `class_latency(class)` for this machine in a timed pass, 0 in an
+    /// untimed one; loads still override it with the cache model's access
+    /// latency.
     latency: u32,
 }
 
@@ -354,14 +431,10 @@ impl<'m> Cpu<'m> {
     pub fn new(machine: &'m MachineModel) -> Self {
         Self {
             machine,
-            scratch: SimScratch {
-                mem: Vec::new(),
-                call_stack: Vec::with_capacity(64),
-                decoded: Vec::new(),
-                cache: None,
-                bpred: BranchPredictor::new(),
-                gates: Vec::new(),
-            },
+            scratch: SimScratch::new(),
+            cache: None,
+            bpred: BranchPredictor::new(),
+            gates: Vec::new(),
         }
     }
 
@@ -399,10 +472,10 @@ impl<'m> Cpu<'m> {
         config: &RunConfig,
         observers: &mut [O],
     ) -> Result<RunSummary, SimError> {
-        let mut gates = std::mem::take(&mut self.scratch.gates);
+        let mut gates = std::mem::take(&mut self.gates);
         let summary =
-            self.run_sink::<_, true>(program, config, &mut Fanout::new(observers, &mut gates));
-        self.scratch.gates = gates;
+            self.run_timed::<_, true>(program, config, &mut Fanout::new(observers, &mut gates));
+        self.gates = gates;
         summary
     }
 
@@ -416,7 +489,7 @@ impl<'m> Cpu<'m> {
         config: &RunConfig,
         observer: &mut O,
     ) -> Result<RunSummary, SimError> {
-        self.run_sink::<_, true>(program, config, observer)
+        self.run_timed::<_, true>(program, config, observer)
     }
 
     /// Like [`Cpu::run`] with no observers at all: the event stream is
@@ -427,27 +500,139 @@ impl<'m> Cpu<'m> {
         program: &Program,
         config: &RunConfig,
     ) -> Result<RunSummary, SimError> {
-        self.run_sink::<_, false>(program, config, &mut NullObserver)
+        self.run_timed::<_, false>(program, config, &mut NullObserver)
     }
 
-    /// The dispatch loop, monomorphized over the observer so its budget
-    /// and event path compile straight into the interpreter. With
-    /// `OBSERVED` false the loop keeps no budget and builds no event.
-    fn run_sink<O: RetireObserver + ?Sized, const OBSERVED: bool>(
+    /// Resets the timing model (building the cache model on first use,
+    /// which validates its geometry), runs the timed loop and adds the
+    /// timing model's counts to the pass's totals.
+    fn run_timed<O: RetireObserver + ?Sized, const OBSERVED: bool>(
         &mut self,
         program: &Program,
         config: &RunConfig,
         observer: &mut O,
     ) -> Result<RunSummary, SimError> {
-        let m = self.machine;
-        let SimScratch {
+        let cache_slot = &mut self.cache;
+        let cache = match cache_slot {
+            Some(c) => {
+                c.reset();
+                c
+            }
+            None => cache_slot.insert(CacheModel::new(self.machine.cache)?),
+        };
+        self.bpred.reset();
+        let timing = Timing {
+            machine: self.machine,
+            cache: &mut *cache,
+            bpred: &mut self.bpred,
+        };
+        let (totals, cycle) =
+            self.scratch
+                .run_sink::<_, OBSERVED, true>(Some(timing), program, config, observer)?;
+        let (l1_hits, l2_hits, mem_accesses) = cache.stats();
+        let (bp_lookups, mispredicts) = self.bpred.stats();
+        Ok(RunSummary {
+            instructions: totals.instructions,
+            uops: totals.uops,
+            cycles: cycle + 1,
+            taken_branches: totals.taken_branches,
+            mispredicts,
+            bp_lookups,
+            l1_hits,
+            l2_hits,
+            mem_accesses,
+            stop: totals.stop,
+            result: totals.result,
+        })
+    }
+}
+
+/// Runs `program` with no timing model and adds each retirement of
+/// address `a` to `counts[a]`; `counts` holds one count per instruction
+/// of `program`.
+///
+/// This is the untimed instance of the dispatch loop: no cache model,
+/// branch predictor or retirement clock runs, so it needs no machine and
+/// allocates none of their tables. Every functional check still applies
+/// (memory bounds, indirect targets, the call-stack limit and fuel), so
+/// it fails exactly where a timed run of the same program fails, except
+/// that it never validates a cache geometry. The counts, the totals and
+/// the stop equal what a timed run retires on any machine.
+///
+/// It returns only what an untimed pass defines ([`RetireTotals`]), and
+/// it takes no observer: a budget's cycle deadline cannot work against a
+/// clock that never moves.
+///
+/// # Panics
+///
+/// When `counts` does not hold one entry per instruction of `program`.
+pub fn count_retired(
+    program: &Program,
+    config: &RunConfig,
+    counts: &mut [u64],
+) -> Result<RetireTotals, SimError> {
+    assert_eq!(
+        counts.len(),
+        program.len(),
+        "one count per instruction address"
+    );
+    let (totals, _) = SimScratch::new().run_sink::<_, true, false>(
+        None,
+        program,
+        config,
+        &mut AddrCounts(counts),
+    )?;
+    Ok(totals)
+}
+
+/// The one observer of an untimed pass: each retirement adds one to its
+/// address's count.
+struct AddrCounts<'a>(&'a mut [u64]);
+
+impl RetireObserver for AddrCounts<'_> {
+    #[inline(always)]
+    fn on_retire(&mut self, ev: &RetireEvent) {
+        self.0[ev.addr as usize] += 1;
+    }
+}
+
+impl SimScratch {
+    fn new() -> Self {
+        Self {
+            mem: Vec::new(),
+            call_stack: Vec::with_capacity(64),
+            decoded: Vec::new(),
+        }
+    }
+
+    /// The dispatch loop, monomorphized over the observer so its budget
+    /// and event path compile straight into the interpreter. With
+    /// `OBSERVED` false the loop keeps no budget and builds no event.
+    ///
+    /// With `TIMED` true, `timing` is the reset timing model: loads and
+    /// stores probe its cache, branches consult its predictor, and each
+    /// retirement advances the clock. With `TIMED` false, `timing` is
+    /// `None` and none of that runs: every event retires in cycle 0 and
+    /// is delivered to the observer, since no budget deadline can work
+    /// against a clock that never moves.
+    ///
+    /// Returns the pass's totals and its final retirement cycle.
+    fn run_sink<O: RetireObserver + ?Sized, const OBSERVED: bool, const TIMED: bool>(
+        &mut self,
+        timing: Option<Timing<'_>>,
+        program: &Program,
+        config: &RunConfig,
+        observer: &mut O,
+    ) -> Result<(RetireTotals, u64), SimError> {
+        let Self {
             mem,
             call_stack,
             decoded,
-            cache: cache_slot,
-            bpred,
-            gates: _,
-        } = &mut self.scratch;
+        } = self;
+        let (machine, mut cache, mut bpred) = match timing.filter(|_| TIMED) {
+            Some(t) => (Some(t.machine), Some(t.cache), Some(t.bpred)),
+            None => (None, None, None),
+        };
         let mut regs = [0i64; ct_isa::reg::NUM_REGS];
         let mut fregs = [0f64; ct_isa::reg::NUM_FREGS];
         for (i, &a) in config.args.iter().enumerate().take(5) {
@@ -461,14 +646,6 @@ impl<'m> Cpu<'m> {
             }
         }
         call_stack.clear();
-        let cache = match cache_slot {
-            Some(c) => {
-                c.reset();
-                c
-            }
-            None => cache_slot.insert(CacheModel::new(m.cache)?),
-        };
-        bpred.reset();
 
         // Predecode: amortize the per-step class/uops/latency matches over
         // the whole run (see [`Decoded`]). Indexing parallels the program,
@@ -480,21 +657,20 @@ impl<'m> Cpu<'m> {
                 op: insn.op,
                 class,
                 uops: insn.uops(),
-                latency: m.class_latency(class),
+                latency: machine.map_or(0, |m| m.class_latency(class)),
             }
         }));
 
         let mut pc: Addr = program.entry;
-        let mut cycle: u64 = 0;
-        let mut slot: u32 = 0;
-        let mut pending_bubble: u64 = 0;
+        let mut clock = machine.map_or_else(Clock::default, Clock::new);
+        let mispredict_penalty = machine.map_or(0, |m| u64::from(m.mispredict_penalty));
         let mut instructions: u64 = 0;
         let mut uops: u64 = 0;
         let mut taken_branches: u64 = 0;
-        let mut mispredicts: u64 = 0;
-        let hide = m.hide_latency;
         let mut watch = Watch::default();
-        watch.gate.arm(observer.quiet_budget(), (0, 0, 0));
+        if OBSERVED && TIMED {
+            watch.gate.arm(observer.quiet_budget(), (0, 0, 0));
+        }
 
         let stop = loop {
             if instructions >= config.max_insns {
@@ -574,7 +750,9 @@ impl<'m> Cpu<'m> {
                         )
                         .expect("index checked above");
                     regs[d.index()] = v;
-                    latency = cache.access(idx as u64);
+                    if let Some(cache) = cache.as_deref_mut() {
+                        latency = cache.access(idx as u64);
+                    }
                 }
                 Opcode::Store(v, b, off) => {
                     let idx = regs[b.index()].wrapping_add(off);
@@ -583,7 +761,9 @@ impl<'m> Cpu<'m> {
                         .filter(|&i| i < mem.len())
                         .ok_or(SimError::MemOutOfBounds { pc, word_addr: idx })?;
                     mem[slot_ref] = regs[v.index()];
-                    cache.access(idx as u64); // write-allocate; latency hidden by the store buffer
+                    if let Some(cache) = cache.as_deref_mut() {
+                        cache.access(idx as u64); // write-allocate; latency hidden by the store buffer
+                    }
                 }
                 Opcode::FLoad(d, b, off) => {
                     let idx = regs[b.index()].wrapping_add(off);
@@ -596,7 +776,9 @@ impl<'m> Cpu<'m> {
                         )
                         .expect("index checked above");
                     fregs[d.index()] = f64::from_bits(raw as u64);
-                    latency = cache.access(idx as u64);
+                    if let Some(cache) = cache.as_deref_mut() {
+                        latency = cache.access(idx as u64);
+                    }
                 }
                 Opcode::FStore(v, b, off) => {
                     let idx = regs[b.index()].wrapping_add(off);
@@ -605,7 +787,9 @@ impl<'m> Cpu<'m> {
                         .filter(|&i| i < mem.len())
                         .ok_or(SimError::MemOutOfBounds { pc, word_addr: idx })?;
                     mem[slot_ref] = fregs[v.index()].to_bits() as i64;
-                    cache.access(idx as u64);
+                    if let Some(cache) = cache.as_deref_mut() {
+                        cache.access(idx as u64);
+                    }
                 }
 
                 Opcode::Jmp(t) => {
@@ -618,13 +802,17 @@ impl<'m> Cpu<'m> {
                         .ok()
                         .filter(|&a| (a as usize) < program.len())
                         .ok_or(SimError::BadIndirectTarget { pc, target: t })?;
-                    mispredicted = bpred.predict_indirect(pc, t_addr);
+                    if let Some(bpred) = bpred.as_deref_mut() {
+                        mispredicted = bpred.predict_indirect(pc, t_addr);
+                    }
                     next_pc = t_addr;
                     taken_target = Some(t_addr);
                 }
                 Opcode::Br(c, a, b, t) => {
                     let taken = c.eval(regs[a.index()], regs[b.index()]);
-                    mispredicted = bpred.predict_conditional(pc, taken);
+                    if let Some(bpred) = bpred.as_deref_mut() {
+                        mispredicted = bpred.predict_conditional(pc, taken);
+                    }
                     if taken {
                         next_pc = t;
                         taken_target = Some(t);
@@ -632,7 +820,9 @@ impl<'m> Cpu<'m> {
                 }
                 Opcode::Brz(r, t) => {
                     let taken = regs[r.index()] == 0;
-                    mispredicted = bpred.predict_conditional(pc, taken);
+                    if let Some(bpred) = bpred.as_deref_mut() {
+                        mispredicted = bpred.predict_conditional(pc, taken);
+                    }
                     if taken {
                         next_pc = t;
                         taken_target = Some(t);
@@ -640,7 +830,9 @@ impl<'m> Cpu<'m> {
                 }
                 Opcode::Brnz(r, t) => {
                     let taken = regs[r.index()] != 0;
-                    mispredicted = bpred.predict_conditional(pc, taken);
+                    if let Some(bpred) = bpred.as_deref_mut() {
+                        mispredicted = bpred.predict_conditional(pc, taken);
+                    }
                     if taken {
                         next_pc = t;
                         taken_target = Some(t);
@@ -672,7 +864,9 @@ impl<'m> Cpu<'m> {
                             depth: config.call_stack_limit,
                         });
                     }
-                    mispredicted = bpred.predict_indirect(pc, t_addr);
+                    if let Some(bpred) = bpred.as_deref_mut() {
+                        mispredicted = bpred.predict_indirect(pc, t_addr);
+                    }
                     call_stack.push(pc + 1);
                     next_pc = t_addr;
                     taken_target = Some(t_addr);
@@ -688,129 +882,72 @@ impl<'m> Cpu<'m> {
                 Opcode::Nop => {}
                 Opcode::Halt => {
                     // Retire the halt itself, then stop.
-                    let ev = Self::advance_clock(
-                        m,
-                        &mut cycle,
-                        &mut slot,
-                        &mut pending_bubble,
-                        latency,
-                        hide,
-                        pc,
-                        instructions,
-                        insn.uops,
+                    let cycle = if TIMED { clock.retire(latency) } else { 0 };
+                    let ev = RetireEvent {
+                        addr: pc,
+                        seq: instructions,
+                        cycle,
+                        uops: insn.uops,
                         class,
-                        None,
-                        false,
-                    );
+                        taken_target: None,
+                        mispredicted: false,
+                    };
                     instructions += 1;
                     uops += u64::from(insn.uops);
                     if OBSERVED {
                         let totals = (instructions, uops, taken_branches);
-                        watch.observe(observer, ev, slot == 1, totals);
+                        if TIMED {
+                            watch.observe(observer, ev, clock.slot == 1, totals);
+                        } else {
+                            observer.on_retire(&ev);
+                        }
                     }
                     break StopReason::Halted;
                 }
             }
 
-            let ev = Self::advance_clock(
-                m,
-                &mut cycle,
-                &mut slot,
-                &mut pending_bubble,
-                latency,
-                hide,
-                pc,
-                instructions,
-                insn.uops,
+            let cycle = if TIMED { clock.retire(latency) } else { 0 };
+            let ev = RetireEvent {
+                addr: pc,
+                seq: instructions,
+                cycle,
+                uops: insn.uops,
                 class,
                 taken_target,
                 mispredicted,
-            );
+            };
             instructions += 1;
             uops += u64::from(insn.uops);
             taken_branches += u64::from(taken_target.is_some());
-            mispredicts += u64::from(mispredicted);
             if OBSERVED {
                 let totals = (instructions, uops, taken_branches);
-                watch.observe(observer, ev, slot == 1, totals);
+                if TIMED {
+                    watch.observe(observer, ev, clock.slot == 1, totals);
+                } else {
+                    observer.on_retire(&ev);
+                }
             }
-            if mispredicted {
-                pending_bubble = u64::from(m.mispredict_penalty);
+            if TIMED && mispredicted {
+                clock.pending_bubble = mispredict_penalty;
             }
             pc = next_pc;
         };
 
-        if OBSERVED {
+        if OBSERVED && TIMED {
             let totals = (instructions, uops, taken_branches);
             if totals != watch.gate.seen {
                 observer.on_skipped(watch.gate.unseen(totals), watch.cycle_head);
             }
-            observer.on_finish(cycle);
+            observer.on_finish(clock.cycle);
         }
-        let (l1_hits, l2_hits, mem_accesses) = cache.stats();
-        let (bp_lookups, bp_miss) = bpred.stats();
-        debug_assert_eq!(bp_miss, mispredicts);
-        Ok(RunSummary {
+        let totals = RetireTotals {
             instructions,
             uops,
-            cycles: cycle + 1,
             taken_branches,
-            mispredicts,
-            bp_lookups,
-            l1_hits,
-            l2_hits,
-            mem_accesses,
             stop,
             result: regs[0],
-        })
-    }
-
-    /// Advances the retirement clock for one instruction and builds its
-    /// retire event. Afterwards `slot` is 1 exactly when the instruction
-    /// opened a new retirement cycle (it is the cycle head).
-    #[expect(clippy::too_many_arguments)]
-    fn advance_clock(
-        m: &MachineModel,
-        cycle: &mut u64,
-        slot: &mut u32,
-        pending_bubble: &mut u64,
-        latency: u32,
-        hide: u32,
-        pc: Addr,
-        seq: u64,
-        uops: u32,
-        class: InsnClass,
-        taken_target: Option<Addr>,
-        mispredicted: bool,
-    ) -> RetireEvent {
-        if *pending_bubble > 0 {
-            *cycle += *pending_bubble;
-            *slot = 0;
-            *pending_bubble = 0;
-        }
-        let stall = u64::from(latency.saturating_sub(hide));
-        if stall > 0 {
-            // Long-latency completion: retirement drains, the instruction
-            // retires alone at the head of a fresh cycle and a burst forms
-            // behind it.
-            *cycle += stall;
-            *slot = 0;
-        }
-        if *slot >= m.retire_width {
-            *cycle += 1;
-            *slot = 0;
-        }
-        let ev = RetireEvent {
-            addr: pc,
-            seq,
-            cycle: *cycle,
-            uops,
-            class,
-            taken_target,
-            mispredicted,
         };
-        *slot += 1;
-        ev
+        Ok((totals, clock.cycle))
     }
 }
 
@@ -1288,6 +1425,98 @@ mod tests {
             err,
             SimError::BadCacheGeometry { level: "L1", .. }
         ));
+    }
+
+    /// The untimed pass retires what a timed pass retires, on every
+    /// paper machine: the same count per address, totals, stop and result.
+    #[test]
+    fn untimed_counts_equal_timed_counts() {
+        let p = assemble(
+            "t",
+            r#"
+            .data 64
+            .func main
+                movi r1, 300
+                movi r2, 7
+            top:
+                rem r3, r1, r2
+                store r3, [r3+0]
+                load r4, [r3+0]
+                brz r4, skip
+                call bump
+            skip:
+                subi r1, r1, 1
+                brnz r1, top
+                halt
+            .endfunc
+            .func bump
+                addi r0, r0, 3
+                ret
+            .endfunc
+        "#,
+        )
+        .unwrap();
+        for fuel in [u64::MAX, 1_001] {
+            let cfg = RunConfig::with_fuel(fuel);
+            let mut counts = vec![0; p.len()];
+            let untimed = count_retired(&p, &cfg, &mut counts).unwrap();
+            for m in MachineModel::paper_machines() {
+                let mut c = Collector::default();
+                let timed = Cpu::new(&m).run_observed(&p, &cfg, &mut c).unwrap();
+                let mut timed_counts = vec![0; p.len()];
+                for ev in &c.0 {
+                    timed_counts[ev.addr as usize] += 1;
+                }
+                assert_eq!(counts, timed_counts, "{}", m.name);
+                assert_eq!(
+                    (untimed.instructions, untimed.uops, untimed.taken_branches),
+                    (timed.instructions, timed.uops, timed.taken_branches)
+                );
+                assert_eq!((untimed.stop, untimed.result), (timed.stop, timed.result));
+            }
+        }
+    }
+
+    /// Every functional check holds without a timing model, and the
+    /// untimed pass fails with the timed pass's error.
+    #[test]
+    fn untimed_pass_keeps_every_functional_check() {
+        let m = MachineModel::ivy_bridge();
+        for (src, cfg) in [
+            (
+                ".data 4\n.func main\n movi r1, 100\n load r0, [r1]\n halt\n.endfunc\n",
+                RunConfig::default(),
+            ),
+            (
+                ".func main\n movi r10, 1\n callind r10\n halt\n.endfunc\n",
+                RunConfig::default(),
+            ),
+            (".func main\n ret\n.endfunc\n", RunConfig::default()),
+            (
+                ".func main\n call main\n halt\n.endfunc\n",
+                RunConfig {
+                    call_stack_limit: 32,
+                    ..RunConfig::default()
+                },
+            ),
+        ] {
+            let p = assemble("t", src).unwrap();
+            let untimed = count_retired(&p, &cfg, &mut vec![0; p.len()]).unwrap_err();
+            let timed = run_with(&m, &p, &cfg, &mut NullObserver).unwrap_err();
+            assert_eq!(untimed, timed);
+        }
+        let spin = assemble("t", ".func main\nspin:\n jmp spin\n.endfunc\n").unwrap();
+        let mut counts = vec![0; spin.len()];
+        let totals = count_retired(&spin, &RunConfig::with_fuel(1000), &mut counts).unwrap();
+        assert_eq!(totals.stop, StopReason::FuelExhausted);
+        assert_eq!((totals.instructions, counts[0]), (1000, 1000));
+    }
+
+    #[test]
+    #[should_panic(expected = "one count per instruction address")]
+    fn untimed_pass_needs_one_count_per_address() {
+        let p = assemble("t", ".func main\n halt\n.endfunc\n").unwrap();
+        let _ = count_retired(&p, &RunConfig::default(), &mut []);
     }
 
     #[test]

@@ -18,10 +18,12 @@
 //! cache model for loads, a branch predictor for control flow, and a
 //! `retire_width`-wide retirement stage that drains bursts after stalls.
 //! The retirement stream is published to [`event::RetireObserver`]s —
-//! the PMU model (`ct-pmu`), the reference instrumentation
-//! (`ct-instrument`) and the profiling session (`countertrust`) all observe
-//! this one stream, exactly as PMU, Pin and perf all observe one execution
-//! on real hardware.
+//! the PMU model (`ct-pmu`) and the profiling session (`countertrust`)
+//! observe this one stream, as PMU and perf observe one execution on
+//! real hardware. The reference instrumentation (`ct-instrument`), like
+//! Pin, needs no timing: it reads per-address retirement counts from
+//! [`count_retired`], the untimed instance of the same dispatch loop,
+//! which runs no cache model, predictor or clock and takes no machine.
 //!
 //! # Examples
 //!
@@ -67,5 +69,5 @@ pub mod machine;
 
 pub use error::SimError;
 pub use event::{QuietBudget, RetireEvent, RetireObserver, Skipped};
-pub use exec::{Cpu, RunConfig, RunSummary, StopReason};
+pub use exec::{count_retired, Cpu, RetireTotals, RunConfig, RunSummary, StopReason};
 pub use machine::{CacheConfig, Latencies, MachineModel, PmuCaps, Vendor};

@@ -18,9 +18,9 @@ pub(crate) fn run(w: &Workload, m: &MachineModel) -> RunSummary {
     run_with(m, &w.program, &w.run_config, &mut NullObserver).unwrap()
 }
 
-/// Instrumented reference profile of `w` on `m`.
-pub(crate) fn profile(w: &Workload, m: &MachineModel) -> ReferenceProfile {
-    ReferenceProfile::collect(m, &w.program, &w.run_config).unwrap()
+/// Reference profile of `w` (the same on every machine).
+pub(crate) fn profile(w: &Workload) -> ReferenceProfile {
+    ReferenceProfile::collect(&w.program, &w.run_config).unwrap()
 }
 
 /// Instructions `r` attributes to function `name`.

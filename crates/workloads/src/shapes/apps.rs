@@ -45,7 +45,7 @@ mod omnetpp {
 
         #[test]
         fn all_handlers_dispatched() {
-            let r = profile(&workload("omnetpp", 8_000), &MachineModel::westmere());
+            let r = profile(&workload("omnetpp", 8_000));
             for h in 0..8 {
                 let name = format!("handle_{h}");
                 assert!(insns_in(&r, &name) > 0, "{name} never dispatched");
@@ -56,7 +56,7 @@ mod omnetpp {
 
         #[test]
         fn enterprise_like_branch_density() {
-            let r = profile(&workload("omnetpp", 4_000), &MachineModel::ivy_bridge());
+            let r = profile(&workload("omnetpp", 4_000));
             let ipb = ipb(&r);
             assert!(
                 ipb < 12.0,
@@ -87,7 +87,7 @@ mod povray {
                 .filter_map(|k| hist.get(*k))
                 .sum();
             assert!(fp >= 20, "static FP share too small: {hist:?}");
-            let r = profile(&w, &MachineModel::westmere());
+            let r = profile(&w);
             // All helpers execute.
             for f in ["vdot", "vnormalize", "intersect_sphere", "shade"] {
                 assert!(insns_in(&r, f) > 0, "{f} never ran");
@@ -117,13 +117,13 @@ mod xalanc {
                 mean_len < 3.5,
                 "xalanc proxy blocks should be tiny, got {mean_len:.2}"
             );
-            let ipb = ipb(&profile(&w, &MachineModel::ivy_bridge()));
+            let ipb = ipb(&profile(&w));
             assert!(ipb < 8.0, "branch density too low: {ipb:.1}");
         }
 
         #[test]
         fn text_handler_is_hottest() {
-            let r = profile(&workload("xalancbmk", 10), &MachineModel::westmere());
+            let r = profile(&workload("xalancbmk", 10));
             // Text is ~half of all classes by construction; its handler must
             // dominate the other handlers.
             assert!(insns_in(&r, "h_text") > insns_in(&r, "h_tag_open"));
@@ -151,7 +151,7 @@ mod fullcms {
                 w.program.symbols.functions().len() > 40,
                 "dozens of functions expected"
             );
-            let r = profile(&w, &MachineModel::ivy_bridge());
+            let r = profile(&w);
             let rank = r.function_ranking();
             // Zipf selection: the hottest function is nowhere near a majority
             // (long tail), yet the top 10 all have real mass.
@@ -172,7 +172,7 @@ mod fullcms {
         fn callchain_like_depth() {
             // main -> proc -> mod -> helper: call chains are deep and methods
             // short, the §5.2 explanation for pure-LBR not winning here.
-            let r = profile(&workload("fullcms", 200), &MachineModel::westmere());
+            let r = profile(&workload("fullcms", 200));
             let ipb = ipb(&r);
             assert!(ipb < 10.0, "fragmented methods expected, got ipb {ipb:.1}");
         }

@@ -37,7 +37,7 @@ mod tests {
     fn callchain_functions_do_equal_work() {
         let w = workload("callchain", 2_000);
         assert_eq!(w.program.symbols.functions().len(), 11); // main + f1..f10
-        let r = profile(&w, &MachineModel::ivy_bridge());
+        let r = profile(&w);
         let per_fn: Vec<u64> = r
             .function_names
             .iter()
@@ -54,7 +54,7 @@ mod tests {
     #[test]
     fn g4box_splits_work_evenly_and_has_short_blocks() {
         let w = workload("g4box", 5_000);
-        let r = profile(&w, &MachineModel::ivy_bridge());
+        let r = profile(&w);
         let classify = insns_in(&r, "classify") as f64;
         let surface = insns_in(&r, "surface") as f64;
         let ratio = classify / surface;
@@ -69,7 +69,7 @@ mod tests {
 
     #[test]
     fn test40_exercises_all_processes() {
-        let r = profile(&workload("test40", 20_000), &MachineModel::westmere());
+        let r = profile(&workload("test40", 20_000));
         for proc_name in ["phys_ionize", "phys_brems", "phys_scatter", "phys_absorb"] {
             assert!(insns_in(&r, proc_name) > 0, "{proc_name} never executed");
         }

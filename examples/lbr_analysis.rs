@@ -64,9 +64,8 @@ fn main() {
             credit_stack(lbr, &cfg, nominal, &mut bb_mass);
         }
     }
-    let reference =
-        ct_instrument::ReferenceProfile::collect(&machine, &program, &RunConfig::default())
-            .expect("reference");
+    let reference = ct_instrument::ReferenceProfile::collect(&program, &RunConfig::default())
+        .expect("reference");
     println!("\nhottest blocks, estimated vs exact instruction counts:");
     println!(
         "{:>6} {:>12} {:>12} {:>8}",

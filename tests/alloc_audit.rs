@@ -9,6 +9,8 @@
 //! * the batched and pipelined serve paths allocate a vanishing amount
 //!   per retired instruction (per-response bookkeeping exists, but
 //!   nothing scales with the instruction stream);
+//! * an untimed reference collection allocates the same at 10 k and at
+//!   100 k loop trips: its tables follow the program, not the run;
 //! * the assembler, the front end for tenant-supplied `.ctasm`, requests
 //!   bytes linear in its source plus the `.init` words it lays out, and
 //!   refuses `.init` fills past its bound before allocating them.
@@ -23,8 +25,9 @@
 use countertrust::grid::WorkloadSpec;
 use countertrust::methods::MethodOptions;
 use countertrust::serve::{EvalRequest, EvalService, PipelineOptions};
+use ct_instrument::ReferenceProfile;
 use ct_isa::asm::{assemble, MAX_DATA_WORDS};
-use ct_isa::{IsaError, Program};
+use ct_isa::{Cfg, IsaError, Program};
 use ct_sim::alloc_audit::AllocSnapshot;
 use ct_sim::{Cpu, MachineModel, RunConfig};
 use rand::rngs::SmallRng;
@@ -119,6 +122,38 @@ fn retained_cpu_swapping_programs_settles_allocation_free() {
         after.thread_allocations_since(&before),
         0,
         "alternating warm programs must not reallocate scratch"
+    );
+}
+
+/// Allocations of one reference collection (the untimed pass plus the
+/// profile it folds) over a counted loop of `trips` iterations, counted
+/// on the calling thread.
+fn reference_allocations(trips: u64) -> u64 {
+    let program = assemble(
+        "trips",
+        &format!(
+            ".func main\n movi r1, {trips}\ntop:\n addi r2, r2, 1\n subi r1, r1, 1\n brnz r1, top\n halt\n.endfunc"
+        ),
+    )
+    .unwrap();
+    let cfg = Cfg::build(&program);
+    let config = RunConfig::default();
+    let before = AllocSnapshot::now();
+    let (reference, _) = ReferenceProfile::collect_with_cfg(&program, &cfg, &config).unwrap();
+    let after = AllocSnapshot::now();
+    assert_eq!(reference.total_instructions, 2 + 3 * trips);
+    after.thread_allocations_since(&before)
+}
+
+#[test]
+fn untimed_reference_allocation_does_not_grow_with_the_run() {
+    let guard = EXCLUSIVE.lock().unwrap();
+    let short = reference_allocations(10_000);
+    let long = reference_allocations(100_000);
+    drop(guard);
+    assert_eq!(
+        short, long,
+        "a reference over 10x the retired instructions must allocate the same"
     );
 }
 

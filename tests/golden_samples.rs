@@ -40,7 +40,9 @@ use ct_isa::Cfg;
 use ct_pmu::{
     LbrEntry, LbrFilter, LbrMode, Sample, SampleBatch, Sampler, SamplerConfig, SamplerStats,
 };
-use ct_sim::{Cpu, MachineModel, RetireEvent, RetireObserver, RunConfig, StopReason};
+use ct_sim::{
+    count_retired, Cpu, MachineModel, RetireEvent, RetireObserver, RunConfig, StopReason,
+};
 use ct_workloads::{Workload, WorkloadClass};
 
 /// 64-bit FNV-1a over a byte stream, fed incrementally.
@@ -157,8 +159,8 @@ fn method_config(
     })
 }
 
-fn reference_digest(machine: &MachineModel, workload: &Workload, run_config: &RunConfig) -> u64 {
-    let r = ReferenceProfile::collect(machine, &workload.program, run_config)
+fn reference_digest(workload: &Workload, run_config: &RunConfig) -> u64 {
+    let r = ReferenceProfile::collect(&workload.program, run_config)
         .expect("registry workloads run to completion");
     let mut fnv = Fnv::new();
     for counts in [&r.bb_instructions, &r.bb_entries, &r.function_instructions] {
@@ -210,6 +212,19 @@ struct AddrCounts(Vec<u64>);
 impl RetireObserver for AddrCounts {
     fn on_retire(&mut self, ev: &RetireEvent) {
         self.0[ev.addr as usize] += 1;
+    }
+}
+
+/// [`Retired`] from the untimed pass.
+fn untimed_counts(workload: &Workload, run_config: &RunConfig) -> Retired {
+    let mut counts = vec![0; workload.program.len()];
+    let totals = count_retired(&workload.program, run_config, &mut counts)
+        .expect("registry workloads run to completion");
+    Retired {
+        counts,
+        instructions: totals.instructions,
+        taken_branches: totals.taken_branches,
+        stop: totals.stop,
     }
 }
 
@@ -384,19 +399,12 @@ fn variant_rows(
 /// The last row is the fuel-capped run, with workload `"<name>@fuel"`.
 type ReferenceRow = (&'static str, u64);
 
-fn reference_rows(machines: &[MachineModel], workloads: &[Workload]) -> Vec<(String, u64)> {
+fn reference_rows(workloads: &[Workload]) -> Vec<(String, u64)> {
     reference_runs(workloads)
         .into_iter()
         .map(|(name, w, run_config)| {
-            let digests: Vec<u64> = machines
-                .iter()
-                .map(|m| reference_digest(m, w, &run_config))
-                .collect();
-            assert!(
-                digests.iter().all(|&d| d == digests[0]),
-                "{name}: the reference profile depends on the machine"
-            );
-            (name, digests[0])
+            let digest = reference_digest(w, &run_config);
+            (name, digest)
         })
         .collect()
 }
@@ -698,7 +706,7 @@ fn off_default_sampler_configurations_match_the_golden_digests() {
 
 #[test]
 fn reference_profiles_match_the_golden_digests() {
-    let rows = reference_rows(&MachineModel::paper_machines(), &workloads());
+    let rows = reference_rows(&workloads());
     if regen() {
         println!("const GOLDEN_REFERENCES: &[ReferenceRow] = &[");
         for (w, digest) in &rows {
@@ -721,7 +729,8 @@ fn reference_profiles_match_the_golden_digests() {
 
 /// The reference's ground truth is the machine-independent part of the
 /// stream: on every paper machine a timed pass retires each address the
-/// same number of times, with the same totals and the same stop.
+/// same number of times, with the same totals and the same stop, and the
+/// untimed pass the reference runs retires exactly that.
 #[test]
 fn retire_counts_do_not_depend_on_the_machine() {
     let machines = MachineModel::paper_machines();
@@ -734,6 +743,11 @@ fn retire_counts_do_not_depend_on_the_machine() {
         for (m, retired) in machines.iter().zip(&timed).skip(1) {
             assert_eq!(retired, &timed[0], "{name}: {} retires differently", m.name);
         }
+        assert_eq!(
+            untimed_counts(w, &run_config),
+            timed[0],
+            "{name}: the untimed pass retires differently"
+        );
     }
 }
 
@@ -742,7 +756,6 @@ fn retire_counts_do_not_depend_on_the_machine() {
 /// whole multiple of its entries.
 #[test]
 fn the_fuel_capped_reference_stops_mid_block() {
-    let machine = MachineModel::westmere();
     let w = workloads()
         .into_iter()
         .find(|w| w.name == FUEL_WORKLOAD)
@@ -752,8 +765,7 @@ fn the_fuel_capped_reference_stops_mid_block() {
         max_insns: FUEL,
         ..w.run_config.clone()
     };
-    let (r, summary) =
-        ReferenceProfile::collect_with_cfg(&machine, &w.program, &cfg, &capped).unwrap();
+    let (r, summary) = ReferenceProfile::collect_with_cfg(&w.program, &cfg, &capped).unwrap();
     assert_eq!(summary.stop, StopReason::FuelExhausted);
     assert_eq!(r.total_instructions, FUEL);
     assert!(

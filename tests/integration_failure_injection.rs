@@ -101,16 +101,16 @@ fn fuel_exhaustion_keeps_counts_consistent() {
         max_insns: 200_000,
         ..RunConfig::default()
     };
-    let (reference, summary) = ReferenceProfile::collect_with_cfg(
-        &machine,
-        &program,
-        &ct_isa::Cfg::build(&program),
-        &run_config,
-    )
-    .unwrap();
+    let (reference, summary) =
+        ReferenceProfile::collect_with_cfg(&program, &ct_isa::Cfg::build(&program), &run_config)
+            .unwrap();
     assert_eq!(summary.stop, StopReason::FuelExhausted);
     assert_eq!(summary.instructions, 200_000);
-    // Instrumentation agrees exactly with the truncated run.
+    // Instrumentation agrees exactly with the truncated timed run.
+    let timed = Cpu::new(&machine)
+        .run_silent(&program, &run_config)
+        .unwrap();
+    assert_eq!((timed.stop, timed.instructions), (summary.stop, 200_000));
     assert_eq!(reference.total_instructions(), 200_000);
     let sum: u64 = reference.bb_instructions.iter().sum();
     assert_eq!(sum, 200_000);

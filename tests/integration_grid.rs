@@ -1,6 +1,6 @@
 //! Grid-engine guarantees: parallel evaluation is byte-identical to
 //! serial, and the reference profile is collected exactly once per
-//! (machine, workload) pair no matter how many method cells consume it.
+//! workload no matter how many machines and method cells consume it.
 
 use countertrust::grid::{GridRunner, WorkloadSpec};
 use countertrust::methods::MethodOptions;
@@ -28,7 +28,7 @@ fn grid_is_thread_count_invariant_and_shares_references() {
     let workloads = &workloads[..2];
     let machines = MachineModel::paper_machines();
     let opts = MethodOptions::fast();
-    let pairs = (machines.len() * workloads.len()) as u64;
+    let references = workloads.len() as u64;
 
     let before_serial = ct_instrument::collection_count();
     let serial =
@@ -38,8 +38,8 @@ fn grid_is_thread_count_invariant_and_shares_references() {
     let after_serial = ct_instrument::collection_count();
     assert_eq!(
         after_serial - before_serial,
-        pairs,
-        "serial grid must collect one reference per (machine, workload) pair"
+        references,
+        "serial grid must collect one reference per workload"
     );
 
     let parallel =
@@ -49,8 +49,8 @@ fn grid_is_thread_count_invariant_and_shares_references() {
     let after_parallel = ct_instrument::collection_count();
     assert_eq!(
         after_parallel - after_serial,
-        pairs,
-        "parallel grid must collect one reference per (machine, workload) pair"
+        references,
+        "parallel grid must collect one reference per workload"
     );
 
     // Byte-identical JSON: the full evaluation tree (per-run errors,
