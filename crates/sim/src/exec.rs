@@ -163,6 +163,7 @@ struct Clock {
     pending_bubble: u64,
     retire_width: u32,
     hide_latency: u32,
+    mispredict_penalty: u64,
 }
 
 impl Clock {
@@ -170,6 +171,7 @@ impl Clock {
         Self {
             retire_width: machine.retire_width,
             hide_latency: machine.hide_latency,
+            mispredict_penalty: u64::from(machine.mispredict_penalty),
             ..Self::default()
         }
     }
@@ -663,7 +665,6 @@ impl SimScratch {
 
         let mut pc: Addr = program.entry;
         let mut clock = machine.map_or_else(Clock::default, Clock::new);
-        let mispredict_penalty = machine.map_or(0, |m| u64::from(m.mispredict_penalty));
         let mut instructions: u64 = 0;
         let mut uops: u64 = 0;
         let mut taken_branches: u64 = 0;
@@ -928,7 +929,7 @@ impl SimScratch {
                 }
             }
             if TIMED && mispredicted {
-                clock.pending_bubble = mispredict_penalty;
+                clock.pending_bubble = clock.mispredict_penalty;
             }
             pc = next_pc;
         };
