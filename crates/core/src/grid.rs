@@ -12,7 +12,7 @@
 //! * each workload's [`ReferenceProfile`] is collected exactly once
 //!   (phase 1, itself parallel over workloads), since it does not depend
 //!   on the machine, and shared via [`Arc`] by the [`PairParts`] of every
-//!   pair of that workload, so with every method evaluation of those
+//!   pair of that workload, and so by every method evaluation of those
 //!   pairs (phase 2) through [`PairCtx::session`];
 //! * phase 2 simulates once per pair and samples many: one task per pair
 //!   runs all of its methods × repeats through shared passes
