@@ -116,10 +116,10 @@ pub struct RetireTotals {
 
 /// The simulated CPU for one machine model.
 ///
-/// A `Cpu` owns reusable run state (`SimScratch`): the decoded
-/// instruction table, the flat data memory, the call stack, the branch
-/// predictor tables and the cache tag/stamp arrays are allocated once and
-/// *reset* at the start of every [`Cpu::run`]. Replaying `runs ×
+/// A `Cpu` owns reusable run state — its `SimScratch` (the decoded
+/// instruction table, the flat data memory, the call stack) plus the
+/// branch predictor tables and the cache tag/stamp arrays — allocated
+/// once and *reset* at the start of every [`Cpu::run`]. Replaying `runs ×
 /// workloads` on a retained `Cpu` therefore performs zero steady-state
 /// heap allocations (pinned by the `alloc_audit` test tier); one-shot
 /// `Cpu::new(&m).run(..)` callers pay exactly the old per-run cost.
